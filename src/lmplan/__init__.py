@@ -60,7 +60,6 @@ from .control import (
     ControlOutcome,
     ControlTrace,
     compile_disjunctive_goal,
-    leaves,
     run_control,
 )
 

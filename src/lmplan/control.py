@@ -104,14 +104,6 @@ def compile_disjunctive_goal(task: Task, state: int,
     return _compile(task, state, [(d,) for d in disjuncts])
 
 
-def leaves(g: LGG) -> tuple[int, ...]:
-    """Nodes with no incoming edges; empty only on an empty graph."""
-    out = g.leaves()
-    if not out and len(g):
-        raise PlanningError("nonempty graph without leaves: a cycle leaked through")
-    return out
-
-
 def _consistent_partition(leaf_ids: Sequence[int], table: InconsistencyTable) -> list[tuple[int, ...]]:
     """Greedy partition of leaves into maximal pairwise-consistent subsets."""
     groups: list[list[int]] = []
@@ -156,7 +148,7 @@ def run_control(task: Task, g: LGG, base: BasePlanner,
     iterations: list[IterationRecord] = []
 
     while len(g):
-        disj = leaves(g)
+        disj = g.leaves()
         if config.mode == MODE_DNF:
             sets = _consistent_partition(disj, table)
         else:

@@ -120,6 +120,8 @@ class Task:
             for f in bits(a.add):
                 adders[f].append(a.id)
         self.adders = tuple(tuple(v) for v in adders)
+        # ops[i] = (id, pre, add, delete) of action i, the input of successors()
+        self.ops = tuple((a.id, a.pre, a.add, a.delete) for a in self.actions)
 
     @property
     def num_facts(self) -> int:
@@ -216,6 +218,16 @@ def apply_action(state: int, action: Action) -> Optional[int]:
     if state & action.pre != action.pre:
         return None
     return (state | action.add) & ~action.delete
+
+
+def successors(ops: Iterable[tuple[int, int, int, int]],
+               state: int) -> Iterator[tuple[int, int]]:
+    """Yield (action id, successor state) for each applicable op, in ops
+    order; ``ops`` holds (id, pre, add, delete) tuples such as ``Task.ops``.
+    Same semantics as apply_action."""
+    for aid, pre, add, dele in ops:
+        if state & pre == pre:
+            yield aid, (state | add) & ~dele
 
 
 def _check_plan_ids(task: Task, plan: Sequence[int]) -> None:

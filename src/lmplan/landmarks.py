@@ -121,7 +121,11 @@ class LGG:
         return sorted({s for s, _, k in self._in[fact_id] if k in ks})
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(n for n in self.nodes if not self._in[n])
+        """Nodes with no incoming edges; empty only on an empty graph."""
+        out = tuple(n for n in self.nodes if not self._in[n])
+        if not out and len(self):
+            raise PlanningError("nonempty graph without leaves: a cycle leaked through")
+        return out
 
     def copy(self) -> "LGG":
         g = LGG()

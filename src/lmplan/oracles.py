@@ -19,6 +19,8 @@ one or two monotone flags.  The reductions:
   a goal-reaching path from some s in S carrying flags (l seen at step >= 1,
   lp seen at-or-after the first l); the deletion requirement is refuted by
   reaching l from some s in S using only actions that never delete lp.
+  Each refutation search runs once, from all of S together: a path from
+  some s in S is exactly a path from the set S.
 * inconsistency: no enumerated state contains both facts.
 
 Caps are hard: exceeding one raises CapExceeded rather than truncating.
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import PlanningError, Task, bits
+from .core import PlanningError, Task, bits, successors
 
 DEFAULT_STATE_CAP = 200_000
 
@@ -53,24 +55,19 @@ class StateSpace:
         return len(self.states)
 
 
-def _closure(task: Task, start: int, cap: int, forbid_bit: int = 0,
-             action_ok=None) -> dict[int, None]:
-    """BFS closure of ``start``; states containing ``forbid_bit`` are never
-    entered (the start must not contain it), actions failing ``action_ok``
-    are never applied.  Returns states in discovery order."""
-    if start & forbid_bit:
+def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
+             cap: int, forbid_bit: int = 0) -> dict[int, None]:
+    """BFS closure of the states ``starts`` under ``ops`` (``Task.ops``
+    tuples, possibly filtered); states containing ``forbid_bit`` are never
+    entered (no start may contain it).  Returns states in discovery order."""
+    seen: dict[int, None] = dict.fromkeys(starts)
+    if any(s & forbid_bit for s in seen):
         raise PlanningError("start state violates the subspace restriction")
-    acts = [(a.id, a.pre, a.add, a.delete) for a in task.actions
-            if action_ok is None or action_ok(a)]
-    seen: dict[int, None] = {start: None}
-    frontier = [start]
+    frontier = list(seen)
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for _, pre, add, dele in acts:
-                if s & pre != pre:
-                    continue
-                t = (s | add) & ~dele
+            for _, t in successors(ops, s):
                 if t & forbid_bit or t in seen:
                     continue
                 if len(seen) >= cap:
@@ -83,14 +80,9 @@ def _closure(task: Task, start: int, cap: int, forbid_bit: int = 0,
 
 def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Full reachable state space with transitions."""
-    seen = _closure(task, task.init, cap)
-    acts = [(a.id, a.pre, a.add, a.delete) for a in task.actions]
-    transitions = []
-    for s in seen:
-        for aid, pre, add, dele in acts:
-            if s & pre == pre:
-                transitions.append((s, aid, (s | add) & ~dele))
-    return StateSpace(tuple(seen), tuple(transitions), cap)
+    seen = _closure(task.ops, (task.init,), cap)
+    transitions = tuple((s, aid, t) for s in seen for aid, t in successors(task.ops, s))
+    return StateSpace(tuple(seen), transitions, cap)
 
 
 def co_occurrence(space: StateSpace, num_facts: int) -> list[int]:
@@ -107,7 +99,7 @@ def task_solvable(task: Task, cap: int = DEFAULT_STATE_CAP,
     goal = task.goal
     if space is not None:
         return any(s & goal == goal for s in space.states)
-    seen = _closure(task, task.init, cap)
+    seen = _closure(task.ops, (task.init,), cap)
     return any(s & goal == goal for s in seen)
 
 
@@ -126,7 +118,7 @@ def oracle_landmark(task: Task, fact_id: int, cap: int = DEFAULT_STATE_CAP,
     if (task.init | task.goal) & fbit:
         return True
     goal = task.goal
-    seen = _closure(task, task.init, cap, forbid_bit=fbit)
+    seen = _closure(task.ops, (task.init,), cap, forbid_bit=fbit)
     return not any(s & goal == goal for s in seen)
 
 
@@ -148,13 +140,10 @@ def first_achiever_pre_mask(task: Task, lp: int, cap: int = DEFAULT_STATE_CAP) -
     universe = (1 << task.num_facts) - 1
     if task.init & lpbit:
         raise PlanningError("fact is initially true; no first achievement")
-    seen = _closure(task, task.init, cap, forbid_bit=lpbit)
-    acts = [(a.pre, a.add, a.delete) for a in task.actions]
     acc = universe
-    for s in seen:
-        for pre, add, dele in acts:
-            if s & pre == pre and ((s | add) & ~dele) & lpbit:
-                acc &= s
+    for s in _closure(task.ops, (task.init,), cap, forbid_bit=lpbit):
+        if any(t & lpbit for _, t in successors(task.ops, s)):
+            acc &= s
     return acc
 
 
@@ -179,38 +168,30 @@ def _achieved_before_states(task: Task, l: int, lp: int, cap: int) -> list[int]:
     lbit, lpbit = 1 << l, 1 << lp
     if task.init & lbit:
         return []
-    seen = _closure(task, task.init, cap, forbid_bit=lbit)
-    acts = [(a.pre, a.add, a.delete) for a in task.actions]
+    lp_adders = [task.ops[aid] for aid in task.adders[lp]]
     out: dict[int, None] = {}
-    for s in seen:
-        for pre, add, dele in acts:
-            if s & pre != pre or not add & lpbit:
-                continue
-            t = (s | add) & ~dele
+    for s in _closure(task.ops, (task.init,), cap, forbid_bit=lbit):
+        for _, t in successors(lp_adders, s):
             if not t & lbit:
                 out[t] = None
     return list(out)
 
 
-def _aftermath_violated_from(task: Task, start: int, l: int, lp: int, cap: int) -> bool:
-    """Search for a solution from ``start`` on which it is not the case that
-    l holds at some step i >= 1 and lp at some step j >= i."""
+def _aftermath_violated_from(task: Task, starts: list[int], l: int, lp: int,
+                             cap: int) -> bool:
+    """Search for a solution from some state in ``starts`` on which it is
+    not the case that l holds at some step i >= 1 and lp at some step j >= i."""
     lbit, lpbit = 1 << l, 1 << lp
     goal = task.goal
-    acts = [(a.pre, a.add, a.delete) for a in task.actions]
-    # flags: l seen at step >= 1; lp seen at-or-after the first such l
-    init_node = (start, False, False)
-    if start & goal == goal:
+    if any(s & goal == goal for s in starts):
         return True  # empty solution plan: nothing achieves l at i >= 1
-    seen = {init_node}
-    frontier = [init_node]
+    # flags: l seen at step >= 1; lp seen at-or-after the first such l
+    frontier = [(s, False, False) for s in starts]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for s, seen_l, satisfied in frontier:
-            for pre, add, dele in acts:
-                if s & pre != pre:
-                    continue
-                t = (s | add) & ~dele
+            for _, t in successors(task.ops, s):
                 n_l = seen_l or bool(t & lbit)
                 n_sat = satisfied or (bool(t & lpbit) and n_l)
                 node = (t, n_l, n_sat)
@@ -226,15 +207,14 @@ def _aftermath_violated_from(task: Task, start: int, l: int, lp: int, cap: int) 
     return False
 
 
-def _deletion_violated_from(task: Task, start: int, l: int, lp: int, cap: int) -> bool:
-    """Search for a path from ``start`` that reaches l without ever using an
-    action whose delete list mentions lp."""
+def _deletion_violated_from(task: Task, starts: list[int], l: int, lp: int,
+                            cap: int) -> bool:
+    """Search for a path from some state in ``starts`` that reaches l
+    without ever using an action whose delete list mentions lp (the empty
+    path counts)."""
     lbit, lpbit = 1 << l, 1 << lp
-    if start & lbit:
-        return True  # the empty sequence already has l true, deleting nothing
-    keeps_lp = lambda a: not a.delete & lpbit
-    seen = _closure(task, start, cap, action_ok=keeps_lp)
-    return any(s & lbit for s in seen)
+    keeps_lp = [op for op in task.ops if not op[3] & lpbit]
+    return any(s & lbit for s in _closure(keeps_lp, starts, cap))
 
 
 def oracle_reasonable_report(task: Task, l: int, lp: int,
@@ -242,12 +222,9 @@ def oracle_reasonable_report(task: Task, l: int, lp: int,
     starts = _achieved_before_states(task, l, lp, cap)
     if not starts:
         return ReasonableReport(holds=True, vacuous=True)
-    for s in starts:
-        if _aftermath_violated_from(task, s, l, lp, cap):
-            return ReasonableReport(False, False)
-        if _deletion_violated_from(task, s, l, lp, cap):
-            return ReasonableReport(False, False)
-    return ReasonableReport(True, False)
+    refuted = (_aftermath_violated_from(task, starts, l, lp, cap)
+               or _deletion_violated_from(task, starts, l, lp, cap))
+    return ReasonableReport(not refuted, False)
 
 
 def oracle_reasonable(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -265,7 +242,7 @@ def oracle_inconsistent(task: Task, x: int, y: int, cap: int = DEFAULT_STATE_CAP
         return False
     if space is not None:
         return not any(s & both == both for s in space.states)
-    seen = _closure(task, task.init, cap)
+    seen = _closure(task.ops, (task.init,), cap)
     return not any(s & both == both for s in seen)
 
 
@@ -277,7 +254,6 @@ def count_solutions_of_length(task: Task, length: int, limit: int = 10_000_000) 
     """Number of action sequences of exactly ``length`` steps that solve the
     task, by exhaustive applicable-prefix enumeration."""
     goal = task.goal
-    acts = [(a.pre, a.add, a.delete) for a in task.actions]
     count = 0
     explored = 0
     stack = [(task.init, 0)]
@@ -290,7 +266,5 @@ def count_solutions_of_length(task: Task, length: int, limit: int = 10_000_000) 
             if s & goal == goal:
                 count += 1
             continue
-        for pre, add, dele in acts:
-            if s & pre == pre:
-                stack.append(((s | add) & ~dele, depth + 1))
+        stack.extend((t, depth + 1) for _, t in successors(task.ops, s))
     return count

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Task
+from .core import Task, successors
 from .rpg import FIXPOINT, INF, build_rpg, extract_relaxed_plan
 
 
@@ -63,7 +63,6 @@ def bfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResult
     t0 = time.monotonic()
     goal = task.goal
     init = task.init
-    acts = [(a.id, a.pre, a.add, a.delete) for a in task.actions]
     if init & goal == goal:
         return PlannerResult(Outcome.PLAN, (), 0, time.monotonic() - t0)
     parents: dict[int, Optional[tuple[int, int]]] = {init: None}
@@ -79,10 +78,7 @@ def bfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResult
             if expanded > limits.max_nodes:
                 return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, expanded,
                                      time.monotonic() - t0)
-            for aid, pre, add, dele in acts:
-                if s & pre != pre:
-                    continue
-                t = (s | add) & ~dele
+            for aid, t in successors(task.ops, s):
                 if t in parents:
                     continue
                 parents[t] = (s, aid)
@@ -105,7 +101,6 @@ def gbfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResul
     t0 = time.monotonic()
     goal = task.goal
     init = task.init
-    acts = [(a.id, a.pre, a.add, a.delete) for a in task.actions]
     if init & goal == goal:
         return PlannerResult(Outcome.PLAN, (), 0, time.monotonic() - t0)
 
@@ -122,14 +117,12 @@ def gbfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResul
     while open_list:
         _, _, s = heapq.heappop(open_list)
         expanded += 1
-        if expanded % 256 == 0 and time.monotonic() - t0 > limits.max_seconds:
+        # every expansion: one can take tens of milliseconds on large tasks
+        if time.monotonic() - t0 > limits.max_seconds:
             break
         if expanded > limits.max_nodes:
             break
-        for aid, pre, add, dele in acts:
-            if s & pre != pre:
-                continue
-            t = (s | add) & ~dele
+        for aid, t in successors(task.ops, s):
             if t in parents:
                 continue
             parents[t] = (s, aid)
@@ -153,7 +146,9 @@ class ExternalPlanner:
 
     Each call writes ``domain.pddl`` and ``problem.pddl`` for the sub-task
     into the working directory, runs the command there, and on exit code 0
-    reads ``plan.txt`` (one grounded action name per line).
+    reads ``plan.txt`` (one grounded action name per line).  A timeout, a
+    nonzero exit or a missing ``plan.txt`` is reported as resource
+    exhaustion.
     """
 
     def __init__(self, command: list[str], workdir: str):
@@ -172,11 +167,14 @@ class ExternalPlanner:
         if os.path.exists(plan_path):
             os.remove(plan_path)
         t0 = time.monotonic()
-        proc = subprocess.run(self.command, cwd=self.workdir,
-                              timeout=limits.max_seconds + 5,
-                              capture_output=True)
+        try:
+            proc = subprocess.run(self.command, cwd=self.workdir,
+                                  timeout=limits.max_seconds + 5,
+                                  capture_output=True)
+        except subprocess.TimeoutExpired:
+            proc = None
         elapsed = time.monotonic() - t0
-        if proc.returncode != 0:
+        if proc is None or proc.returncode != 0 or not os.path.exists(plan_path):
             return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, 0, elapsed)
         with open(plan_path) as fh:
             plan = parse_plan_text(task, fh.read())

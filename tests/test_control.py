@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import textwrap
 
@@ -10,7 +11,6 @@ from lmplan.control import (
     MODE_CONJ_DISJ,
     MODE_DNF,
     compile_disjunctive_goal,
-    leaves,
     run_control,
     with_init,
 )
@@ -56,16 +56,16 @@ def test_leaves_on_demo_graph(demo_bw):
     for f in list(g.nodes):
         if demo_bw.init >> f & 1:
             g.remove_node(f)
-    lv = {demo_bw.facts[n].name for n in leaves(g)}
+    lv = {demo_bw.facts[n].name for n in g.leaves()}
     assert "(clear c)" in lv  # all of its order sources are initial facts
 
 
 def test_leaves_edgeless_and_empty():
     g = LGG()
-    assert leaves(g) == ()
+    assert g.leaves() == ()
     g.add_node(3)
     g.add_node(7)
-    assert leaves(g) == (3, 7)
+    assert g.leaves() == (3, 7)
 
 
 def test_leaves_fault_when_a_cycle_leaked():
@@ -75,7 +75,7 @@ def test_leaves_fault_when_a_cycle_leaked():
     g.add_edge(0, 1, GN)
     g.add_edge(1, 0, GN)
     with pytest.raises(PlanningError):
-        leaves(g)
+        g.leaves()
 
 
 def test_roadmap_control_trace(roadmap):
@@ -196,6 +196,23 @@ def test_external_planner_failure_signals_exhaustion(tmp_path, twin):
     ext = ExternalPlanner([sys.executable, str(stub)], str(tmp_path))
     res = ext(twin, SearchLimits(max_seconds=30))
     assert res.outcome is Outcome.RESOURCE_EXHAUSTED
+
+
+def test_external_planner_timeout_signals_exhaustion(tmp_path, twin, monkeypatch):
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run",
+                        lambda *args, **kw: real_run(*args, **{**kw, "timeout": 0.2}))
+    ext = ExternalPlanner([sys.executable, "-c", "import time; time.sleep(30)"],
+                          str(tmp_path))
+    res = ext(twin, SearchLimits(max_seconds=30))
+    assert res.outcome is Outcome.RESOURCE_EXHAUSTED and res.plan is None
+
+
+def test_external_planner_missing_plan_signals_exhaustion(tmp_path, twin):
+    ext = ExternalPlanner([sys.executable, "-c", "pass"], str(tmp_path))
+    res = ext(twin, SearchLimits(max_seconds=30))
+    assert res.outcome is Outcome.RESOURCE_EXHAUSTED and res.plan is None
+    assert not (tmp_path / "plan.txt").exists()
 
 
 def test_with_init_replaces_start_state(roadmap):

@@ -64,6 +64,12 @@ def test_gbfs_finds_some_valid_route(roadmap):
     assert len(res.plan) <= 3
 
 
+def test_gbfs_checks_the_clock_on_every_expansion(roadmap):
+    res = gbfs_plan(roadmap, SearchLimits(max_seconds=1e-9))
+    assert res.outcome is Outcome.RESOURCE_EXHAUSTED
+    assert res.expanded == 1
+
+
 def test_node_limit_reports_exhaustion(demo_bw):
     res = bfs_plan(demo_bw, SearchLimits(max_nodes=2, max_seconds=60))
     assert res.outcome is Outcome.RESOURCE_EXHAUSTED
