@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class PlanningError(Exception):
@@ -91,7 +91,7 @@ class Task:
         init: int,
         goal: int,
         name: str = "task",
-        pruned_actions: tuple[str, ...] = (),
+        pruned_actions: Iterable[str] | Callable[[], Iterable[str]] = (),
         provably_unsolvable: bool = False,
     ):
         self.facts: tuple[Fact, ...] = ()
@@ -106,9 +106,10 @@ class Task:
         self._relevance: dict[int, tuple[tuple, tuple]] = {}
         self._append(facts, actions)
         self._pose(init, goal, name)
-        # one string: as a tuple, tens of thousands of names would be
+        # the names, or a function building them on first read; either way
+        # kept as one string: as a tuple, tens of thousands of names would be
         # traversed by the next cyclic garbage collection, wherever it lands
-        self._pruned = "\n".join(pruned_actions)
+        self._pruned = pruned_actions if callable(pruned_actions) else "\n".join(pruned_actions)
         self.provably_unsolvable = provably_unsolvable
 
     def _append(self, facts: Sequence[Fact], actions: Sequence[Action]) -> None:
@@ -162,6 +163,8 @@ class Task:
     @property
     def pruned_actions(self) -> tuple[str, ...]:
         """Names of the grounded actions the grounder dropped as unreachable."""
+        if callable(self._pruned):
+            self._pruned = "\n".join(self._pruned())
         return tuple(self._pruned.split("\n")) if self._pruned else ()
 
     @functools.cached_property

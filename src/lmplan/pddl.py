@@ -10,11 +10,21 @@ lowercase; ";" starts a comment running to end of line.
 Atom arguments may be schema variables (?x) or constant names; constants are
 resolved against the problem's objects at grounding time, which is what lets
 already-grounded tasks round-trip through PDDL.
+
+Grounding is driven by reachability, as in the Datalog-style grounding of
+Helmert's "Concise finite-domain representations for PDDL planning tasks"
+(AIJ 2009), in miniature.  Each schema's parameters are bound one at a time
+over sorted typed pools to pairwise-distinct objects, and a precondition on
+a static predicate (one no schema adds, so its true atoms are exactly the
+``:init`` ones) is tested as soon as its variables are bound.  The
+delete-relaxed fixpoint then runs over the surviving bindings only.  The
+names of the pruned actions are not built while grounding; the Task builds
+them from the domain, the problem and the kept actions on first read.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,12 +233,18 @@ def _parse_conjunction(expr, predicates, where: str, allow_not: bool):
     return tuple(pos), tuple(neg)
 
 
+def _is_named(body: list, keyword: str) -> bool:
+    """Whether ``body`` starts with ``(keyword NAME)``."""
+    return (bool(body) and _head(body[0]) == keyword and len(body[0]) == 2
+            and isinstance(body[0][1], Symbol))
+
+
 def parse_domain(text: str) -> DomainAst:
     top = _read_sexprs(text)
     if len(top) != 1 or _head(top[0]) != "define":
         raise ParseError("expected a single (define (domain ...))", 1, 1)
     body = top[0][1:]
-    if not body or _head(body[0]) != "domain" or len(body[0]) != 2:
+    if not _is_named(body, "domain"):
         raise _err(top[0], "missing (domain NAME)")
     name = body[0][1].text
 
@@ -240,6 +256,8 @@ def parse_domain(text: str) -> DomainAst:
         head = _head(section)
         if head == ":requirements":
             for req in section[1:]:
+                if not isinstance(req, Symbol):
+                    raise _err(req, "malformed requirement")
                 if req.text not in _SUPPORTED_REQUIREMENTS:
                     raise _err(req, f"unknown requirement {req.text!r}")
         elif head == ":types":
@@ -277,6 +295,8 @@ def _parse_schema(section, predicates, types) -> SchemaAst:
             raise _err(key, f"malformed clause in action {name}")
         value = section[i + 1]
         if key.text == ":parameters":
+            if not isinstance(value, list):
+                raise _err(value, f"parameters of action {name} must be a list")
             entries = _typed_list(value, f"action {name} parameters")
             for v, t in entries:
                 if not v.startswith("?"):
@@ -305,7 +325,7 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     if len(top) != 1 or _head(top[0]) != "define":
         raise ParseError("expected a single (define (problem ...))", 1, 1)
     body = top[0][1:]
-    if not body or _head(body[0]) != "problem" or len(body[0]) != 2:
+    if not _is_named(body, "problem"):
         raise _err(top[0], "missing (problem NAME)")
     name = body[0][1].text
 
@@ -317,6 +337,8 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     for section in body[1:]:
         head = _head(section)
         if head == ":domain":
+            if len(section) != 2 or not isinstance(section[1], Symbol):
+                raise _err(section, "(:domain NAME) takes one name")
             domain_name = section[1].text
         elif head == ":objects":
             objects = tuple(_typed_list(section[1:], "objects"))
@@ -347,19 +369,65 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _instantiations(schema: SchemaAst, by_type: dict[Optional[str], list[str]]):
-    """Type-consistent bindings with pairwise-distinct objects, in
-    lexicographic order of the bound object tuples."""
-    pools = []
-    for _, t in schema.params:
-        pool = by_type.get(t, [])
-        if not pool:
-            return
-        pools.append(pool)
-    for combo in itertools.product(*pools):
-        if len(set(combo)) != len(combo):
-            continue
-        yield dict(zip((v for v, _ in schema.params), combo))
+def _pools(problem: ProblemAst) -> dict[Optional[str], list[str]]:
+    """Sorted objects per declared type; ``None`` (untyped) maps to all."""
+    by_type: dict[Optional[str], list[str]] = {}
+    for o, t in problem.objects:
+        by_type.setdefault(t, []).append(o)
+    # untyped parameters range over every object
+    by_type[None] = [o for o, _ in problem.objects]
+    for pool in by_type.values():
+        pool.sort()
+    return by_type
+
+
+def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
+              static: Optional[dict[str, set]] = None):
+    """Type-consistent bindings with pairwise-distinct objects, as object
+    tuples in parameter order, in lexicographic order.
+
+    Parameters are bound one at a time.  ``static`` maps each static
+    predicate to the argument tuples of its ``:init`` atoms; a precondition
+    on one is tested as soon as its last variable is bound, and the partial
+    bindings failing it are not extended.
+    """
+    pools = [by_type.get(t, []) for _, t in schema.params]
+    if not all(pools):
+        return
+    # a repeated parameter name takes the object at its last position, so
+    # every position of that name reads it (as a dict from names would)
+    slot = {v: i for i, (v, _) in enumerate(schema.params)}
+    args = tuple(slot[v] for v, _ in schema.params)
+    resolve = args != tuple(range(len(args)))
+    tests: list[list] = [[] for _ in range(len(pools) + 1)]  # by bound count
+    for atom in schema.pre if static is not None else ():
+        if atom.predicate in static:
+            refs = tuple(slot[a] if a.startswith("?") else a for a in atom.args)
+            depth = 1 + max((r for r in refs if type(r) is int), default=-1)
+            tests[depth].append((static[atom.predicate], refs))
+
+    def holds(combo):
+        return all(
+            tuple(combo[r] if type(r) is int else r for r in refs) in true
+            for true, refs in tests[len(combo)]
+        )
+
+    # all but the last parameter breadth-first, the last one streamed
+    partial = [()] if holds(()) else []
+    for depth, pool in enumerate(pools[:-1], 1):
+        partial = [c + (o,) for c in partial for o in pool if o not in c]
+        if tests[depth]:
+            partial = [c for c in partial if holds(c)]
+    if not pools:
+        yield from partial
+        return
+    last, checked = pools[-1], bool(tests[-1])
+    for c in partial:
+        for o in last:
+            if o not in c:
+                combo = c + (o,)
+                if not checked or holds(combo):
+                    yield tuple(combo[i] for i in args) if resolve else combo
 
 
 def _ground_atom(atom: AtomAst, binding: dict[str, str], objects: set[str]) -> str:
@@ -374,6 +442,17 @@ def _ground_atom(atom: AtomAst, binding: dict[str, str], objects: set[str]) -> s
     return format_atom(atom.predicate, args)
 
 
+def _pruned_names(domain: DomainAst, problem: ProblemAst, kept: frozenset[str]):
+    """The names of every binding ``ground`` enumerates with no static tests
+    that is not in ``kept``, in grounding order."""
+    by_type = _pools(problem)
+    for schema in domain.schemas:
+        for combo in _bindings(schema, by_type):
+            name = format_atom(schema.name, combo)
+            if name not in kept:
+                yield name
+
+
 def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
     """Instantiate schemas over the problem objects and build a Task.
 
@@ -381,21 +460,34 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
     dropped and the fact universe is the relaxed-reachable facts plus init
     and goal.  A goal fact outside the fixpoint does not fail the grounding;
     the returned task is flagged provably unsolvable instead.
+
+    Pruning starts while bindings are enumerated: a predicate no schema adds
+    is static, its true atoms are exactly its ``:init`` atoms, so a binding
+    failing a static precondition is never reached and is skipped as soon as
+    that precondition's variables are bound.  The fixpoint then runs over
+    the survivors only.  The pruned actions' names, most of the bindings on
+    untyped domains, are built when ``Task.pruned_actions`` is first read.
     """
-    by_type: dict[Optional[str], list[str]] = {}
-    all_objects = [o for o, _ in problem.objects]
-    object_set = set(all_objects)
-    for o, t in problem.objects:
-        by_type.setdefault(t, []).append(o)
-    # untyped parameters range over every object
-    by_type[None] = list(all_objects)
-    for pool in by_type.values():
-        pool.sort()
+    by_type = _pools(problem)
+    object_set = {o for o, _ in problem.objects}
+    static = None
+    if prune:
+        added = {a.predicate for s in domain.schemas for a in s.add}
+        static = {a.predicate: set() for s in domain.schemas for a in s.pre
+                  if a.predicate not in added}
+        for atom in problem.init:
+            if atom.predicate in static:
+                static[atom.predicate].add(atom.args)
 
     grounded: list[tuple[str, frozenset, frozenset, frozenset]] = []
     for schema in domain.schemas:
-        for binding in _instantiations(schema, by_type):
-            gname = format_atom(schema.name, [binding[v] for v, _ in schema.params])
+        atoms = (*schema.pre, *schema.add, *schema.delete)
+        resolved = all(a.startswith("?") or a in object_set for at in atoms for a in at.args)
+        # with an unknown constant the bindings go unfiltered, so the first
+        # one (if any) raises whether or not a static test would reject it
+        for combo in _bindings(schema, by_type, static if resolved else None):
+            binding = dict(zip((v for v, _ in schema.params), combo))
+            gname = format_atom(schema.name, combo)
             pre = frozenset(_ground_atom(a, binding, object_set) for a in schema.pre)
             add = frozenset(_ground_atom(a, binding, object_set) for a in schema.add)
             dele = frozenset(_ground_atom(a, binding, object_set) for a in schema.delete)
@@ -424,7 +516,8 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
             pending = still
         kept_idx.sort()
         kept = [grounded[i] for i in kept_idx]
-        pruned = tuple(grounded[i][0] for i in sorted(set(range(len(grounded))) - set(kept_idx)))
+        pruned = functools.partial(_pruned_names, domain, problem,
+                                   frozenset(g[0] for g in kept))
         universe = sorted(reached | init_names | goal_names)
     else:
         kept = grounded

@@ -1,0 +1,255 @@
+"""Differential tests for the grounder.
+
+The reference below is the grounder ``lmplan.pddl.ground`` replaced, kept
+unchanged apart from its name: it grounds every type-consistent,
+pairwise-distinct binding of every schema (``itertools.product`` over the
+sorted typed pools), prunes with the relaxed-reachability fixpoint and
+builds every pruned action's name eagerly.  The new grounder tests static
+preconditions while it binds, runs the fixpoint over the survivors only and
+builds the pruned names on first read; the Task must be the same.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lmplan import instances, pddl
+from lmplan.bench import DOMAIN_TEXTS, gen_blocksworld, gen_logistics
+from lmplan.core import Action, Fact, Task, format_atom, mask_of
+from lmplan.pddl import (
+    DomainAst,
+    GroundingError,
+    ProblemAst,
+    SchemaAst,
+    _ground_atom,
+    ground,
+    parse_domain,
+    parse_problem,
+)
+
+
+# ---------------------------------------------------------------------------
+# Reference
+# ---------------------------------------------------------------------------
+
+def _instantiations(schema: SchemaAst, by_type: dict[Optional[str], list[str]]):
+    """Type-consistent bindings with pairwise-distinct objects, in
+    lexicographic order of the bound object tuples."""
+    pools = []
+    for _, t in schema.params:
+        pool = by_type.get(t, [])
+        if not pool:
+            return
+        pools.append(pool)
+    for combo in itertools.product(*pools):
+        if len(set(combo)) != len(combo):
+            continue
+        yield dict(zip((v for v, _ in schema.params), combo))
+
+
+
+def reference_ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
+    """Instantiate schemas over the problem objects and build a Task.
+
+    With ``prune`` on, actions unreachable in the delete-relaxed fixpoint are
+    dropped and the fact universe is the relaxed-reachable facts plus init
+    and goal.  A goal fact outside the fixpoint does not fail the grounding;
+    the returned task is flagged provably unsolvable instead.
+    """
+    by_type: dict[Optional[str], list[str]] = {}
+    all_objects = [o for o, _ in problem.objects]
+    object_set = set(all_objects)
+    for o, t in problem.objects:
+        by_type.setdefault(t, []).append(o)
+    # untyped parameters range over every object
+    by_type[None] = list(all_objects)
+    for pool in by_type.values():
+        pool.sort()
+
+    grounded: list[tuple[str, frozenset, frozenset, frozenset]] = []
+    for schema in domain.schemas:
+        for binding in _instantiations(schema, by_type):
+            gname = format_atom(schema.name, [binding[v] for v, _ in schema.params])
+            pre = frozenset(_ground_atom(a, binding, object_set) for a in schema.pre)
+            add = frozenset(_ground_atom(a, binding, object_set) for a in schema.add)
+            dele = frozenset(_ground_atom(a, binding, object_set) for a in schema.delete)
+            grounded.append((gname, pre, add, dele))
+
+    init_names = {_ground_atom(a, {}, object_set) for a in problem.init}
+    goal_names = {_ground_atom(a, {}, object_set) for a in problem.goal}
+
+    if prune:
+        reached = set(init_names)
+        pending = list(range(len(grounded)))
+        kept_idx: list[int] = []
+        changed = True
+        while changed:
+            changed = False
+            still = []
+            for i in pending:
+                _, pre, add, _ = grounded[i]
+                if pre <= reached:
+                    kept_idx.append(i)
+                    if not add <= reached:
+                        reached |= add
+                        changed = True
+                else:
+                    still.append(i)
+            pending = still
+        kept_idx.sort()
+        kept = [grounded[i] for i in kept_idx]
+        pruned = tuple(grounded[i][0] for i in sorted(set(range(len(grounded))) - set(kept_idx)))
+        universe = sorted(reached | init_names | goal_names)
+    else:
+        kept = grounded
+        pruned = ()
+        universe = sorted(
+            init_names
+            | goal_names
+            | {f for _, pre, add, dele in grounded for f in pre | add | dele}
+        )
+
+    index = {fname: i for i, fname in enumerate(universe)}
+    facts = []
+    for i, fname in enumerate(universe):
+        pred = fname[1:-1].split()[0]
+        args = tuple(fname[1:-1].split()[1:])
+        facts.append(Fact(i, pred, args))
+    known = index.keys()
+    actions = []
+    for i, (gname, pre, add, dele) in enumerate(kept):
+        actions.append(
+            Action(
+                i,
+                gname,
+                mask_of(index[f] for f in pre),
+                mask_of(index[f] for f in add if f in known),
+                # deletes of never-true facts are inert; drop them
+                mask_of(index[f] for f in dele if f in known),
+            )
+        )
+    init_mask = mask_of(index[f] for f in init_names)
+    goal_mask = mask_of(index[f] for f in goal_names)
+    unsolvable = prune and not goal_names <= reached
+    return Task(
+        facts,
+        actions,
+        init_mask,
+        goal_mask,
+        name=problem.name,
+        pruned_actions=pruned,
+        provably_unsolvable=unsolvable,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+# ---------------------------------------------------------------------------
+
+def grounded(fn, domain: DomainAst, problem: ProblemAst, prune: bool):
+    """Everything a grounding produces, or the GroundingError it raised."""
+    try:
+        t = fn(domain, problem, prune)
+    except GroundingError as e:
+        return ("GroundingError", str(e))
+    return (t.facts, t.actions, t.init, t.goal, t.name, t.pruned_actions,
+            t.provably_unsolvable)
+
+
+def pair(domain_text: str, problem_text: str) -> tuple[DomainAst, ProblemAst]:
+    d = parse_domain(domain_text)
+    return d, parse_problem(problem_text, d)
+
+
+BUILT_IN = {
+    "demo-bw": (instances.BLOCKSWORLD_ARM_DOMAIN, instances.BLOCKSWORLD_DEMO_PROBLEM),
+    "roadmap": (instances.ROADMAP_DOMAIN, instances.ROADMAP_PROBLEM),
+    "two-planes": (instances.LOGISTICS_DOMAIN, instances.LOGISTICS_TWO_PLANES_PROBLEM),
+}
+BUILT_IN.update({
+    f"bw-{variant}-{n}": (DOMAIN_TEXTS[f"blocksworld-{variant}"], gen_blocksworld(n, variant, n))
+    for variant in ("arm", "no-arm") for n in range(3, 10)
+})
+BUILT_IN.update({
+    f"log-{'-'.join(map(str, size))}": (DOMAIN_TEXTS["logistics"], gen_logistics(*size, seed=1))
+    for size in [(1, 2, 1, 2), (2, 3, 2, 4), (3, 3, 1, 6)]
+})
+
+
+# prune=False on 3-3-1-6 builds 221,760 actions on each side (16 s, 750 MB);
+# its enumeration is held against the reference's in the next test instead
+GROUNDINGS = [(case, True) for case in BUILT_IN] + \
+    [(case, False) for case in BUILT_IN if case != "log-3-3-1-6"]
+
+
+@pytest.mark.parametrize("case,prune", GROUNDINGS)
+def test_ground_matches_reference_on_built_in_tasks(case, prune):
+    d, p = pair(*BUILT_IN[case])
+    assert grounded(ground, d, p, prune) == grounded(reference_ground, d, p, prune)
+
+
+@pytest.mark.parametrize("case", sorted(BUILT_IN))
+def test_unfiltered_bindings_match_reference(case):
+    # what prune=False and the pruned names enumerate: every binding, in order
+    d, p = pair(*BUILT_IN[case])
+    by_type = pddl._pools(p)
+    for schema in d.schemas:
+        expected = [tuple(b[v] for v, _ in schema.params) for b in _instantiations(schema, by_type)]
+        assert list(pddl._bindings(schema, by_type)) == expected
+
+
+@st.composite
+def pddl_pairs(draw):
+    """A random typed or untyped STRIPS domain and problem, as text: static
+    and fluent predicates, zero-arity predicates and schemas, constants
+    (rarely an unknown one) in schema atoms, repeated parameter names,
+    predicates that are only deleted and empty type pools."""
+    typed = draw(st.booleans())
+    types = ["ta", "tb", "tc"][:draw(st.integers(1, 3))] if typed else [None]
+    objects = [(f"{t or 'o'}{i}", t) for t in types for i in range(draw(st.integers(0, 3)))]
+    names = [o for o, _ in objects]
+    arity = {f"p{i}": draw(st.integers(0, 2)) for i in range(draw(st.integers(1, 4)))}
+
+    def typed_list(entries):
+        return " ".join(f"{v} - {t}" if t else v for v, t in entries)
+
+    def atoms(pool, most):
+        out = []
+        for _ in range(draw(st.integers(0, most))):
+            pred = draw(st.sampled_from(sorted(arity)))
+            out.append(format_atom(pred, [draw(st.sampled_from(pool)) for _ in range(arity[pred])]))
+        return out
+
+    preds = " ".join(format_atom(p, [typed_list([(f"?x{j}", types[0])]) for j in range(k)])
+                     for p, k in arity.items())
+    schemas = []
+    for i in range(draw(st.integers(0, 4))):
+        params = [(draw(st.sampled_from(["?a", "?b", "?c"])), draw(st.sampled_from(types)))
+                  for _ in range(draw(st.integers(0, 3)))]
+        pool = [v for v, _ in params] + names + ["zz"] * draw(st.sampled_from([0, 0, 0, 1]))
+        pool = pool or ["zz"]
+        pre = atoms(pool, 3)
+        eff = atoms(pool, 2) + [f"(not {a})" for a in atoms(pool, 1)]
+        schemas.append(f"(:action s{i} :parameters ({typed_list(params)})"
+                       f" :precondition (and {' '.join(pre)}) :effect (and {' '.join(eff)}))")
+    domain = (f"(define (domain gen) (:requirements :strips{' :typing' if typed else ''})"
+              + (f" (:types {' '.join(types)})" if typed else "")
+              + f" (:predicates {preds}) {' '.join(schemas)})")
+    facts = sorted(format_atom(p, args) for p, k in arity.items()
+                   for args in itertools.product(names, repeat=k))
+    init = draw(st.sets(st.sampled_from(facts), max_size=12)) if facts else set()
+    goal = draw(st.sets(st.sampled_from(facts), max_size=2)) if facts else set()
+    problem = (f"(define (problem gen-p) (:domain gen) (:objects {typed_list(objects)})"
+               f" (:init {' '.join(sorted(init))}) (:goal (and {' '.join(sorted(goal))})))")
+    return domain, problem
+
+
+@settings(max_examples=300)
+@given(pddl_pairs(), st.booleans())
+def test_ground_matches_reference_on_random_domains(texts, prune):
+    d, p = pair(*texts)
+    assert grounded(ground, d, p, prune) == grounded(reference_ground, d, p, prune)

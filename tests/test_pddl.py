@@ -1,9 +1,23 @@
-import pytest
+import pickle
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lmplan.bench import gen_blocksworld, gen_logistics
 from lmplan.core import PlanningError
-from lmplan.instances import BLOCKSWORLD_ARM_DOMAIN, LOGISTICS_DOMAIN
+from lmplan.instances import (
+    BLOCKSWORLD_ARM_DOMAIN,
+    BLOCKSWORLD_DEMO_PROBLEM,
+    BLOCKSWORLD_NO_ARM_DOMAIN,
+    LOGISTICS_DOMAIN,
+    LOGISTICS_TWO_PLANES_PROBLEM,
+    ROADMAP_DOMAIN,
+    ROADMAP_PROBLEM,
+)
 from lmplan.oracles import enumerate_states
 from lmplan.pddl import (
+    GroundingError,
     ParseError,
     ground,
     ground_files,
@@ -198,3 +212,172 @@ def test_mixed_typed_and_untyped_objects_rejected():
             "(define (problem m) (:domain blocksworld-arm)"
             " (:objects a - block b) (:init) (:goal (and)))", d)
     assert "mixed" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Unknown constants: raised whenever the schema has a binding
+# ---------------------------------------------------------------------------
+
+STATIC_GUARDED = """(define (domain guarded) (:requirements :strips :typing) (:types t u)
+  (:predicates (s ?x - t) (f ?x - t))
+  (:action a :parameters (?x - t) :precondition (and (s ?x)) :effect (and (f zz))))"""
+
+
+def guarded_problem(objects):
+    return f"(define (problem g) (:domain guarded) (:objects {objects}) (:init) (:goal (and)))"
+
+
+def test_unknown_constant_raises_even_when_every_binding_fails_a_static_test():
+    # (s ?x) is static and false for o1, so no binding survives the filter
+    with pytest.raises(GroundingError, match="unknown constant 'zz' in f"):
+        ground_files(STATIC_GUARDED, guarded_problem("o1 - t"))
+    with pytest.raises(GroundingError, match="unknown constant 'zz' in f"):
+        ground_files(STATIC_GUARDED, guarded_problem("o1 - t"), prune=False)
+
+
+@pytest.mark.parametrize("objects", ["", "o1 - u"])
+def test_unknown_constant_without_bindings_raises_nothing(objects):
+    # the pool of type t is empty, so the schema has no binding to ground
+    for prune in (True, False):
+        assert ground_files(STATIC_GUARDED, guarded_problem(objects), prune=prune).actions == ()
+
+
+# ---------------------------------------------------------------------------
+# Pruned action names: built on first read
+# ---------------------------------------------------------------------------
+
+def test_grounding_builds_no_pruned_names(monkeypatch):
+    from lmplan import pddl
+
+    d = parse_domain(LOGISTICS_DOMAIN)
+    p = parse_problem(gen_logistics(3, 3, 1, 6, seed=1), d)
+    calls = []
+    real = pddl.format_atom
+    monkeypatch.setattr(pddl, "format_atom", lambda *a: calls.append(1) or real(*a))
+    t = ground(d, p)
+    grounding_calls = len(calls)
+    assert len(t.pruned_actions) == 221_592
+    # a name and a few atoms per binding passing the static tests, none
+    # for the 221,592 pruned bindings, almost all of which fail them
+    assert 50 * grounding_calls < len(t.pruned_actions)
+
+
+def test_logistics_5_4_2_12_grounds_to_820_actions():
+    # 124 s with the full binding product, about 0.25 s with static tests
+    t = ground_files(LOGISTICS_DOMAIN, gen_logistics(5, 4, 2, 12, seed=1))
+    assert (len(t.actions), len(t.facts)) == (820, 423)
+
+
+def test_pruned_names_are_built_once(monkeypatch, two_planes):
+    from lmplan import pddl
+
+    d = parse_domain(LOGISTICS_DOMAIN)
+    p = parse_problem(LOGISTICS_TWO_PLANES_PROBLEM, d)
+    t = ground(d, p)
+    calls = []
+    real = pddl._bindings
+    monkeypatch.setattr(pddl, "_bindings", lambda *a: calls.append(1) or real(*a))
+    first = t.pruned_actions
+    assert len(calls) == len(d.schemas)
+    assert t.pruned_actions == first == two_planes.pruned_actions
+    assert len(calls) == len(d.schemas)
+    assert "(drive-truck la-truck la-po boston-po la)" in first
+
+
+def test_derived_tasks_have_no_pruned_names(two_planes):
+    sub = two_planes.derive(two_planes.init, two_planes.goal, "sub")
+    assert sub.pruned_actions == () and two_planes.pruned_actions
+
+
+def test_grounded_task_pickles_with_its_pruned_names():
+    fresh = ground_files(LOGISTICS_DOMAIN, LOGISTICS_TWO_PLANES_PROBLEM)
+    copy = pickle.loads(pickle.dumps(fresh))  # names not yet built
+    assert copy.pruned_actions == fresh.pruned_actions
+    again = pickle.loads(pickle.dumps(fresh))  # names built
+    assert again.pruned_actions == fresh.pruned_actions
+    assert [a.name for a in again.actions] == [a.name for a in fresh.actions]
+
+
+# ---------------------------------------------------------------------------
+# Robustness: only ParseError and GroundingError escape
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain,problem", [
+    ("(define (domain (x)))", None),
+    ("(define (domain r) (:requirements (a)))", None),
+    ("(define (domain r) (:predicates (p)) (:action a :parameters ?x :effect (p)))", None),
+    (BLOCKSWORLD_ARM_DOMAIN, "(define (problem (x)))"),
+    (BLOCKSWORLD_ARM_DOMAIN, "(define (problem e) (:domain) (:objects) (:init) (:goal (and)))"),
+    (BLOCKSWORLD_ARM_DOMAIN, "(define (problem e) (:domain (d)) (:objects) (:init) (:goal (and)))"),
+])
+def test_malformed_names_raise_parse_errors(domain, problem):
+    with pytest.raises(ParseError):
+        parse_problem(problem, parse_domain(domain)) if problem else parse_domain(domain)
+
+
+FUZZ_PAIRS = [
+    (BLOCKSWORLD_ARM_DOMAIN, BLOCKSWORLD_DEMO_PROBLEM),
+    (ROADMAP_DOMAIN, ROADMAP_PROBLEM),
+    (LOGISTICS_DOMAIN, LOGISTICS_TWO_PLANES_PROBLEM),
+    (BLOCKSWORLD_NO_ARM_DOMAIN, gen_blocksworld(3, "no-arm", 0)),
+]
+EXTRA_TOKENS = ["(", ")", " ", "-", "?x", "zz", ":domain", "(:domain)", "()", "(and)", "(not"]
+
+
+def _tokens(text):
+    return re.findall(r"\(|\)|[^\s()]+|\s+", text)
+
+
+def _matching(toks, i):
+    """Index of the ")" closing the "(" at ``i``, or None."""
+    depth = 0
+    for j in range(i, len(toks)):
+        depth += {"(": 1, ")": -1}.get(toks[j], 0)
+        if depth == 0:
+            return j
+    return None
+
+
+@st.composite
+def mutated_pairs(draw):
+    """A built-in domain and problem, one of them mutated 1-4 times: a token
+    deleted, inserted, replaced or swapped, a token wrapped in parentheses,
+    or a list unwrapped or emptied down to its head."""
+    domain, problem = draw(st.sampled_from(FUZZ_PAIRS))
+    which = draw(st.booleans())
+    toks = _tokens(domain if which else problem)
+    vocabulary = sorted(set(_tokens(domain) + _tokens(problem))) + EXTRA_TOKENS
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "swap", "wrap", "unwrap", "empty"]))
+        close = _matching(toks, i) if toks[i] == "(" else None
+        if op == "delete":
+            del toks[i]
+        elif op == "insert":
+            toks.insert(i, draw(st.sampled_from(vocabulary)))
+        elif op == "replace":
+            toks[i] = draw(st.sampled_from(vocabulary))
+        elif op == "swap":
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[i], toks[j] = toks[j], toks[i]
+        elif op == "wrap":
+            toks[i] = f"({toks[i]})"
+        elif close is not None and op == "unwrap":
+            del toks[close], toks[i]
+        elif close is not None:
+            del toks[i + 2:close]
+        toks = toks or ["("]
+    text = "".join(toks)
+    return (text, problem) if which else (domain, text)
+
+
+@settings(max_examples=400)
+@given(mutated_pairs())
+def test_mutated_texts_raise_only_parse_and_grounding_errors(texts):
+    domain_text, problem_text = texts
+    try:
+        d = parse_domain(domain_text)
+        p = parse_problem(problem_text, d)
+        ground(d, p).pruned_actions
+    except (ParseError, GroundingError):
+        pass
