@@ -197,6 +197,7 @@ class BenchRecord:
     outcome: str  # solved | unsolved | error
     seconds: float
     plan_length: Optional[int]
+    detail: str = ""  # an error's exception type and message
 
 
 def _deadline_wrapped(planner, deadline: float):
@@ -212,8 +213,17 @@ def _deadline_wrapped(planner, deadline: float):
 
 def run_config(task: Task, config: str, time_limit: float,
                node_limit: int = 1_000_000) -> tuple[str, float, Optional[int]]:
-    """Run one (instance, config) cell.  Config labels are a planner name
-    with an optional "+L" suffix for the landmark control loop."""
+    """Run one (instance, config) cell: outcome, seconds and plan length."""
+    return run_config_detail(task, config, time_limit, node_limit)[:3]
+
+
+def run_config_detail(task: Task, config: str, time_limit: float,
+                      node_limit: int = 1_000_000) -> tuple[str, float, Optional[int], str]:
+    """Run one (instance, config) cell: outcome, seconds, plan length and,
+    for an "error" outcome, the exception's type and message, so that a
+    crash does not pass for an unsolved instance.  Config labels are a
+    planner name with an optional "+L" suffix for the landmark control
+    loop."""
     label = config
     with_landmarks = label.endswith("+L")
     if with_landmarks:
@@ -230,22 +240,22 @@ def run_config(task: Task, config: str, time_limit: float,
             trace = run_control(task, g, base, ControlConfig(limits=limits))
             elapsed = time.monotonic() - t0
             if trace.solved:
-                return "solved", elapsed, len(trace.plan)
-            return "unsolved", elapsed, None
+                return "solved", elapsed, len(trace.plan), ""
+            return "unsolved", elapsed, None, ""
         res = planner(task, limits)
         elapsed = time.monotonic() - t0
         if res.solved:
-            return "solved", elapsed, len(res.plan)
-        return "unsolved", elapsed, None
-    except Exception:
-        return "error", time.monotonic() - t0, None
+            return "solved", elapsed, len(res.plan), ""
+        return "unsolved", elapsed, None, ""
+    except Exception as e:
+        return "error", time.monotonic() - t0, None, f"{type(e).__name__}: {e}"
 
 
 def _run_cell(args) -> BenchRecord:
     domain, size, seed, config, time_limit, node_limit = args
     task = generate_task(domain, size, seed)
-    outcome, seconds, length = run_config(task, config, time_limit, node_limit)
-    return BenchRecord(domain, str(size), seed, config, outcome, seconds, length)
+    return BenchRecord(domain, str(size), seed, config,
+                       *run_config_detail(task, config, time_limit, node_limit))
 
 
 def run_benchmark(domain: str, sizes: Sequence, per_size: int, seed_base: int,
@@ -269,10 +279,12 @@ def run_benchmark(domain: str, sizes: Sequence, per_size: int, seed_base: int,
 def records_to_csv(records: Iterable[BenchRecord]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["domain", "size", "seed", "config", "outcome", "seconds", "plan_length"])
+    w.writerow(["domain", "size", "seed", "config", "outcome", "seconds", "plan_length",
+                "detail"])
     for r in records:
         w.writerow([r.domain, r.size, r.seed, r.config, r.outcome,
-                    f"{r.seconds:.3f}", "" if r.plan_length is None else r.plan_length])
+                    f"{r.seconds:.3f}", "" if r.plan_length is None else r.plan_length,
+                    r.detail])
     return buf.getvalue()
 
 

@@ -106,9 +106,10 @@ class Task:
         self._relevance: dict[int, tuple[tuple, tuple]] = {}
         self._append(facts, actions)
         self._pose(init, goal, name)
-        # the names, or a function building them on first read; either way
-        # kept as one string: as a tuple, tens of thousands of names would be
-        # traversed by the next cyclic garbage collection, wherever it lands
+        # the names, or a function building them on first read (len() counts
+        # them without building them); either way kept as one string: as a
+        # tuple, tens of thousands of names would be traversed by the next
+        # cyclic garbage collection, wherever it lands
         self._pruned = pruned_actions if callable(pruned_actions) else "\n".join(pruned_actions)
         self.provably_unsolvable = provably_unsolvable
 
@@ -166,6 +167,13 @@ class Task:
         if callable(self._pruned):
             self._pruned = "\n".join(self._pruned())
         return tuple(self._pruned.split("\n")) if self._pruned else ()
+
+    @property
+    def num_pruned(self) -> int:
+        """``len(pruned_actions)``, without building the names first."""
+        if callable(self._pruned):
+            return len(self._pruned)
+        return self._pruned.count("\n") + 1 if self._pruned else 0
 
     @functools.cached_property
     def _fact_index(self) -> dict[str, int]:
@@ -303,6 +311,24 @@ def successors(ops: Iterable[tuple[int, int, int, int]],
     for aid, pre, add, dele in ops:
         if state & pre == pre:
             yield aid, (state | add) & ~dele
+
+
+def relaxed_closure(pairs: Iterable[tuple[int, int]], state: int) -> int:
+    """The facts reachable from ``state`` when deletes are ignored: the
+    least superset of ``state`` holding ``add`` for every (pre, add) pair
+    whose ``pre`` it holds."""
+    waiting = list(pairs)
+    while True:
+        before = state
+        blocked = []
+        for pre, add in waiting:
+            if state & pre == pre:
+                state |= add
+            else:
+                blocked.append((pre, add))
+        if state == before:
+            return state
+        waiting = blocked
 
 
 def _check_plan_ids(task: Task, plan: Sequence[int]) -> None:

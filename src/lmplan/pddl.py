@@ -14,21 +14,30 @@ already-grounded tasks round-trip through PDDL.
 Grounding is driven by reachability, as in the Datalog-style grounding of
 Helmert's "Concise finite-domain representations for PDDL planning tasks"
 (AIJ 2009), in miniature.  Each schema's parameters are bound one at a time
-over sorted typed pools to pairwise-distinct objects, and a precondition on
-a static predicate (one no schema adds, so its true atoms are exactly the
-``:init`` ones) is tested as soon as its variables are bound.  The
-delete-relaxed fixpoint then runs over the surviving bindings only.  The
-names of the pruned actions are not built while grounding; the Task builds
-them from the domain, the problem and the kept actions on first read.
+over sorted typed pools to pairwise-distinct objects.  A precondition on a
+static predicate (one no schema adds, so its true atoms are exactly the
+``:init`` ones) joins: an index of its relation, keyed by the objects
+already bound, gives the candidates of its last variable.  The
+delete-relaxed fixpoint then runs over bitmasks of the surviving bindings
+only, with ground atoms interned as tuples.  The names of the pruned actions
+are not built while grounding; the Task builds them from the domain, the
+problem and the kept actions on first read.
+
+The reader tokenizes with one regular expression; a symbol's line and
+column are worked out from its token index only when an error names it.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
+import math
+import operator
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Action, Fact, PlanningError, Task, format_atom, mask_of
+from .core import Action, Fact, PlanningError, Task, format_atom, relaxed_closure
 
 
 class ParseError(PlanningError):
@@ -46,61 +55,55 @@ class GroundingError(PlanningError):
 # S-expression reader with source positions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")  # parens, comments, symbols
+
+
 class Symbol:
-    text: str
-    line: int
-    column: int
+    """A symbol of PDDL text, lowercased.  It keeps the index of its token
+    and the text, so its line and column are worked out only for an error."""
+
+    __slots__ = ("text", "index", "source")
+
+    def __init__(self, text: str, index: int, source: str):
+        self.text = text
+        self.index = index
+        self.source = source
+
+    def position(self) -> tuple[int, int]:
+        match = next(itertools.islice(_TOKEN.finditer(self.source), self.index, None))
+        return _line_col(self.source, match.start())
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-            continue
-        start, start_col = i, col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        yield (text[start:i].lower(), line, start_col)
-    yield (None, line, col)
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _end_position(text: str) -> tuple[int, int]:
+    """Where the text ends; a comment on the last line does not count
+    towards its column (the reader has always reported it so)."""
+    last = text[text.rfind("\n") + 1:]
+    comment = last.find(";")
+    return text.count("\n") + 1, (comment if comment >= 0 else len(last)) + 1
 
 
 def _read_sexprs(text: str) -> list:
     """Parse into nested lists of Symbols; raises ParseError on bad nesting."""
     stack: list[list] = [[]]
-    for tok, line, col in _tokenize(text):
-        if tok is None:
-            break
+    top = stack[0]
+    for index, tok in enumerate(_TOKEN.findall(text)):
         if tok == "(":
-            stack.append([])
+            top = []
+            stack.append(top)
         elif tok == ")":
             if len(stack) == 1:
-                raise ParseError("unbalanced ')'", line, col)
+                raise ParseError("unbalanced ')'", *Symbol(tok, index, text).position())
             done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(Symbol(tok, line, col))
+            top = stack[-1]
+            top.append(done)
+        elif tok[0] != ";":
+            top.append(Symbol(tok.lower(), index, text))
     if len(stack) != 1:
-        raise ParseError("unbalanced '('", line, col)
+        raise ParseError("unbalanced '('", *_end_position(text))
     return stack[0]
 
 
@@ -114,7 +117,7 @@ def _pos(expr) -> tuple[int, int]:
     while isinstance(expr, list) and expr:
         expr = expr[0]
     if isinstance(expr, Symbol):
-        return expr.line, expr.column
+        return expr.position()
     return 0, 0
 
 
@@ -381,6 +384,32 @@ def _pools(problem: ProblemAst) -> dict[Optional[str], list[str]]:
     return by_type
 
 
+def _join_index(true: set, refs: tuple, new: int, pool: list[str]) -> dict[tuple, list[str]]:
+    """Index a static relation for an atom binding slot ``new``: the values
+    of the atom's other arguments map to the objects of ``pool``, in pool
+    order, that complete a true atom at ``new``'s argument."""
+    at = refs.index(new)
+    rests: dict[str, list[tuple]] = {}
+    for args in true:
+        rests.setdefault(args[at], []).append(args[:at] + args[at + 1:])
+    index: dict[tuple, list[str]] = {}
+    for o in pool:
+        for rest in rests.get(o, ()):
+            index.setdefault(rest, []).append(o)
+    return index
+
+
+def _values_of(refs: tuple):
+    """A function from a partial binding to the tuple of the values of
+    ``refs``: the object at a slot, a constant as it is."""
+    if all(type(r) is int for r in refs):
+        if len(refs) > 1:
+            return operator.itemgetter(*refs)
+        if refs:
+            return lambda combo, r=refs[0]: (combo[r],)
+    return lambda combo: tuple(combo[r] if type(r) is int else r for r in refs)
+
+
 def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
               static: Optional[dict[str, set]] = None):
     """Type-consistent bindings with pairwise-distinct objects, as object
@@ -388,8 +417,11 @@ def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
 
     Parameters are bound one at a time.  ``static`` maps each static
     predicate to the argument tuples of its ``:init`` atoms; a precondition
-    on one is tested as soon as its last variable is bound, and the partial
-    bindings failing it are not extended.
+    on one is applied as soon as its last variable is bound.  One holding
+    that variable once is a join: the true atoms agreeing with the objects
+    already bound give the variable's candidates.  Of several joins on one
+    variable the one with the most bound arguments generates; the others,
+    and atoms holding the variable twice or no variable at all, filter.
     """
     pools = [by_type.get(t, []) for _, t in schema.params]
     if not all(pools):
@@ -405,52 +437,127 @@ def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
             refs = tuple(slot[a] if a.startswith("?") else a for a in atom.args)
             depth = 1 + max((r for r in refs if type(r) is int), default=-1)
             tests[depth].append((static[atom.predicate], refs))
+    # per slot: the join giving its candidates, as (index, key reader), or None
+    joins: list[Optional[tuple]] = [None] * len(pools)
+    for j, pool in enumerate(pools):
+        here = tests[j + 1]
+        joinable = [k for k, (_, refs) in enumerate(here) if refs.count(j) == 1]
+        if joinable:
+            true, refs = here.pop(max(joinable, key=lambda k: len(here[k][1])))
+            at = refs.index(j)
+            joins[j] = (_join_index(true, refs, j, pool), _values_of(refs[:at] + refs[at + 1:]))
+    tests = [[(true, _values_of(refs)) for true, refs in here] for here in tests]
 
     def holds(combo):
-        return all(
-            tuple(combo[r] if type(r) is int else r for r in refs) in true
-            for true, refs in tests[len(combo)]
-        )
+        for true, read in tests[len(combo)]:
+            if read(combo) not in true:
+                return False
+        return True
+
+    def candidates(combo, j):
+        if joins[j] is None:
+            return pools[j]
+        index, read = joins[j]
+        return index.get(read(combo), ())
 
     # all but the last parameter breadth-first, the last one streamed
     partial = [()] if holds(()) else []
-    for depth, pool in enumerate(pools[:-1], 1):
-        partial = [c + (o,) for c in partial for o in pool if o not in c]
-        if tests[depth]:
+    for j in range(len(pools) - 1):
+        partial = [c + (o,) for c in partial for o in candidates(c, j) if o not in c]
+        if tests[j + 1]:
             partial = [c for c in partial if holds(c)]
     if not pools:
         yield from partial
         return
-    last, checked = pools[-1], bool(tests[-1])
+    last, checked = len(pools) - 1, bool(tests[-1])
     for c in partial:
-        for o in last:
+        for o in candidates(c, last):
             if o not in c:
                 combo = c + (o,)
                 if not checked or holds(combo):
                     yield tuple(combo[i] for i in args) if resolve else combo
 
 
-def _ground_atom(atom: AtomAst, binding: dict[str, str], objects: set[str]) -> str:
-    args = []
-    for a in atom.args:
-        if a.startswith("?"):
-            args.append(binding[a])
-        elif a in objects:
-            args.append(a)
-        else:
-            raise GroundingError(f"unknown constant {a!r} in {atom.predicate}")
-    return format_atom(atom.predicate, args)
+def _check_constants(atoms: Sequence[AtomAst], objects: set[str]) -> None:
+    for atom in atoms:
+        for a in atom.args:
+            if not a.startswith("?") and a not in objects:
+                raise GroundingError(f"unknown constant {a!r} in {atom.predicate}")
 
 
-def _pruned_names(domain: DomainAst, problem: ProblemAst, kept: frozenset[str]):
+def _atom_getters(schema: SchemaAst) -> tuple[tuple[str, ...], list, list, list]:
+    """Names to append to a binding, making a row, and for each atom of the
+    schema's pre, add and delete lists a function from a row to the ground
+    atom as a ``(predicate, *args)`` tuple."""
+    slot = {v: i for i, (v, _) in enumerate(schema.params)}
+    names: dict[str, int] = {}
+
+    def name_at(name: str) -> int:
+        return len(schema.params) + names.setdefault(name, len(names))
+
+    def getter(atom: AtomAst):
+        if not atom.args:
+            return lambda row, key=(atom.predicate,): key
+        return operator.itemgetter(name_at(atom.predicate), *(
+            slot[a] if a.startswith("?") else name_at(a) for a in atom.args))
+
+    lists = [[getter(atom) for atom in part] for part in (schema.pre, schema.add, schema.delete)]
+    return (tuple(names), *lists)
+
+
+class _AtomBits(dict):
+    """Ground atoms, as ``(predicate, *args)`` tuples, to local bits
+    assigned in the order the atoms are first looked up."""
+
+    def __missing__(self, atom: tuple) -> int:
+        self[atom] = bit = 1 << len(self)
+        return bit
+
+
+@dataclass(frozen=True)
+class _PrunedActions:
+    """The actions ``ground`` pruned.  Called, it yields their names; its
+    ``len`` counts them from the typed pools without naming them."""
+
+    domain: DomainAst
+    problem: ProblemAst
+    kept: tuple[tuple[tuple[str, ...], ...], ...]  # per schema, its kept bindings
+
+    def __call__(self):
+        return _pruned_names(self.domain, self.problem, self.kept)
+
+    def __len__(self) -> int:
+        by_type = _pools(self.problem)
+        objects = [o for o, _ in self.problem.objects]
+        unique = len(set(objects)) == len(objects)
+        count = 0
+        for schema, kept in zip(self.domain.schemas, self.kept):
+            if unique:
+                # a product of falling factorials over the types' pools, less
+                # the kept bindings; with a repeated parameter name, bindings
+                # differing at its earlier positions are equal once resolved,
+                # and share every test, so they are kept or pruned together
+                per_type = Counter(t for _, t in schema.params)
+                count += math.prod(math.perm(len(by_type.get(t, [])), k)
+                                   for t, k in per_type.items()) - len(kept)
+            else:
+                # a duplicated object repeats bindings the product counts apart
+                kept_set = set(kept)
+                count += sum(combo not in kept_set for combo in _bindings(schema, by_type))
+        return count
+
+
+def _pruned_names(domain: DomainAst, problem: ProblemAst,
+                  kept: tuple[tuple[tuple[str, ...], ...], ...]):
     """The names of every binding ``ground`` enumerates with no static tests
-    that is not in ``kept``, in grounding order."""
+    and did not keep (``kept`` holds each schema's kept bindings), in
+    grounding order."""
     by_type = _pools(problem)
-    for schema in domain.schemas:
+    for schema, kept_bindings in zip(domain.schemas, kept):
+        kept_set = set(kept_bindings)
         for combo in _bindings(schema, by_type):
-            name = format_atom(schema.name, combo)
-            if name not in kept:
-                yield name
+            if combo not in kept_set:
+                yield format_atom(schema.name, combo)
 
 
 def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
@@ -463,10 +570,15 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
 
     Pruning starts while bindings are enumerated: a predicate no schema adds
     is static, its true atoms are exactly its ``:init`` atoms, so a binding
-    failing a static precondition is never reached and is skipped as soon as
-    that precondition's variables are bound.  The fixpoint then runs over
-    the survivors only.  The pruned actions' names, most of the bindings on
-    untyped domains, are built when ``Task.pruned_actions`` is first read.
+    failing a static precondition is never reached.  Such a precondition
+    supplies its last variable's candidates from an index of its relation,
+    or filters as soon as its variables are bound (``_bindings``).  Ground
+    atoms are interned as ``(predicate, *args)`` tuples with local bits,
+    and the fixpoint runs over the survivors' bitmasks; names are built
+    only for the facts and actions the Task keeps.  The pruned actions'
+    names, most of the bindings on untyped domains, are built when
+    ``Task.pruned_actions`` is first read; ``Task.num_pruned`` counts them
+    without building them.
     """
     by_type = _pools(problem)
     object_set = {o for o, _ in problem.objects}
@@ -479,85 +591,83 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
             if atom.predicate in static:
                 static[atom.predicate].add(atom.args)
 
-    grounded: list[tuple[str, frozenset, frozenset, frozenset]] = []
-    for schema in domain.schemas:
-        atoms = (*schema.pre, *schema.add, *schema.delete)
-        resolved = all(a.startswith("?") or a in object_set for at in atoms for a in at.args)
-        # with an unknown constant the bindings go unfiltered, so the first
-        # one (if any) raises whether or not a static test would reject it
-        for combo in _bindings(schema, by_type, static if resolved else None):
-            binding = dict(zip((v for v, _ in schema.params), combo))
-            gname = format_atom(schema.name, combo)
-            pre = frozenset(_ground_atom(a, binding, object_set) for a in schema.pre)
-            add = frozenset(_ground_atom(a, binding, object_set) for a in schema.add)
-            dele = frozenset(_ground_atom(a, binding, object_set) for a in schema.delete)
-            grounded.append((gname, pre, add, dele))
-
-    init_names = {_ground_atom(a, {}, object_set) for a in problem.init}
-    goal_names = {_ground_atom(a, {}, object_set) for a in problem.goal}
+    getters = [_atom_getters(schema) for schema in domain.schemas]
+    atoms = _AtomBits()  # with prune: the atoms the fixpoint may reach
+    # per surviving binding: schema index and row; with prune, the
+    # fixpoint's (pre, add) pair over local bits, where static
+    # preconditions are left out: they hold in init, or the binding would
+    # not have survived
+    rows: list[tuple[int, tuple]] = []
+    pairs: list[tuple[int, int]] = []
+    for s, schema in enumerate(domain.schemas):
+        try:
+            _check_constants((*schema.pre, *schema.add, *schema.delete), object_set)
+        except GroundingError:
+            # raised whether or not a static test would reject the binding
+            if next(_bindings(schema, by_type), None) is not None:
+                raise
+            continue
+        names, pre_get, add_get, _ = getters[s]
+        fluent = [get for get, atom in zip(pre_get, schema.pre)
+                  if prune and atom.predicate not in static]
+        for combo in _bindings(schema, by_type, static):
+            row = combo + names
+            rows.append((s, row))
+            if prune:
+                pre = add = 0
+                for get in fluent:
+                    pre |= atoms[get(row)]
+                for get in add_get:
+                    add |= atoms[get(row)]
+                pairs.append((pre, add))
+    _check_constants((*problem.init, *problem.goal), object_set)
+    init_atoms = [(a.predicate, *a.args) for a in problem.init]
+    goal_atoms = [(a.predicate, *a.args) for a in problem.goal]
 
     if prune:
-        reached = set(init_names)
-        pending = list(range(len(grounded)))
-        kept_idx: list[int] = []
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for i in pending:
-                _, pre, add, _ = grounded[i]
-                if pre <= reached:
-                    kept_idx.append(i)
-                    if not add <= reached:
-                        reached |= add
-                        changed = True
-                else:
-                    still.append(i)
-            pending = still
-        kept_idx.sort()
-        kept = [grounded[i] for i in kept_idx]
-        pruned = functools.partial(_pruned_names, domain, problem,
-                                   frozenset(g[0] for g in kept))
-        universe = sorted(reached | init_names | goal_names)
+        init = goal = 0
+        for atom in init_atoms:
+            init |= atoms[atom]
+        for atom in goal_atoms:
+            goal |= atoms[atom]
+        reached = relaxed_closure(pairs, init)
+        rows = [r for r, (pre, _) in zip(rows, pairs) if reached & pre == pre]
+        universe = {atom for atom, bit in atoms.items() if bit & (reached | goal)}
     else:
-        kept = grounded
-        pruned = ()
-        universe = sorted(
-            init_names
-            | goal_names
-            | {f for _, pre, add, dele in grounded for f in pre | add | dele}
-        )
+        universe = {get(row) for s, row in rows for part in getters[s][1:] for get in part}
+        universe.update(init_atoms, goal_atoms)
 
-    index = {fname: i for i, fname in enumerate(universe)}
+    fact_bit: dict[tuple, int] = {}
     facts = []
-    for i, fname in enumerate(universe):
-        pred = fname[1:-1].split()[0]
-        args = tuple(fname[1:-1].split()[1:])
-        facts.append(Fact(i, pred, args))
-    known = index.keys()
+    for fid, (fname, atom) in enumerate(sorted(("(" + " ".join(a) + ")", a) for a in universe)):
+        fact_bit[atom] = 1 << fid
+        pred, *args = fname[1:-1].split()
+        facts.append(Fact(fid, pred, tuple(args)))
+
+    def mask(gets, row) -> int:
+        m = 0
+        for get in gets:
+            m |= fact_bit.get(get(row), 0)  # 0: deletes of never-true facts are inert
+        return m
+
     actions = []
-    for i, (gname, pre, add, dele) in enumerate(kept):
-        actions.append(
-            Action(
-                i,
-                gname,
-                mask_of(index[f] for f in pre),
-                mask_of(index[f] for f in add if f in known),
-                # deletes of never-true facts are inert; drop them
-                mask_of(index[f] for f in dele if f in known),
-            )
-        )
-    init_mask = mask_of(index[f] for f in init_names)
-    goal_mask = mask_of(index[f] for f in goal_names)
-    unsolvable = prune and not goal_names <= reached
+    kept: list[list[tuple]] = [[] for _ in domain.schemas]  # bindings, per schema
+    for aid, (s, row) in enumerate(rows):
+        schema = domain.schemas[s]
+        combo = row[:len(schema.params)]
+        kept[s].append(combo)
+        _, pre_get, add_get, del_get = getters[s]
+        actions.append(Action(aid, format_atom(schema.name, combo),
+                              mask(pre_get, row), mask(add_get, row), mask(del_get, row)))
+    pruned = _PrunedActions(domain, problem, tuple(map(tuple, kept))) if prune else ()
     return Task(
         facts,
         actions,
-        init_mask,
-        goal_mask,
+        sum(fact_bit[atom] for atom in set(init_atoms)),
+        sum(fact_bit[atom] for atom in set(goal_atoms)),
         name=problem.name,
         pruned_actions=pruned,
-        provably_unsolvable=unsolvable,
+        provably_unsolvable=prune and goal & ~reached != 0,
     )
 
 

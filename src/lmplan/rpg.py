@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import Action, Task, bits
+from .core import Action, Task, bits, relaxed_closure
 
 GOALS_FIRST = "goals-first"
 FIXPOINT = "fixpoint"
@@ -212,21 +212,7 @@ def build_rpg(task: Task, mode: str = GOALS_FIRST, state: Optional[int] = None) 
 
 def relaxed_solvable(actions: Iterable[Action], init: int, goal: int) -> bool:
     """Delete-free reachability of ``goal`` from ``init`` over ``actions``."""
-    acts = [(a.pre, a.add) for a in actions]
-    cur = init
-    while cur & goal != goal:
-        nxt = cur
-        remaining = []
-        for pre, add in acts:
-            if cur & pre == pre:
-                nxt |= add
-            else:
-                remaining.append((pre, add))
-        if nxt == cur:
-            return False
-        acts = remaining
-        cur = nxt
-    return True
+    return relaxed_closure(((a.pre, a.add) for a in actions), init) & goal == goal
 
 
 def extract_relaxed_plan(rpg: RPG, goal: int):

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 
+from lmplan import bench
 from lmplan.bench import (
     gen_blocksworld,
     gen_logistics,
@@ -125,6 +128,20 @@ def test_csv_is_stable_except_time_column():
         return out
 
     assert drop_time(a) == drop_time(b)
+
+
+def test_crash_is_recorded_with_its_cause(monkeypatch):
+    def crash(task, limits):
+        raise RuntimeError("boom, at step 3")
+
+    monkeypatch.setitem(bench.PLANNERS, "bfs", crash)
+    records = run_benchmark("blocksworld-arm", [3], per_size=1, seed_base=0,
+                            configs=["bfs", "bfs+L"], time_limit=30)
+    assert [(r.outcome, r.detail) for r in records] == \
+        [("error", "RuntimeError: boom, at step 3")] * 2
+    rows = list(csv.reader(io.StringIO(records_to_csv(records))))
+    assert rows[0][-1] == "detail"
+    assert [row[-1] for row in rows[1:]] == ["RuntimeError: boom, at step 3"] * 2
 
 
 def test_parallel_workers_agree_with_sequential():

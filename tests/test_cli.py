@@ -3,9 +3,11 @@ import json
 import pytest
 
 from lmplan.cli import main
+from lmplan.bench import gen_logistics
 from lmplan.instances import (
     BLOCKSWORLD_ARM_DOMAIN,
     BLOCKSWORLD_DEMO_PROBLEM,
+    LOGISTICS_DOMAIN,
     ROADMAP_DOMAIN,
     ROADMAP_PROBLEM,
 )
@@ -33,6 +35,23 @@ def test_ground_reports_counts(demo_files, capsys):
     assert main(["ground", *demo_files]) == 0
     out = capsys.readouterr().out
     assert "facts: 25" in out and "actions: 32" in out
+
+
+def test_ground_counts_pruned_actions_without_naming_them(tmp_path, capsys, monkeypatch):
+    from lmplan import pddl
+
+    problem = gen_logistics(2, 3, 2, 4, seed=1)
+    pruned = len(pddl.ground_files(LOGISTICS_DOMAIN, problem).pruned_actions)
+
+    def fail(*_):
+        raise AssertionError("pruned action names built")
+
+    monkeypatch.setattr(pddl, "_pruned_names", fail)
+    d, p = tmp_path / "d.pddl", tmp_path / "p.pddl"
+    d.write_text(LOGISTICS_DOMAIN)
+    p.write_text(problem)
+    assert main(["ground", str(d), str(p)]) == 0
+    assert f"(pruned {pruned})" in capsys.readouterr().out
 
 
 def test_landmarks_json_emission(demo_files, capsys):

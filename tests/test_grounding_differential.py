@@ -1,12 +1,14 @@
 """Differential tests for the grounder.
 
 The reference below is the grounder ``lmplan.pddl.ground`` replaced, kept
-unchanged apart from its name: it grounds every type-consistent,
+unchanged apart from its name (with the atom formatter it used): it grounds every type-consistent,
 pairwise-distinct binding of every schema (``itertools.product`` over the
 sorted typed pools), prunes with the relaxed-reachability fixpoint and
 builds every pruned action's name eagerly.  The new grounder tests static
-preconditions while it binds, runs the fixpoint over the survivors only and
-builds the pruned names on first read; the Task must be the same.
+preconditions while it binds (joining them through indexes of the ``:init``
+relations), gives atoms integer ids, runs the fixpoint over bitmasks of the
+survivors only and builds the pruned names on first read; the Task must be
+the same, and ``Task.num_pruned`` must count the pruned names.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from lmplan import instances, pddl
 from lmplan.bench import DOMAIN_TEXTS, gen_blocksworld, gen_logistics
 from lmplan.core import Action, Fact, Task, format_atom, mask_of
 from lmplan.pddl import (
+    AtomAst,
     DomainAst,
     GroundingError,
     ProblemAst,
     SchemaAst,
-    _ground_atom,
     ground,
     parse_domain,
     parse_problem,
@@ -35,6 +37,18 @@ from lmplan.pddl import (
 # ---------------------------------------------------------------------------
 # Reference
 # ---------------------------------------------------------------------------
+
+def _ground_atom(atom: AtomAst, binding: dict[str, str], objects: set[str]) -> str:
+    args = []
+    for a in atom.args:
+        if a.startswith("?"):
+            args.append(binding[a])
+        elif a in objects:
+            args.append(a)
+        else:
+            raise GroundingError(f"unknown constant {a!r} in {atom.predicate}")
+    return format_atom(atom.predicate, args)
+
 
 def _instantiations(schema: SchemaAst, by_type: dict[Optional[str], list[str]]):
     """Type-consistent bindings with pairwise-distinct objects, in
@@ -156,6 +170,8 @@ def grounded(fn, domain: DomainAst, problem: ProblemAst, prune: bool):
         t = fn(domain, problem, prune)
     except GroundingError as e:
         return ("GroundingError", str(e))
+    count = t.num_pruned  # before the names are built
+    assert count == len(t.pruned_actions)
     return (t.facts, t.actions, t.init, t.goal, t.name, t.pruned_actions,
             t.provably_unsolvable)
 
@@ -177,6 +193,57 @@ BUILT_IN.update({
 BUILT_IN.update({
     f"log-{'-'.join(map(str, size))}": (DOMAIN_TEXTS["logistics"], gen_logistics(*size, seed=1))
     for size in [(1, 2, 1, 2), (2, 3, 2, 4), (3, 3, 1, 6)]
+})
+
+# static joins the generated tasks above lack: binary relations over typed
+# pools joined on one and on two bound objects, two joins on one variable,
+# a static atom repeating its variable (a filter), static atoms with
+# constants, and a zero-arity static precondition (true in one problem,
+# false in the other)
+JOIN_DOMAIN = """(define (domain joins) (:requirements :strips :typing) (:types node colour)
+  (:predicates (edge ?a - node ?b - node) (loop ?a - node ?b - node)
+               (tint ?a - node ?c - colour) (open) (at ?a - node)
+               (painted ?a - node ?c - colour) (seen ?a - node))
+  (:action move :parameters (?from - node ?to - node ?c - colour)
+    :precondition (and (open) (at ?from) (edge ?from ?to) (tint ?to ?c) (tint ?from ?c))
+    :effect (and (at ?to) (not (at ?from))))
+  (:action paint :parameters (?a - node ?c - colour)
+    :precondition (and (at ?a) (loop ?a ?a) (tint ?a red))
+    :effect (and (painted ?a ?c)))
+  (:action jump :parameters (?a - node ?b - node)
+    :precondition (and (edge n1 ?b) (at ?a) (edge ?a n3))
+    :effect (and (seen ?b) (at ?b))))"""
+
+
+def join_problem(is_open: bool) -> str:
+    # ill-typed atoms too: (edge n1 red) must not make red a node candidate
+    edges = ["n1 n2", "n2 n3", "n3 n1", "n1 n3", "n4 n3", "n2 n4", "n1 red"]
+    tints = ["n1 red", "n2 red", "n3 red", "n3 blue", "n4 blue", "n2 blue", "n4 n1"]
+    return ("(define (problem joins-p) (:domain joins)"
+            " (:objects n1 n2 n3 n4 - node red blue - colour)"
+            f" (:init {'(open)' if is_open else ''} (at n1) (loop n2 n2) (loop n3 n1)"
+            + "".join(f" (edge {e})" for e in edges) + "".join(f" (tint {t})" for t in tints)
+            + ") (:goal (and (painted n2 blue) (seen n3))))")
+
+
+# two schemas of one name, and duplicated objects: pruned actions are then
+# counted by enumeration, not from the pools
+REPEATS_DOMAIN = """(define (domain repeats) (:predicates (p ?x) (q ?x ?y))
+  (:action a :parameters (?x ?y) :precondition (and (p ?x)) :effect (and (q ?x ?y)))
+  (:action a :parameters (?y ?z) :precondition (and (q ?z ?y)) :effect (and (not (p ?y))))
+  (:action b :parameters (?x ?y) :precondition (and (q ?x ?y)) :effect (and (not (q ?y ?x)))))"""
+
+
+def repeats_problem(objects: str) -> str:
+    return (f"(define (problem repeats-p) (:domain repeats) (:objects {objects})"
+            " (:init (p o1)) (:goal (and (q o1 o3))))")
+
+
+BUILT_IN.update({
+    "joins-open": (JOIN_DOMAIN, join_problem(True)),
+    "joins-closed": (JOIN_DOMAIN, join_problem(False)),
+    "repeats": (REPEATS_DOMAIN, repeats_problem("o1 o2 o3")),
+    "repeats-duplicate-objects": (REPEATS_DOMAIN, repeats_problem("o1 o2 o1 o3")),
 })
 
 
