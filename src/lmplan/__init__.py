@@ -61,6 +61,7 @@ from .control import (
     ControlTrace,
     compile_disjunctive_goal,
     run_control,
+    solve,
 )
 
 __version__ = "0.1.0"

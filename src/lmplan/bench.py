@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .control import ControlConfig, run_control
+from .control import ControlConfig, solve
 from .core import Task
 from .instances import (
     BLOCKSWORLD_ARM_DOMAIN,
@@ -19,8 +19,7 @@ from .instances import (
 )
 from .landmarks import LGG, EdgeKind
 from .pddl import ground_files
-from .pipeline import build_landmark_graph
-from .planners import PLANNERS, Outcome, PlannerResult, SearchLimits
+from .planners import PLANNERS, SearchLimits
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +128,20 @@ DOMAIN_TEXTS = {
 }
 
 
-def generate_task(domain: str, size, seed: int) -> Task:
-    """Ground one generated instance.  ``size`` is the block count for the
-    blocksworld variants and a (cities, locs, planes, packages) tuple for
-    logistics."""
+def gen_problem(domain: str, size, seed: int) -> str:
+    """One generated problem of a ``DOMAIN_TEXTS`` domain.  ``size`` is the
+    block count for the blocksworld variants and a (cities, locs, planes,
+    packages) tuple for logistics."""
     if domain in ("blocksworld-arm", "blocksworld-no-arm"):
-        problem = gen_blocksworld(int(size), domain.removeprefix("blocksworld-"), seed)
-    elif domain == "logistics":
-        problem = gen_logistics(*size, seed=seed)
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    return ground_files(DOMAIN_TEXTS[domain], problem)
+        return gen_blocksworld(int(size), domain.removeprefix("blocksworld-"), seed)
+    if domain == "logistics":
+        return gen_logistics(*size, seed=seed)
+    raise ValueError(f"unknown domain {domain!r}")
+
+
+def generate_task(domain: str, size, seed: int) -> Task:
+    """Ground one generated instance (see ``gen_problem``)."""
+    return ground_files(DOMAIN_TEXTS[domain], gen_problem(domain, size, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +202,6 @@ class BenchRecord:
     detail: str = ""  # an error's exception type and message
 
 
-def _deadline_wrapped(planner, deadline: float):
-    def call(task: Task, limits: SearchLimits) -> PlannerResult:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, 0, 0.0)
-        eff = SearchLimits(limits.max_nodes, min(limits.max_seconds, remaining))
-        return planner(task, eff)
-
-    return call
-
-
 def run_config(task: Task, config: str, time_limit: float,
                node_limit: int = 1_000_000) -> tuple[str, float, Optional[int]]:
     """Run one (instance, config) cell: outcome, seconds and plan length."""
@@ -223,32 +214,21 @@ def run_config_detail(task: Task, config: str, time_limit: float,
     for an "error" outcome, the exception's type and message, so that a
     crash does not pass for an unsolved instance.  Config labels are a
     planner name with an optional "+L" suffix for the landmark control
-    loop."""
-    label = config
-    with_landmarks = label.endswith("+L")
-    if with_landmarks:
-        label = label[: -len("+L")]
+    loop.  Every planner call stops at the cell's ``time_limit``."""
+    label = config.removesuffix("+L")
     if label not in PLANNERS:
         raise ValueError(f"unknown planner {label!r} in config {config!r}")
-    planner = PLANNERS[label]
-    limits = SearchLimits(node_limit, time_limit)
     t0 = time.monotonic()
     try:
-        if with_landmarks:
-            g = build_landmark_graph(task)
-            base = _deadline_wrapped(planner, t0 + time_limit)
-            trace = run_control(task, g, base, ControlConfig(limits=limits))
-            elapsed = time.monotonic() - t0
-            if trace.solved:
-                return "solved", elapsed, len(trace.plan), ""
-            return "unsolved", elapsed, None, ""
-        res = planner(task, limits)
-        elapsed = time.monotonic() - t0
-        if res.solved:
-            return "solved", elapsed, len(res.plan), ""
-        return "unsolved", elapsed, None, ""
+        plan, _ = solve(task, PLANNERS[label], label != config,
+                        ControlConfig(limits=SearchLimits(node_limit, time_limit)),
+                        deadline=t0 + time_limit)
     except Exception as e:
         return "error", time.monotonic() - t0, None, f"{type(e).__name__}: {e}"
+    elapsed = time.monotonic() - t0
+    if plan is None:
+        return "unsolved", elapsed, None, ""
+    return "solved", elapsed, len(plan), ""
 
 
 def _run_cell(args) -> BenchRecord:

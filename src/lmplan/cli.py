@@ -2,17 +2,19 @@
 
 Exit codes: 0 solved/ok, 1 unsolved or property-false, 2 usage error.
 LMPLAN_TIME_LIMIT overrides the default per-search time limit in seconds.
+Search limits must be positive finite numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import bench as bench_mod
-from .control import ControlConfig, run_control
-from .core import PlanningError, format_plan, validate_plan
+from .control import ControlConfig, solve
+from .core import PlanningError, format_plan
 from .oracles import (
     CapExceeded,
     DEFAULT_STATE_CAP,
@@ -26,13 +28,41 @@ from .pddl import ground_files
 from .pipeline import PipelineConfig, build_landmark_graph
 from .planners import PLANNERS, SearchLimits
 
+# property -> (decider, number of fact arguments)
+ORACLES = {
+    "landmark": (oracle_landmark, 1),
+    "gn": (oracle_gn, 2),
+    "n": (oracle_n, 2),
+    "r": (oracle_reasonable, 2),
+    "mutex": (oracle_inconsistent, 2),
+}
+
+
+def _positive(kind):
+    """An argparse type: ``kind(text)`` if it is positive and finite."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive finite number, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_seconds = _positive(float)
+_nodes = _positive(int)
+
 
 def _default_time_limit() -> float:
     env = os.environ.get("LMPLAN_TIME_LIMIT")
     if env:
         try:
-            return float(env)
-        except ValueError:
+            return _seconds(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"lmplan: LMPLAN_TIME_LIMIT must be a positive finite number, "
+                  f"got {env!r}", file=sys.stderr)
             raise SystemExit(2)
     return 60.0
 
@@ -85,27 +115,12 @@ def cmd_landmarks(args) -> int:
 
 def cmd_plan(args) -> int:
     task = _load_task(args)
-    if task.provably_unsolvable:
-        print("unsolvable", file=sys.stderr)
+    cfg = ControlConfig(mode=args.mode, safety_net=args.safety_net,
+                        limits=SearchLimits(args.node_limit, args.time_limit))
+    plan, outcome = solve(task, PLANNERS[args.planner], args.landmarks == "on", cfg)
+    if plan is None:
+        print(f"failed: {outcome}", file=sys.stderr)
         return 1
-    planner = PLANNERS[args.planner]
-    limits = SearchLimits(args.node_limit, args.time_limit)
-    if args.landmarks == "on":
-        g = build_landmark_graph(task)
-        cfg = ControlConfig(mode=args.mode, safety_net=args.safety_net, limits=limits)
-        trace = run_control(task, g, planner, cfg)
-        if not trace.solved:
-            print(f"failed: {trace.outcome.value}", file=sys.stderr)
-            return 1
-        plan = trace.plan
-    else:
-        res = planner(task, limits)
-        if not res.solved:
-            print(f"failed: {res.outcome.value}", file=sys.stderr)
-            return 1
-        plan = res.plan
-    if not validate_plan(task, plan):
-        raise PlanningError("planner returned an invalid plan")
     if plan:
         print(format_plan(task, plan))
     print(f"; length {len(plan)}", file=sys.stderr)
@@ -114,24 +129,9 @@ def cmd_plan(args) -> int:
 
 def cmd_oracle(args) -> int:
     task = _load_task(args)
-    cap = args.cap
+    decide, _ = ORACLES[args.property]
     try:
-        if args.property == "landmark":
-            value = oracle_landmark(task, task.fact_named(args.facts[0]).id, cap)
-        elif args.property == "gn":
-            value = oracle_gn(task, task.fact_named(args.facts[0]).id,
-                              task.fact_named(args.facts[1]).id, cap)
-        elif args.property == "n":
-            value = oracle_n(task, task.fact_named(args.facts[0]).id,
-                             task.fact_named(args.facts[1]).id, cap)
-        elif args.property == "r":
-            value = oracle_reasonable(task, task.fact_named(args.facts[0]).id,
-                                      task.fact_named(args.facts[1]).id, cap)
-        elif args.property == "mutex":
-            value = oracle_inconsistent(task, task.fact_named(args.facts[0]).id,
-                                        task.fact_named(args.facts[1]).id, cap)
-        else:
-            return 2
+        value = decide(task, *[task.fact_named(f).id for f in args.facts], args.cap)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 1
@@ -140,12 +140,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind in ("blocksworld-arm", "blocksworld-no-arm"):
-        variant = args.kind.removeprefix("blocksworld-")
-        text = bench_mod.gen_blocksworld(args.size, variant, args.seed)
-    else:
-        text = bench_mod.gen_logistics(args.cities, args.locs, args.planes,
-                                       args.packages, args.seed)
+    size = ((args.cities, args.locs, args.planes, args.packages)
+            if args.kind == "logistics" else args.size)
+    text = bench_mod.gen_problem(args.kind, size, args.seed)
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     out.write(text)
     if args.emit_domain:
@@ -202,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", choices=["on", "off"], default="on")
     p.add_argument("--mode", choices=["disj", "conjdisj", "dnf"], default="disj")
     p.add_argument("--safety-net", action="store_true")
-    p.add_argument("--time-limit", type=float, default=_default_time_limit())
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
+    p.add_argument("--node-limit", type=_nodes, default=1_000_000)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("oracle", help="exact checks on enumerable tasks")
-    p.add_argument("property", choices=["landmark", "gn", "n", "r", "mutex"])
+    p.add_argument("property", choices=list(ORACLES))
     _add_task_args(p)
     p.add_argument("facts", nargs="+", help='facts like "(clear c)"')
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
@@ -232,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--configs", default="bfs,bfs+L")
-    p.add_argument("--time-limit", type=float, default=_default_time_limit())
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
+    p.add_argument("--node-limit", type=_nodes, default=1_000_000)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (default sequential)")
     p.add_argument("-o", "--output", default="-")
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "oracle":
-        need = 1 if args.property == "landmark" else 2
+        _, need = ORACLES[args.property]
         if len(args.facts) != need:
             ap.error(f"{args.property} takes {need} fact argument(s)")
     try:

@@ -11,13 +11,15 @@ state with the original goal.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import Action, Fact, PlanningError, Task, mask_of, result_state
+from .core import Action, Fact, PlanningError, Task, mask_of, result_state, validate_plan
 from .landmarks import LGG
 from .orders import InconsistencyTable, compute_mutexes
-from .planners import BasePlanner, SearchLimits
+from .pipeline import build_landmark_graph
+from .planners import BasePlanner, Outcome, PlannerResult, SearchLimits
 
 MODE_DISJ = "disj"
 MODE_CONJ_DISJ = "conjdisj"
@@ -190,3 +192,37 @@ def run_control(task: Task, g: LGG, base: BasePlanner,
             return ControlTrace(ControlOutcome.BASE_PLANNER_FAILED, None, iterations)
         plan.extend(final.plan)
     return ControlTrace(ControlOutcome.SOLVED, tuple(plan), iterations)
+
+
+def _until(planner: BasePlanner, deadline: float) -> BasePlanner:
+    """``planner`` with each call's time limit cut at ``deadline``."""
+    def call(task: Task, limits: SearchLimits) -> PlannerResult:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, 0, 0.0)
+        return planner(task, SearchLimits(limits.max_nodes, min(limits.max_seconds, remaining)))
+
+    return call
+
+
+def solve(task: Task, planner: BasePlanner, landmarks: bool,
+          config: ControlConfig = ControlConfig(),
+          deadline: Optional[float] = None) -> tuple[Optional[tuple[int, ...]], str]:
+    """One ``planner`` call, or with ``landmarks`` the control loop over the
+    task's landmark graph; every call is cut at ``deadline`` (monotonic).
+    Returns the validated plan or None, and the planner's or the loop's
+    outcome name ("proved-unsolvable", calling nothing, for a task the
+    grounder proved unsolvable).  An invalid plan raises PlanningError."""
+    if task.provably_unsolvable:
+        return None, Outcome.PROVED_UNSOLVABLE.value
+    if deadline is not None:
+        planner = _until(planner, deadline)
+    if landmarks:
+        result = run_control(task, build_landmark_graph(task), planner, config)
+    else:
+        result = planner(task, config.limits)
+    if not result.solved:
+        return None, result.outcome.value
+    if not validate_plan(task, result.plan):
+        raise PlanningError("planner returned an invalid plan")
+    return result.plan, result.outcome.value

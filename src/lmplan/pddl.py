@@ -639,10 +639,9 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
 
     fact_bit: dict[tuple, int] = {}
     facts = []
-    for fid, (fname, atom) in enumerate(sorted(("(" + " ".join(a) + ")", a) for a in universe)):
+    for fid, (_, atom) in enumerate(sorted(("(" + " ".join(a) + ")", a) for a in universe)):
         fact_bit[atom] = 1 << fid
-        pred, *args = fname[1:-1].split()
-        facts.append(Fact(fid, pred, tuple(args)))
+        facts.append(Fact(fid, atom[0], atom[1:]))
 
     def mask(gets, row) -> int:
         m = 0

@@ -130,6 +130,29 @@ def test_grounding_is_deterministic():
     assert [a.name for a in t1.actions] == [a.name for a in t2.actions]
 
 
+@pytest.mark.parametrize("domain,problem", [
+    (BLOCKSWORLD_ARM_DOMAIN, BLOCKSWORLD_DEMO_PROBLEM),
+    (LOGISTICS_DOMAIN, gen_logistics(2, 3, 2, 4, seed=1)),
+    (ROADMAP_DOMAIN, ROADMAP_PROBLEM),
+    # the reader keeps whitespace other than space, tab, CR and LF in a symbol
+    *[("(define (domain d) (:predicates (q ?x) (p ?x))"
+       " (:action go :parameters (?x) :precondition (q ?x) :effect (p ?x)))",
+       f"(define (problem w) (:domain d) (:objects {s}) (:init (q {s})) (:goal (p {s})))")
+      for s in ("a\x0bb", "a\xa0b")],
+], ids=["blocksworld", "logistics", "roadmap", "vertical-tab", "no-break-space"])
+def test_fact_args_are_the_grounded_atom_with_its_declared_arity(domain, problem):
+    d = parse_domain(domain)
+    p = parse_problem(problem, d)
+    t = ground(d, p)
+    objects = {o for o, _ in p.objects}
+    for f in t.facts:
+        assert len(f.args) == d.predicates[f.predicate], f.name
+        assert set(f.args) <= objects, f.name
+    for mask, atoms in ((t.init, p.init), (t.goal, p.goal)):
+        assert {(f.predicate, f.args) for f in t.facts_in(mask)} == \
+            {(a.predicate, a.args) for a in atoms}
+
+
 def test_zero_object_problem_grounds_to_zero_actions():
     d = parse_domain(BLOCKSWORLD_ARM_DOMAIN)
     p = parse_problem("(define (problem z) (:domain blocksworld-arm) (:objects) (:init) (:goal (and)))", d)
