@@ -77,12 +77,16 @@ class LGG:
 
     def remove_node(self, fact_id: int) -> None:
         """Drop a node together with its incident edges."""
-        for e in list(self._out[fact_id]) + list(self._in[fact_id]):
-            self.remove_edge(*e)
+        out, into = self._out.pop(fact_id), self._in.pop(fact_id)
+        for e in out:
+            self._in[e[1]].discard(e)
+        for e in into:
+            self._out[e[0]].discard(e)
+        if out or into:
+            self._edges -= out | into
+            self._edge_list = None
         self._nodes = None
         del self._verified[fact_id]
-        del self._out[fact_id]
-        del self._in[fact_id]
 
     # -- edges --------------------------------------------------------------
 
@@ -172,11 +176,12 @@ def _expand_candidates(task: Task, rpg: RPG, g: LGG, seeds: Iterable[int],
     """Backchain from ``seeds``: shared preconditions of each open candidate's
     achievers become nodes with gn edges.  Returns every node added."""
     added: list[int] = []
+    level = rpg.fact_level
     open_set = sorted(set(seeds))
     while open_set:
         next_open: list[int] = []
         for lp in open_set:
-            if rpg.fact_level[lp] == 0:
+            if level[lp] == 0:
                 continue
             achievers = _achievers(task, rpg, lp, use_level_test)
             if not achievers:
@@ -226,13 +231,14 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
     lookahead treatment.
     """
     out = g.copy()
+    fact_level = rpg.fact_level
     pending = deque(sorted(out.nodes))
     queued = set(pending)
     while pending:
         lp = pending.popleft()
         if lp not in out:
             continue
-        level = rpg.fact_level[lp]
+        level = fact_level[lp]
         if level == 0 or level is INF:
             continue
         achievers = rpg.earliest_achievers(lp)
@@ -251,7 +257,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
                 continue  # some achiever has no precondition on this predicate
             if len(members) == 1:
                 continue  # a plain shared precondition; gn already covers it
-            if any(rpg.fact_level[f] == 0 for f in members):
+            if any(fact_level[f] == 0 for f in members):
                 continue  # disjunction already true initially
             two_step: list[int] = []
             ok = True
@@ -267,7 +273,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
             for aid in two_step[1:]:
                 shared &= task.actions[aid].pre
             for l in bits(shared):
-                if rpg.fact_level[l] == 0:
+                if fact_level[l] == 0:
                     continue
                 if l not in out:
                     out.add_node(l)

@@ -11,6 +11,8 @@ pairwise marked by induction over its generating action sequence.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .core import PlanningError, Task, bits, mask_of
 from .landmarks import GN, LN, R, RO, EdgeKind, LGG
 
@@ -24,6 +26,8 @@ class InconsistencyTable:
 
     def __init__(self, co: list[int]):
         self._co = co  # co[f] = facts co-reachable with f (self-inclusive)
+        # the last interference index built over this table, with its inputs
+        self._index: Optional[tuple] = None
 
     def query(self, x: int, y: int) -> bool:
         """True only if no reachable state can contain both facts."""
@@ -47,14 +51,16 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     Static facts (initially true, never added or deleted) are co-reachable
     with every reachable fact and never block an action, so the fixpoint
     runs over the other facts and the static ones are added back at the end.
-    An action is re-examined only when the co-reachable set of one of its
-    preconditions grew (or, without preconditions, when a fact was first
-    reached): its effect depends on nothing else.  Every action is monotone,
-    so this order reaches the same least fixpoint as repeated sweeps.
+    It runs in sweeps over the pending actions, in id order; an action is
+    pending again only when the co-reachable set of one of its
+    preconditions grew in the last sweep (or, without preconditions, when a
+    fact was first reached): its effect depends on nothing else.  Every
+    action is monotone, so this order reaches the same least fixpoint as
+    repeated sweeps over all actions.
     """
     touched = 0
-    for a in task.actions:
-        touched |= a.add | a.delete
+    for _, _, add, dele in task.ops:
+        touched |= add | dele
     static = task.init & ~touched
     reached = task.init & ~static
     co = [0] * task.num_facts
@@ -63,52 +69,52 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     acts = []
     watch = [0] * task.num_facts  # actions with the fact as a precondition
     unconditional = 0  # actions without (non-static) preconditions
-    for i, a in enumerate(task.actions):
-        pre = a.pre & ~static
+    for i, pre, add, dele in task.ops:
+        pre &= ~static
         pre_facts = tuple(bits(pre))
-        acts.append((pre, pre_facts, a.add, tuple(bits(a.add)), ~a.delete))
+        acts.append((pre, pre_facts, add, tuple(bits(add)), ~dele))
         for r in pre_facts:
             watch[r] |= 1 << i
         if not pre_facts:
             unconditional |= 1 << i
-    # cyclic sweeps: the next pending action after the last one, wrapping
     pending = (1 << len(acts)) - 1
-    i = -1
     while pending:
-        later = pending >> (i + 1)
-        if later:
-            i += (later & -later).bit_length()
-        else:
-            i = (pending & -pending).bit_length() - 1
-        pending ^= 1 << i
-        pre, pre_facts, add, add_facts, keep = acts[i]
-        persist = reached & keep
-        for r in pre_facts:
-            c = co[r]
-            if pre & ~c:
-                break  # a precondition is unreached, or some pair still mutex
-            persist &= c
-        else:
-            with_adds = add | persist
-            stale = 0  # persisting facts not yet co-reachable with some add
-            for p in add_facts:
-                c = co[p]
-                grow = (with_adds | 1 << p) & ~c
-                if grow:
-                    stale |= grow
-                    co[p] = c | grow
-                    pending |= watch[p]
-            # co stays symmetric, so q lacks an add p iff p's row lacked q
-            stale &= persist
-            while stale:
-                low = stale & -stale
-                q = low.bit_length() - 1
-                stale ^= low
-                co[q] |= add
-                pending |= watch[q]
-            if add & ~reached:
-                reached |= add
-                pending |= unconditional
+        grown = 0  # facts whose co-reachable set grew in this sweep
+        first_reached = False
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            pre, pre_facts, add, add_facts, keep = acts[low.bit_length() - 1]
+            persist = reached & keep
+            for r in pre_facts:
+                c = co[r]
+                if pre & ~c:
+                    break  # a precondition is unreached, or some pair still mutex
+                persist &= c
+            else:
+                with_adds = add | persist
+                stale = 0  # persisting facts not yet co-reachable with some add
+                for p in add_facts:
+                    c = co[p]
+                    grow = with_adds & ~c
+                    if grow:
+                        stale |= grow
+                        co[p] = c | grow
+                        grown |= 1 << p
+                # co stays symmetric, so q lacks an add p iff p's row lacked q
+                stale &= persist
+                grown |= stale
+                while stale:
+                    low = stale & -stale
+                    co[low.bit_length() - 1] |= add
+                    stale ^= low
+                if add & ~reached:
+                    reached |= add
+                    first_reached = True
+        if first_reached:
+            pending = unconditional
+        for q in bits(grown):
+            pending |= watch[q]
     for f in bits(reached):
         co[f] |= static
     for s in bits(static):
@@ -176,15 +182,42 @@ def interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -
 # Reasonable / obedient-reasonable order insertion
 # ---------------------------------------------------------------------------
 
-def _adjacency(g: LGG, kinds: tuple[EdgeKind, ...]) -> tuple[dict[int, int], dict[int, int]]:
-    """Successor and predecessor bitmasks of every node over ``kinds`` edges."""
-    succ = dict.fromkeys(g.nodes, 0)
-    pred = dict(succ)
+def _adjacency(g: LGG, kinds: tuple[EdgeKind, ...]) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Successor and predecessor bitmasks of every node over gn edges, and
+    its predecessor bitmask over ``kinds`` edges."""
+    gn_succ = dict.fromkeys(g.nodes, 0)
+    gn_pred = dict(gn_succ)
+    pred = dict(gn_succ)
     for s, d, k in g.edges:
+        if k is GN:
+            gn_succ[s] |= 1 << d
+            gn_pred[d] |= 1 << s
         if k in kinds:
-            succ[s] |= 1 << d
             pred[d] |= 1 << s
-    return succ, pred
+    return gn_succ, gn_pred, pred
+
+
+def _interference_index(task: Task, table: InconsistencyTable,
+                        gn_pred: dict[int, int]) -> tuple[dict[int, int], dict[int, int], int]:
+    """Interference, indexed by profile fact: l interferes with lp iff lp's
+    mutex mask meets l's profile mask (the table is symmetric), or l's
+    profile deletes lp.  Returns the nodes l per profile fact, the nodes l
+    per profile delete, and the profile facts as a mask.  The r and rO
+    passes see the same gn edges, so the index is kept on the table for
+    the task and gn predecessors it was last built for."""
+    if table._index is not None and table._index[0] is task and table._index[1] == gn_pred:
+        return table._index[2]
+    by_fact: dict[int, int] = {}
+    by_delete: dict[int, int] = {}
+    for l, preds in gn_pred.items():
+        m, d = _interference_profile(task, preds, l)
+        for x in bits(m):
+            by_fact[x] = by_fact.get(x, 0) | 1 << l
+        for x in bits(d):
+            by_delete[x] = by_delete.get(x, 0) | 1 << l
+    index = (by_fact, by_delete, mask_of(by_fact))
+    table._index = (task, gn_pred, index)
+    return index
 
 
 def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
@@ -198,20 +231,8 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
     reasonable = kind is R
     out = g.copy()
     goal = task.goal
-    gn_succ, gn_pred = _adjacency(g, (GN,))
-    _, pred = _adjacency(g, path_kinds)
-    # interference, indexed by profile fact: l interferes with lp iff lp's
-    # mutex mask meets l's profile mask (the table is symmetric), or l's
-    # profile deletes lp
-    by_fact: dict[int, int] = {}
-    by_delete: dict[int, int] = {}
-    for l, preds in gn_pred.items():
-        m, d = _interference_profile(task, preds, l)
-        for x in bits(m):
-            by_fact[x] = by_fact.get(x, 0) | 1 << l
-        for x in bits(d):
-            by_delete[x] = by_delete.get(x, 0) | 1 << l
-    profile_facts = mask_of(by_fact)
+    gn_succ, gn_pred, pred = _adjacency(g, path_kinds)
+    by_fact, by_delete, profile_facts = _interference_index(task, table, gn_pred)
     all_nodes = mask_of(g.nodes)
     for lp in g.nodes:
         if goal >> lp & 1:
@@ -222,11 +243,14 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
             lns = 0
             for t in bits(gn_succ[lp]):
                 lns |= pred[t]
+            # backward closure of lns, a breadth of nodes at a time
             sources = frontier = lns & ~(1 << lp)
             while frontier:
                 grown = 0
-                for n in bits(frontier):
-                    grown |= pred[n]
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= pred[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = grown & ~sources
                 sources |= frontier
         sources &= ~(1 << lp)

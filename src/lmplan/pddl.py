@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Action, Fact, PlanningError, Task, format_atom, relaxed_closure
+from .core import BLANKS, Action, Fact, PlanningError, Task, format_atom, relaxed_closure, split_blanks
 
 
 class ParseError(PlanningError):
@@ -55,7 +55,7 @@ class GroundingError(PlanningError):
 # S-expression reader with source positions
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")  # parens, comments, symbols
+_TOKEN = re.compile(f"[()]|;[^\n]*|[^{BLANKS}();]+")  # parens, comments, symbols
 
 
 class Symbol:
@@ -732,15 +732,17 @@ def parse_plan_text(task: Task, text: str) -> list[int]:
     """
     by_mangled = {mangle_action_name(a.name): a.id for a in task.actions}
     plan = []
-    for raw in text.splitlines():
-        line = raw.strip().lower()
+    # lines end at LF (CR is a blank): str.splitlines would also end one
+    # at a \x0b that a symbol may hold
+    for raw in text.split("\n"):
+        line = raw.strip(BLANKS).lower()
         if not line or line.startswith(";"):
             continue
-        body = line.strip("()").strip()
-        if not body:
+        parts = split_blanks(line.strip("()"))
+        if not parts:
             continue
-        if " " not in body and body in by_mangled:
-            plan.append(by_mangled[body])
+        if len(parts) == 1 and parts[0] in by_mangled:
+            plan.append(by_mangled[parts[0]])
         else:
-            plan.append(task.action_named("(" + " ".join(body.split()) + ")").id)
+            plan.append(task.action_named("(" + " ".join(parts) + ")").id)
     return plan

@@ -23,10 +23,12 @@ INF = float("inf")
 class RPG:
     """Layered relaxed reachability structure.
 
-    prop_layers[i] / action_layers[i] are bitmasks over fact / action ids;
-    layers are monotone (each contains its predecessor).  ``goal_reached``
-    is False when the fixpoint was hit before the goals appeared, i.e. the
-    relaxed task is unsolvable from the start state.
+    Stored as one mask per layer: ``_prop_layers[i]`` holds the facts of
+    proposition layer i, ``_act_layers[i]`` the actions first applicable in
+    it.  ``prop_layers[i]`` / ``action_layers[i]`` are bitmasks over fact /
+    action ids; layers are monotone (each contains its predecessor).
+    ``goal_reached`` is False when the fixpoint was hit before the goals
+    appeared, i.e. the relaxed task is unsolvable from the start state.
 
     A fixpoint-mode graph is grown lazily: ``extract_relaxed_plan`` adds
     layers only until its goal appears, using only the actions relevant to
@@ -48,10 +50,13 @@ class RPG:
         """Reset to the single layer ``state``, to grow over every action."""
         self._scope: Optional[int] = None  # a goal whose relevant actions alone are used
         self._prop_layers: list[int] = [state]
-        self._new_level: dict[int, int] = {}  # facts absent from ``state``
-        self._action_level: dict[int, int] = {}  # applicable actions
-        # ops not applicable in the last layer yet, the goal's achievers apart
+        # one more entry than _prop_layers at the fixpoint: the actions first
+        # applicable in the last layer, which add nothing new
+        self._act_layers: list[int] = []
+        # ops not applicable in the last layer yet: the goal's achievers, the
+        # adders of their preconditions (a one-fact goal only) and the rest
         self._goal_waiting: tuple = ()
+        self._feeding: tuple = ()
         self._waiting = self.task.ops
         self._fixed = False
         self._view = None
@@ -64,62 +69,40 @@ class RPG:
 
         The goal's achievers (if set apart by ``_grow_relevant``) are tested
         first; when they complete the goal, the rest of that last layer is
-        left out: no level it would add is read by extraction."""
+        left out: no level it would add is read by extraction.  For a
+        one-fact goal the adders of the achievers' preconditions come next;
+        when they enable an achiever, the rest of that layer is left out too
+        (the next, last layer adds the goal): extraction reads only those
+        preconditions from it.  Such partial layers are never grown on."""
         layers = self._prop_layers
         cur = layers[-1]
         if cur & goal == goal:
             return True
         if self._fixed:
             return False
-        action_level = self._action_level
-        new_level = self._new_level
-        goal_waiting = self._goal_waiting
-        waiting = self._waiting
-        layer_idx = len(layers) - 1
-        while True:
-            nxt = cur
-            if goal_waiting:
-                rest = []
-                for op in goal_waiting:
-                    pre = op[1]
-                    if cur & pre == pre:
-                        action_level[op[0]] = layer_idx
-                        nxt |= op[2]
-                    else:
-                        rest.append(op)
-                goal_waiting = rest
-                if nxt & goal == goal:
-                    # a partial layer: only _grow_relevant's goal may read it
-                    layers.append(nxt)
-                    for f in bits(nxt & ~cur):
-                        new_level[f] = layer_idx + 1
-                    self._goal_waiting = goal_waiting
-                    self._waiting = waiting
+        act_layers = self._act_layers
+        goal_waiting, feeding, waiting = self._goal_waiting, self._feeding, self._waiting
+        try:
+            while True:
+                goal_waiting, fired, nxt = _fire(goal_waiting, cur, 0, cur)
+                partial = nxt & goal == goal
+                if feeding and not partial:
+                    feeding, fired, nxt = _fire(feeding, cur, fired, nxt)
+                    # the next layer adds the goal's one fact
+                    partial = any(nxt & op[1] == op[1] for op in goal_waiting)
+                if not partial:
+                    waiting, fired, nxt = _fire(waiting, cur, fired, nxt)
+                act_layers.append(fired)
+                if nxt == cur:
+                    # fixpoint: no new facts can ever appear
+                    self._fixed = True
+                    return False
+                layers.append(nxt)
+                cur = nxt
+                if cur & goal == goal:
                     return True
-            rest = []
-            for op in waiting:
-                pre = op[1]
-                if cur & pre == pre:
-                    action_level[op[0]] = layer_idx
-                    nxt |= op[2]
-                else:
-                    rest.append(op)
-            waiting = rest
-            if nxt == cur:
-                # fixpoint: no new facts can ever appear
-                self._goal_waiting = goal_waiting
-                self._waiting = waiting
-                self._fixed = True
-                return False
-            layers.append(nxt)
-            layer_idx += 1
-            for f in bits(nxt & ~cur):
-                new_level[f] = layer_idx
-            cur = nxt
-            if cur & goal == goal:
-                self._goal_waiting = goal_waiting
-                self._waiting = waiting
-                return True
+        finally:
+            self._goal_waiting, self._feeding, self._waiting = goal_waiting, feeding, waiting
 
     def _grow_relevant(self, goal: int) -> bool:
         """``_grow`` for a fixpoint-mode graph, over the actions relevant to
@@ -132,7 +115,7 @@ class RPG:
         action when asked about another."""
         if self._scope is None and len(self._prop_layers) == 1 and not self._fixed:
             self._scope = goal
-            self._goal_waiting, self._waiting = self.task.relevance(goal)
+            self._goal_waiting, self._feeding, self._waiting = self.task.relevance(goal)
         elif self._scope is not None and self._scope != goal:
             self._start(self._prop_layers[0])
         return self._grow(goal)
@@ -146,34 +129,25 @@ class RPG:
             self._grow(-1)  # no finite layer holds every bit of -1
         if self._view is None:
             fact_level: list = [INF] * self.task.num_facts
-            for f in bits(self._prop_layers[0]):
-                fact_level[f] = 0
-            for f, level in self._new_level.items():
-                fact_level[f] = level
+            below = 0
+            for level, layer in enumerate(self._prop_layers):
+                for f in bits(layer & ~below):
+                    fact_level[f] = level
+                below = layer
             action_level: list = [INF] * len(self.task.actions)
-            by_level: dict[int, int] = {}
-            for aid, level in self._action_level.items():
-                action_level[aid] = level
-                by_level[level] = by_level.get(level, 0) | 1 << aid
             # action layer i: every action applicable in proposition layer i
             action_layers, acc = [], 0
-            for i in range(len(self._prop_layers) - 1):
-                acc |= by_level.get(i, 0)
+            for level, fired in enumerate(self._act_layers):
+                for a in bits(fired):
+                    action_level[a] = level
+                acc |= fired
                 action_layers.append(acc)
-            self._view = (fact_level, action_level, action_layers)
+            self._view = (fact_level, action_level, action_layers[:len(self._prop_layers) - 1])
         return self._view
 
-    @property
-    def fact_level(self) -> list:
-        return self._observed()[0]
-
-    @property
-    def action_level(self) -> list:
-        return self._observed()[1]
-
-    @property
-    def action_layers(self) -> list[int]:
-        return self._observed()[2]
+    fact_level = property(lambda self: self._observed()[0])
+    action_level = property(lambda self: self._observed()[1])
+    action_layers = property(lambda self: self._observed()[2])
 
     @property
     def prop_layers(self) -> list[int]:
@@ -198,11 +172,24 @@ class RPG:
 
     def earliest_achievers(self, fact_id: int) -> list[int]:
         """Action ids adding ``fact_id`` at the layer right below its level."""
-        fact_level, action_level, _ = self._observed()
-        level = fact_level[fact_id]
+        level = self._observed()[0][fact_id]
         if level is INF or level == 0:
             return []
-        return [a for a in self.task.adders[fact_id] if action_level[a] == level - 1]
+        return list(bits(self.task._adder_mask[fact_id] & self._act_layers[level - 1]))
+
+
+def _fire(ops, cur: int, fired: int, nxt: int) -> tuple[list, int, int]:
+    """Fire the ``ops`` applicable in ``cur``: the others, ``fired`` with
+    their ids and ``nxt`` with their adds."""
+    rest = []
+    for op in ops:
+        pre = op[1]
+        if cur & pre == pre:
+            fired |= 1 << op[0]
+            nxt |= op[2]
+        else:
+            rest.append(op)
+    return rest, fired, nxt
 
 
 def build_rpg(task: Task, mode: str = GOALS_FIRST, state: Optional[int] = None) -> RPG:
@@ -228,28 +215,34 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
     # levels up to the goal's are final, so the graph grows no further
     if not rpg._grow_relevant(goal):
         return INF
-    # every fact met below is reached: level 0 unless added by some layer
-    level = rpg._new_level
-    action_level = rpg._action_level
-    adders = rpg.task.adders
-    actions = rpg.task.actions
-    known = goal | rpg._prop_layers[0]  # queued subgoals and level-0 facts
-    by_layer: dict[int, int] = {}
-    for f in bits(goal):
-        lf = level.get(f, 0)
-        if lf > 0:
-            by_layer[lf] = by_layer.get(lf, 0) | (1 << f)
-    selected: set[int] = set()
-    for l in range(len(rpg._prop_layers) - 1, 0, -1):
-        for f in bits(by_layer.get(l, 0)):
-            # earliest achiever: applicable at layer l - 1; lowest id wins
-            aid = min(a for a in adders[f] if action_level.get(a) == l - 1)
-            selected.add(aid)
-            for p in bits(actions[aid].pre & ~known):
-                known |= 1 << p
-                pl = level[p]
-                if pl >= l:
-                    # achiever sits below layer l, so its preconditions do too
-                    raise AssertionError("level-1 rule violated")
-                by_layer[pl] = by_layer.get(pl, 0) | (1 << p)
-    return len(selected)
+    layers = rpg._prop_layers
+    act_layers = rpg._act_layers
+    adder_mask = rpg.task._adder_mask
+    ops = rpg.task.ops
+    known = goal | layers[0]  # queued subgoals and level-0 facts
+    top = len(layers) - 1
+    by_layer = [0] * (top + 1)  # queued subgoals by level
+    for f in bits(goal & ~layers[0]):
+        level = top
+        while layers[level - 1] >> f & 1:
+            level -= 1
+        by_layer[level] |= 1 << f
+    selected = 0
+    for l in range(top, 0, -1):
+        fired = act_layers[l - 1]
+        for f in bits(by_layer[l]):
+            # earliest achiever: first applicable at layer l - 1; lowest id wins
+            achievers = adder_mask[f] & fired
+            a = achievers & -achievers
+            if selected & a:
+                continue
+            selected |= a
+            pre = ops[a.bit_length() - 1][1] & ~known
+            known |= pre
+            for p in bits(pre):
+                # the achiever's preconditions sit at layer l - 1 or below
+                level = l - 1
+                while layers[level - 1] >> p & 1:
+                    level -= 1
+                by_layer[level] |= 1 << p
+    return selected.bit_count()

@@ -153,6 +153,24 @@ def test_fact_args_are_the_grounded_atom_with_its_declared_arity(domain, problem
             {(a.predicate, a.args) for a in atoms}
 
 
+@pytest.mark.parametrize("blank", ["\x0b", "\xa0"], ids=["vertical-tab", "no-break-space"])
+def test_names_holding_reader_kept_whitespace_are_found(blank):
+    # the reader splits only on space, tab, CR and LF, so "a<blank>b" is one
+    # object; the name lookups and the plan reader must split the same way
+    obj = f"a{blank}b"
+    t = ground_files(
+        "(define (domain d) (:predicates (q ?x) (p ?x))"
+        " (:action go :parameters (?x) :precondition (q ?x) :effect (p ?x)))",
+        f"(define (problem w) (:domain d) (:objects {obj}) (:init (q {obj})) (:goal (p {obj})))")
+    for f in t.facts:
+        assert t.fact_named(f.name) == f
+        assert t.has_fact(f.name)
+        assert t.fact_named(f"  {f.name}\t") == f
+    go = t.action_named(f"(go {obj})")
+    assert parse_plan_text(t, f"(go {obj})\r\n; done\n") == [go.id]
+    assert parse_plan_text(t, f"( go\t{obj} )") == [go.id]
+
+
 def test_zero_object_problem_grounds_to_zero_actions():
     d = parse_domain(BLOCKSWORLD_ARM_DOMAIN)
     p = parse_problem("(define (problem z) (:domain blocksworld-arm) (:objects) (:init) (:goal (and)))", d)

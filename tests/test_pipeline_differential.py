@@ -17,8 +17,9 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmplan import planners
 from lmplan.bench import generate_task
-from lmplan.control import compile_disjunctive_goal, with_init
+from lmplan.control import compile_disjunctive_goal, solve, with_init
 from lmplan.core import Task, bits, make_task, successors
 from lmplan.landmarks import GN, LGG, LN, R, RO, EdgeKind, generate_candidates, lookahead_extend, verify_landmarks
 from lmplan.orders import (
@@ -31,6 +32,7 @@ from lmplan.orders import (
     remove_cycles,
 )
 from lmplan.pipeline import build_landmark_graph
+from lmplan.planners import gbfs_plan
 from lmplan.rpg import FIXPOINT, GOALS_FIRST, INF, build_rpg, extract_relaxed_plan, relaxed_solvable
 
 
@@ -492,6 +494,39 @@ def test_rpg_matches_reference_on_random_tasks(task, raw):
     states = sorted({task.init} | {r & universe for r in raw})
     goals = sorted({task.goal} | {r & universe for r in raw} | {0})
     _check_rpg(task, states, goals)
+
+
+def _gbfs_evaluations(task, landmarks):
+    """(task, state) of every heuristic evaluation of gbfs on ``task``, plain
+    or as the control loop's base planner (its sub-tasks' states then)."""
+    calls = []
+    real = planners.build_rpg
+
+    def recording(task, mode, state):
+        calls.append((task, state))
+        return real(task, mode, state)
+
+    planners.build_rpg = recording
+    try:
+        solve(task, gbfs_plan, landmarks)
+    finally:
+        planners.build_rpg = real
+    return calls
+
+
+def test_heuristic_matches_reference_on_the_states_gbfs_evaluates():
+    evaluated = 0
+    for domain, size in (("blocksworld-arm", 9), ("logistics", (2, 3, 2, 4))):
+        for seed in range(3):
+            task = generate_task(domain, size, seed)
+            for landmarks in (False, True):
+                calls = _gbfs_evaluations(task, landmarks)
+                assert calls
+                for sub, state in calls:
+                    assert extract_relaxed_plan(build_rpg(sub, FIXPOINT, state), sub.goal) == \
+                        reference_extract_relaxed_plan(ReferenceRPG(sub, state, FIXPOINT), sub.goal)
+                evaluated += len(calls)
+    assert evaluated > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,25 @@ def test_extract_two_step_subgoal(demo_bw):
     assert extract_relaxed_plan(rpg, demo_bw.mask(["(on b d)"])) == 2
 
 
+def test_extract_takes_the_lowest_id_achiever_of_a_layer():
+    # both adders of g are first applicable in layer 1: the lower id needs
+    # two helper actions, the higher id one; the relaxed plan follows the
+    # lower id, not the cheaper achiever
+    t = make_task(actions=[
+        ("(make-x)", ["s"], ["x"], []),
+        ("(make-y)", ["s"], ["y"], []),
+        ("(make-z)", ["s"], ["z"], []),
+        ("(g-from-yz)", ["y", "z"], ["g"], []),
+        ("(g-from-x)", ["x"], ["g"], []),
+    ], init=["s"], goal=["g"])
+    g = fid(t, "g")
+    assert build_rpg(t, FIXPOINT).earliest_achievers(g) == [3, 4]
+    # a one-fact goal (grown with the achievers' feeders first) and a
+    # two-fact one
+    for goal in (t.goal, t.goal | t.init):
+        assert extract_relaxed_plan(build_rpg(t, FIXPOINT), goal) == 3
+
+
 def test_extract_unreachable_goal_is_inf():
     t = make_task(actions=[("(a)", ["p"], ["q"], [])], init=["p"], goal=["r"],
                   facts=["p", "q", "r"])
