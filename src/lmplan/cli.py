@@ -2,7 +2,8 @@
 
 Exit codes: 0 solved/ok, 1 unsolved or property-false, 2 usage error.
 LMPLAN_TIME_LIMIT overrides the default per-search time limit in seconds.
-Search limits must be positive finite numbers.
+Search limits must be positive finite numbers; sizes, counts and state caps
+positive integers; bench configs must name known planners.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def _positive(kind):
     def parse(text: str):
         value = kind(text)
         if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"must be a positive finite number, got {text!r}")
+            what = "integer" if kind is int else "finite number"
+            raise argparse.ArgumentTypeError(f"must be a positive {what}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -52,7 +53,38 @@ def _positive(kind):
 
 
 _seconds = _positive(float)
-_nodes = _positive(int)
+_count = _positive(int)
+
+
+def _sizes(text: str) -> list[tuple[int, ...]]:
+    """An argparse type for ``bench --sizes``: comma-separated sizes, each a
+    positive count or positive counts joined by "x"."""
+    try:
+        return [tuple(_count(x) for x in size.split("x")) for size in text.split(",")]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated sizes of positive integers, got {text!r}") from None
+
+
+def _configs(text: str) -> list[str]:
+    """An argparse type for ``bench --configs``: comma-separated planner
+    names, each optionally suffixed "+L"."""
+    configs = text.split(",")
+    for config in configs:
+        if config.removesuffix("+L") not in PLANNERS:
+            raise argparse.ArgumentTypeError(
+                f"unknown planner in config {config!r} (known: {', '.join(sorted(PLANNERS))})")
+    return configs
+
+
+def _check_size_arity(ap: argparse.ArgumentParser, args) -> None:
+    """Logistics sizes are CxLxPxK; blocksworld sizes one block count."""
+    arity = 4 if args.domain == "logistics" else 1
+    bad = [size for size in args.sizes if len(size) != arity]
+    if bad:
+        shape = "four positive integers CxLxPxK" if arity == 4 else "one positive block count"
+        ap.error(f"argument --sizes: a {args.domain} size is {shape}, got "
+                 f"{'x'.join(map(str, bad[0]))!r}")
 
 
 def _default_time_limit() -> float:
@@ -154,13 +186,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.domain == "logistics":
-        sizes = [tuple(int(x) for x in s.split("x")) for s in args.sizes.split(",")]
-    else:
-        sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = args.sizes if args.domain == "logistics" else [n for n, in args.sizes]
     records = bench_mod.run_benchmark(
         args.domain, sizes, args.instances, args.seed_base,
-        args.configs.split(","), args.time_limit, args.node_limit,
+        args.configs, args.time_limit, args.node_limit,
         workers=args.workers)
     csv_text = bench_mod.records_to_csv(records)
     if args.output == "-":
@@ -200,23 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["disj", "conjdisj", "dnf"], default="disj")
     p.add_argument("--safety-net", action="store_true")
     p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
-    p.add_argument("--node-limit", type=_nodes, default=1_000_000)
+    p.add_argument("--node-limit", type=_count, default=1_000_000)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("oracle", help="exact checks on enumerable tasks")
     p.add_argument("property", choices=list(ORACLES))
     _add_task_args(p)
     p.add_argument("facts", nargs="+", help='facts like "(clear c)"')
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("kind", choices=["blocksworld-arm", "blocksworld-no-arm", "logistics"])
-    p.add_argument("--size", type=int, default=4, help="block count")
-    p.add_argument("--cities", type=int, default=2)
-    p.add_argument("--locs", type=int, default=2)
-    p.add_argument("--planes", type=int, default=1)
-    p.add_argument("--packages", type=int, default=1)
+    p.add_argument("--size", type=_count, default=4, help="block count")
+    p.add_argument("--cities", type=_count, default=2)
+    p.add_argument("--locs", type=_count, default=2)
+    p.add_argument("--planes", type=_count, default=1)
+    p.add_argument("--packages", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--emit-domain", help="also write the domain file here")
@@ -224,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
     p.add_argument("--domain", choices=sorted(bench_mod.DOMAIN_TEXTS), required=True)
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma list; logistics sizes as CxLxPxK")
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--instances", type=_count, default=10)
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--configs", default="bfs,bfs+L")
+    p.add_argument("--configs", type=_configs, default="bfs,bfs+L")
     p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
-    p.add_argument("--node-limit", type=_nodes, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--node-limit", type=_count, default=1_000_000)
+    p.add_argument("--workers", type=_count, default=1,
                    help="parallel worker processes (default sequential)")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--series", help="also write solved-vs-time series CSV here")
@@ -246,6 +275,8 @@ def main(argv=None) -> int:
         _, need = ORACLES[args.property]
         if len(args.facts) != need:
             ap.error(f"{args.property} takes {need} fact argument(s)")
+    elif args.command == "bench":
+        _check_size_arity(ap, args)
     try:
         return args.func(args)
     except (PlanningError, OSError) as exc:

@@ -23,6 +23,16 @@ one or two monotone flags.  The reductions:
   some s in S is exactly a path from the set S.
 * inconsistency: no enumerated state contains both facts.
 
+Every search generates a state's successors at most once per call.
+``_closure``, the breadth-first search over plain states, maps each state it
+keeps to whether one of its successors contains the forbidden fact, that is
+whether the state has an exit from the subspace: the greedy-necessary test
+intersects exactly the states with an exit, and ``enumerate_states`` keeps
+the transitions the closure generated instead of generating them again.  The
+flagged aftermath search reaches a state with up to three flag combinations;
+it generates the state's successors on the first and reuses them for the
+others.  Nothing outlives the call.
+
 Caps are hard: exceeding one raises CapExceeded rather than truncating.
 """
 
@@ -56,23 +66,34 @@ class StateSpace:
 
 
 def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
-             cap: int, forbid_bit: int = 0) -> dict[int, None]:
+             cap: int, forbid_bit: int = 0,
+             transitions: Optional[list[tuple[int, int, int]]] = None) -> dict[int, bool]:
     """BFS closure of the states ``starts`` under ``ops`` (``Task.ops``
     tuples, possibly filtered); states containing ``forbid_bit`` are never
-    entered (no start may contain it).  Returns states in discovery order."""
-    seen: dict[int, None] = dict.fromkeys(starts)
+    entered (no start may contain it).  Returns states in discovery order,
+    each mapped to whether one of its successors contains ``forbid_bit``
+    (it has an exit from the subspace).  Each state's successors are
+    generated once; with a ``transitions`` list, every generated
+    (state, action id, successor) is appended to it, exits included."""
+    seen: dict[int, bool] = dict.fromkeys(starts, False)
     if any(s & forbid_bit for s in seen):
         raise PlanningError("start state violates the subspace restriction")
+    record = transitions.append if transitions is not None else None
     frontier = list(seen)
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for _, t in successors(ops, s):
-                if t & forbid_bit or t in seen:
+            for aid, t in successors(ops, s):
+                if record:
+                    record((s, aid, t))
+                if t & forbid_bit:
+                    seen[s] = True
+                    continue
+                if t in seen:
                     continue
                 if len(seen) >= cap:
                     raise CapExceeded(cap)
-                seen[t] = None
+                seen[t] = False
                 nxt.append(t)
         frontier = nxt
     return seen
@@ -80,9 +101,9 @@ def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
 
 def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Full reachable state space with transitions."""
-    seen = _closure(task.ops, (task.init,), cap)
-    transitions = tuple((s, aid, t) for s in seen for aid, t in successors(task.ops, s))
-    return StateSpace(tuple(seen), transitions, cap)
+    transitions: list[tuple[int, int, int]] = []
+    seen = _closure(task.ops, (task.init,), cap, transitions=transitions)
+    return StateSpace(tuple(seen), tuple(transitions), cap)
 
 
 def co_occurrence(space: StateSpace, num_facts: int) -> list[int]:
@@ -141,8 +162,8 @@ def first_achiever_pre_mask(task: Task, lp: int, cap: int = DEFAULT_STATE_CAP) -
     if task.init & lpbit:
         raise PlanningError("fact is initially true; no first achievement")
     acc = universe
-    for s in _closure(task.ops, (task.init,), cap, forbid_bit=lpbit):
-        if any(t & lpbit for _, t in successors(task.ops, s)):
+    for s, exits in _closure(task.ops, (task.init,), cap, forbid_bit=lpbit).items():
+        if exits:
             acc &= s
     return acc
 
@@ -185,13 +206,19 @@ def _aftermath_violated_from(task: Task, starts: list[int], l: int, lp: int,
     goal = task.goal
     if any(s & goal == goal for s in starts):
         return True  # empty solution plan: nothing achieves l at i >= 1
-    # flags: l seen at step >= 1; lp seen at-or-after the first such l
+    # flags: l seen at step >= 1; lp seen at-or-after the first such l.  A
+    # state is reached with up to three flag combinations; its successors
+    # are generated once, on first expansion.
     frontier = [(s, False, False) for s in starts]
     seen = set(frontier)
+    succ: dict[int, list[int]] = {}
     while frontier:
         nxt = []
         for s, seen_l, satisfied in frontier:
-            for _, t in successors(task.ops, s):
+            ts = succ.get(s)
+            if ts is None:
+                ts = succ[s] = [t for _, t in successors(task.ops, s)]
+            for t in ts:
                 n_l = seen_l or bool(t & lbit)
                 n_sat = satisfied or (bool(t & lpbit) and n_l)
                 node = (t, n_l, n_sat)

@@ -1,0 +1,110 @@
+"""tools/bench_pairs.py on synthetic reports: the pair order, the per-pair and
+summary report, and the exit status.  No benchmark is run: the runner is
+replaced by one that writes canned reports and returns their results."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def report(throughput, p50, correct=True, rows=None):
+    return {"correct": correct,
+            "metrics": {"throughput_per_s": throughput, "item_s.p50": p50, "ok_frac": 1.0},
+            "fingerprint": rows if rows is not None else [{"i": 0, "plan_len": 5}]}
+
+
+def fake_runner(table, calls):
+    """Writes ``table[(side, seed)]`` as the run's report file, returns what
+    ``run_side`` would, and records the call order."""
+    def run(root, workload, seed, seconds):
+        calls.append((root.name, seed))
+        canned = table[(root.name, seed)]
+        path = root / f"{workload}-seed{seed}-trace0.json"
+        path.write_text(json.dumps({"workload": workload, "seed": seed,
+                                    "fingerprint": canned["fingerprint"]}))
+        return {"correct": canned["correct"], "metrics": canned["metrics"], "report": path}
+    return run
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    return parent, change
+
+
+def test_sides_alternate_and_the_summary_counts_wins(checkouts, capsys):
+    parent, change = checkouts
+    table = {}
+    for k, seed in enumerate(range(201, 205)):
+        table[("parent", seed)] = report(100.0 + k, 0.010)
+        # the change is faster on three pairs, slower on the last
+        table[("change", seed)] = report(130.0 + k if k < 3 else 90.0, 0.008)
+    calls = []
+    status = bench_pairs.main([str(parent), str(change), "--workload", "oracle-micro",
+                               "--seeds", "201-204", "--seconds", "3"],
+                              run=fake_runner(table, calls))
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert calls == [("parent", 201), ("change", 201), ("change", 202), ("parent", 202),
+                     ("parent", 203), ("change", 203), ("change", 204), ("parent", 204)]
+    assert "pair 0 seed 201 (parent first)" in out and "pair 1 seed 202 (change first)" in out
+    assert out.count("fingerprints: 1 common rows identical") == 4
+    summary = {line.split()[0]: line for line in out.splitlines()[-4:]}
+    # parent 100..103: median 101.5, quartiles 100.25-102.75
+    tp = summary["throughput_per_s"]
+    assert "101.5 (100.25-102.75)" in tp and "wins 3/4" in tp and "bound 20%" in tp
+    assert "higher is better" in tp
+    # p50: lower is better, the change wins every pair
+    assert "wins 4/4" in summary["item_s.p50"] and "-20.0%" in summary["item_s.p50"]
+    assert "wins 0/4" in summary["ok_frac"]
+
+
+def test_a_fingerprint_difference_fails(checkouts, capsys):
+    parent, change = checkouts
+    table = {("parent", 7): report(1.0, 1.0, rows=[{"i": 0, "plan_len": 5}]),
+             ("change", 7): report(2.0, 1.0, rows=[{"i": 0, "plan_len": 6}, {"i": 1}])}
+    status = bench_pairs.main([str(parent), str(change), "--workload", "bw-plan",
+                               "--seeds", "7"], run=fake_runner(table, []))
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "fingerprints DIFFER: row 0 differs" in out and '"plan_len": 6' in out
+
+
+def test_a_run_that_is_not_correct_fails(checkouts, capsys):
+    parent, change = checkouts
+    table = {("parent", s): report(1.0, 1.0) for s in (1, 2)}
+    table.update({("change", 1): report(1.0, 1.0),
+                  ("change", 2): report(1.0, 1.0, correct=False)})
+    status = bench_pairs.main([str(parent), str(change), "--workload", "bw-plan",
+                               "--seeds", "1-2"], run=fake_runner(table, []))
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "change run NOT correct" in out and "FAILED" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("seeds", ["x", "5-3", "1-y"])
+def test_bad_seed_ranges_are_usage_errors(checkouts, seeds):
+    parent, change = checkouts
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main([str(parent), str(change), "--workload", "bw-plan",
+                          "--seeds", seeds], run=None)
+    assert err.value.code == 2
+
+
+def test_an_unknown_workload_is_a_usage_error(checkouts):
+    parent, change = checkouts
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main([str(parent), str(change), "--workload", "nope", "--seeds", "1"],
+                         run=None)
+    assert err.value.code == 2

@@ -1,0 +1,232 @@
+"""The oracles' single-pass searches against the two-pass code they replaced.
+
+``enumerate_states`` used to run the closure and then generate every state's
+successors a second time for the transitions; ``first_achiever_pre_mask``
+generated them a second time to find the states with an lp-adding
+successor; the aftermath search generated a state's successors once per flag
+combination it was reached with.  The references below are those versions,
+with their own copy of the closure, so that a fault in ``oracles._closure``
+cannot hide in both sides.  Values must be equal, and around each space's
+size n, caps n - 1, n and n + 1 must give the same value or both raise
+``CapExceeded``.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lmplan import oracles
+from lmplan.bench import gen_blocksworld
+from lmplan.core import PlanningError, successors
+from lmplan.oracles import (
+    DEFAULT_STATE_CAP,
+    CapExceeded,
+    StateSpace,
+    _achieved_before_states,
+    enumerate_states,
+    first_achiever_pre_mask,
+)
+from lmplan.pddl import ground_files
+
+from test_core import micro_tasks
+from test_kernel import DOMAINS, three_block_tasks
+from test_pipeline_properties import solvable_tasks
+
+
+# ---------------------------------------------------------------------------
+# Two-pass references
+# ---------------------------------------------------------------------------
+
+def reference_closure(ops, starts, cap, forbid_bit=0):
+    seen = dict.fromkeys(starts)
+    if any(s & forbid_bit for s in seen):
+        raise PlanningError("start state violates the subspace restriction")
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for _, t in successors(ops, s):
+                if t & forbid_bit or t in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceeded(cap)
+                seen[t] = None
+                nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def reference_enumerate_states(task, cap=DEFAULT_STATE_CAP):
+    seen = reference_closure(task.ops, (task.init,), cap)
+    transitions = tuple((s, aid, t) for s in seen for aid, t in successors(task.ops, s))
+    return StateSpace(tuple(seen), transitions, cap)
+
+
+def reference_first_achiever_pre_mask(task, lp, cap=DEFAULT_STATE_CAP):
+    lpbit = 1 << lp
+    if task.init & lpbit:
+        raise PlanningError("fact is initially true; no first achievement")
+    acc = (1 << task.num_facts) - 1
+    for s in reference_closure(task.ops, (task.init,), cap, forbid_bit=lpbit):
+        if any(t & lpbit for _, t in successors(task.ops, s)):
+            acc &= s
+    return acc
+
+
+def reference_aftermath_violated_from(task, starts, l, lp, cap):
+    lbit, lpbit = 1 << l, 1 << lp
+    goal = task.goal
+    if any(s & goal == goal for s in starts):
+        return True
+    frontier = [(s, False, False) for s in starts]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for s, seen_l, satisfied in frontier:
+            for _, t in successors(task.ops, s):
+                n_l = seen_l or bool(t & lbit)
+                n_sat = satisfied or (bool(t & lpbit) and n_l)
+                node = (t, n_l, n_sat)
+                if node in seen:
+                    continue
+                if len(seen) >= 3 * cap:
+                    raise CapExceeded(cap)
+                if t & goal == goal and not n_sat:
+                    return True
+                seen.add(node)
+                nxt.append(node)
+        frontier = nxt
+    return False
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the planning error it raised."""
+    try:
+        return fn(*args)
+    except PlanningError as exc:
+        return type(exc)
+
+
+def around(n):
+    return (max(n - 1, 0), n, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Equality, caps included
+# ---------------------------------------------------------------------------
+
+def assert_enumeration_matches(task):
+    n = len(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP))
+    for cap in (DEFAULT_STATE_CAP, *around(n)):
+        assert (outcome(enumerate_states, task, cap)
+                == outcome(reference_enumerate_states, task, cap)), cap
+    assert outcome(enumerate_states, task, n - 1) is CapExceeded or n == 1
+
+
+def assert_first_achievers_match(task):
+    for lp in range(task.num_facts):
+        assert (outcome(first_achiever_pre_mask, task, lp)
+                == outcome(reference_first_achiever_pre_mask, task, lp)), lp
+        if task.init >> lp & 1:
+            continue
+        n = len(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP,
+                                  forbid_bit=1 << lp))
+        for cap in around(n):
+            assert (outcome(first_achiever_pre_mask, task, lp, cap)
+                    == outcome(reference_first_achiever_pre_mask, task, lp, cap)), (lp, cap)
+
+
+def assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP,)):
+    for l in range(task.num_facts):
+        for lp in range(task.num_facts):
+            if l == lp:
+                continue
+            starts = _achieved_before_states(task, l, lp, DEFAULT_STATE_CAP)
+            if not starts:
+                continue
+            for cap in caps:
+                assert (outcome(oracles._aftermath_violated_from, task, starts, l, lp, cap)
+                        == outcome(reference_aftermath_violated_from, task, starts, l, lp,
+                                   cap)), (l, lp, cap)
+
+
+def small_tasks():
+    four = ground_files(DOMAINS["arm"], gen_blocksworld(4, "arm", 0))
+    return three_block_tasks() + [four]
+
+
+@pytest.mark.parametrize("task", small_tasks(), ids=lambda t: t.name)
+def test_enumeration_matches_two_pass_reference(task):
+    assert_enumeration_matches(task)
+
+
+@pytest.mark.parametrize("task", small_tasks(), ids=lambda t: t.name)
+def test_first_achievers_match_two_pass_reference(task):
+    assert_first_achievers_match(task)
+
+
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_aftermath_matches_reference(task):
+    n = len(enumerate_states(task))
+    # the search counts flagged nodes against 3 * cap
+    assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, n // 3, n // 2, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(solvable_tasks(), micro_tasks()))
+def test_single_pass_searches_on_random_tasks(task):
+    assert_enumeration_matches(task)
+    assert_first_achievers_match(task)
+    assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Each state's successors are generated at most once per query
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts ``successors`` calls per state made by the oracles module."""
+    counts = Counter()
+
+    def counting(ops, state):
+        counts[state] += 1
+        return successors(ops, state)
+
+    monkeypatch.setattr(oracles, "successors", counting)
+    return counts
+
+
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_enumeration_expands_each_state_once(task, expansions):
+    space = enumerate_states(task)
+    assert set(expansions) == set(space.states)
+    assert max(expansions.values()) == 1
+
+
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_first_achiever_search_expands_each_state_once(task, expansions):
+    for lp in range(task.num_facts):
+        if task.init >> lp & 1:
+            continue
+        expansions.clear()
+        first_achiever_pre_mask(task, lp)
+        assert expansions and max(expansions.values()) == 1, lp
+
+
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_aftermath_search_expands_each_state_once(task, expansions):
+    searched = 0
+    for l in range(task.num_facts):
+        for lp in range(task.num_facts):
+            if l == lp:
+                continue
+            starts = _achieved_before_states(task, l, lp, DEFAULT_STATE_CAP)
+            if not starts:
+                continue
+            expansions.clear()
+            oracles._aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP)
+            assert not expansions or max(expansions.values()) == 1, (l, lp)
+            searched += bool(expansions)
+    assert searched
