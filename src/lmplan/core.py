@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -49,9 +48,10 @@ def format_atom(predicate: str, args: Sequence[str]) -> str:
     return "(" + " ".join([predicate, *args]) + ")"
 
 
-@dataclass(frozen=True)
-class Fact:
-    """One grounded atom, interned to a dense id within its task."""
+class Fact(NamedTuple):
+    """One grounded atom, interned to a dense id within its task.  A named
+    tuple, like ``Action``: it builds in a fraction of a frozen dataclass's
+    time, and equals the plain tuple of its fields."""
 
     id: int
     predicate: str
@@ -122,10 +122,15 @@ class Task:
         # per fact: its adders as a mask over action ids, and their preconditions
         self._adder_mask: tuple[int, ...] = ()
         self._adder_pre: tuple[int, ...] = ()
-        self._relevance: dict[int, tuple[tuple, tuple, tuple]] = {}
+        self._relevance: dict[int, tuple[tuple, tuple, tuple, tuple]] = {}
+        # per goal in _relevance: None, or the facts the relaxed-plan
+        # heuristic reads for it and its values memoised by the start state
+        # restricted to them (see relevance)
+        self._read: dict[int, Optional[tuple[int, dict]]] = {}
         # per fact below _cone_limit, once asked for: its relevant actions
-        # (see relevance) as a mask over ids
-        self._cones: dict[int, int] = {}
+        # and facts (see relevance) as masks over ids
+        self._cones: dict[int, tuple[int, int]] = {}
+        self._changed = 0  # the facts some action adds or deletes
         self._append(facts, actions)
         self._cone_limit = len(self.facts)
         self._pose(init, goal, name)
@@ -149,18 +154,20 @@ class Task:
         adders = list(self.adders) + [()] * len(facts)
         adder_mask = list(self._adder_mask) + [0] * len(facts)
         adder_pre = list(self._adder_pre) + [0] * len(facts)
-        added = 0
+        added = changed = 0
         for i, a in enumerate(actions, len(self.actions)):
             if a.id != i:
                 raise PlanningError(f"non-contiguous action id {a.id} at {i}")
             if (a.pre | a.add | a.delete) & ~universe:
                 raise PlanningError(f"action {a.name} references unknown facts")
             added |= a.add
+            changed |= a.add | a.delete
             for f in bits(a.add):
                 adders[f] += (a.id,)
                 adder_mask[f] |= 1 << a.id
                 adder_pre[f] |= a.pre
         self.actions += actions
+        self._changed |= changed
         self.adders = tuple(adders)
         self._adder_mask = tuple(adder_mask)
         self._adder_pre = tuple(adder_pre)
@@ -182,7 +189,8 @@ class Task:
         t = Task.__new__(Task)
         t.facts, t.actions, t.adders, t.ops = self.facts, self.actions, self.adders, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
-        t._relevance = {} if actions else self._relevance
+        t._changed = self._changed
+        t._relevance, t._read = ({}, {}) if actions else (self._relevance, self._read)
         if t._append(facts, actions):
             t._cones, t._cone_limit = {}, len(t.facts)
         else:
@@ -216,18 +224,28 @@ class Task:
     def _action_index(self) -> dict[str, int]:
         return {a.name: a.id for a in self.actions}
 
-    def relevance(self, goal: int) -> tuple[tuple, tuple, tuple]:
+    def relevance(self, goal: int) -> tuple[tuple, tuple, tuple, tuple]:
         """Backward relevance of ``goal`` in the delete relaxation: the ops
         of the relevant actions (those adding a goal or a precondition of
         another relevant action), in ops order, split into the goal's
-        achievers, the adders of their preconditions when the goal is one
-        fact (else none), and the rest.  Memoised per goal.
+        achievers; when the goal is one fact (else none), the adders of
+        their preconditions and the adders of those adders' preconditions;
+        and the rest.  Memoised per goal.
 
         Relevance distributes over the goal's facts, so the relevant actions
         are the union of each fact's cone, and a cone once computed is kept
-        (``_cones``) for the facts below ``_cone_limit``."""
+        (``_cones``) for the facts below ``_cone_limit``.
+
+        The relaxed-plan heuristic reads a state only through the relevant
+        facts, the goal and the relevant actions' preconditions: growth tests
+        those (its fixpoint test also sees other facts that relevant actions
+        add, but then only ends a growth that can no longer reach the goal),
+        and extraction reads them.  When actions change other facts too,
+        states that agree on the relevant ones share a value, which
+        ``_read`` then memoises for the goal."""
         if goal not in self._relevance:
             chosen = 0  # relevant actions, as a mask over ids
+            read = 0  # relevant facts of the cones
             cones, limit = self._cones, self._cone_limit
             facts = frontier = goal
             while frontier:
@@ -237,21 +255,31 @@ class Task:
                         cone = cones.get(f)
                         if cone is None:
                             cone = cones[f] = self._cone(f)
-                        chosen |= cone
+                        chosen |= cone[0]
+                        read |= cone[1]
                     else:
                         chosen |= self._adder_mask[f]
                         pre |= self._adder_pre[f]
                 frontier = pre & ~facts
                 facts |= frontier
-            achieving = feeding = 0
+            achieving = feeding = deeper = 0
             for f in bits(goal):
                 achieving |= self._adder_mask[f]
             if goal & (goal - 1) == 0 < goal:
-                for p in bits(self._adder_pre[goal.bit_length() - 1]):
+                # the achievers' preconditions, then also those of their adders
+                needs = self._adder_pre[goal.bit_length() - 1]
+                for p in bits(needs):
                     feeding |= self._adder_mask[p]
+                    needs |= self._adder_pre[p]
+                for q in bits(needs):
+                    deeper |= self._adder_mask[q]
                 feeding &= chosen & ~achieving
-            self._relevance[goal] = (self._ops_of(chosen & achieving), self._ops_of(feeding),
-                                     self._ops_of(chosen & ~achieving & ~feeding))
+                deeper &= chosen & ~achieving & ~feeding
+            self._relevance[goal] = (
+                self._ops_of(chosen & achieving), self._ops_of(feeding), self._ops_of(deeper),
+                self._ops_of(chosen & ~achieving & ~feeding & ~deeper))
+            read |= facts
+            self._read[goal] = (read, {}) if self._changed & ~read else None
         return self._relevance[goal]
 
     def _ops_of(self, actions: int) -> tuple:
@@ -259,8 +287,9 @@ class Task:
         # one flag byte per id, lowest first: the binary digits reversed
         return tuple(itertools.compress(self.ops, bin(actions)[:1:-1].encode().translate(_FLAGS)))
 
-    def _cone(self, fact: int) -> int:
-        """The actions relevant to ``fact`` alone, as a mask over ids."""
+    def _cone(self, fact: int) -> tuple[int, int]:
+        """The actions relevant to ``fact`` alone and the facts relevant to
+        it (itself and their preconditions), as masks over ids."""
         adder_mask, adder_pre = self._adder_mask, self._adder_pre
         facts = frontier = 1 << fact
         chosen = 0
@@ -271,7 +300,7 @@ class Task:
                 pre |= adder_pre[f]
             frontier = pre & ~facts
             facts |= frontier
-        return chosen
+        return chosen, facts
 
     @property
     def num_facts(self) -> int:

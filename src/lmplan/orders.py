@@ -197,14 +197,15 @@ def _adjacency(g: LGG, kinds: tuple[EdgeKind, ...]) -> tuple[dict[int, int], dic
     return gn_succ, gn_pred, pred
 
 
-def _interference_index(task: Task, table: InconsistencyTable,
-                        gn_pred: dict[int, int]) -> tuple[dict[int, int], dict[int, int], int]:
+def _interference_index(task: Task, table: InconsistencyTable, gn_pred: dict[int, int]
+                        ) -> tuple[dict[int, int], dict[int, int], int, dict[int, int]]:
     """Interference, indexed by profile fact: l interferes with lp iff lp's
     mutex mask meets l's profile mask (the table is symmetric), or l's
     profile deletes lp.  Returns the nodes l per profile fact, the nodes l
-    per profile delete, and the profile facts as a mask.  The r and rO
-    passes see the same gn edges, so the index is kept on the table for
-    the task and gn predecessors it was last built for."""
+    per profile delete, the profile facts as a mask, and the nodes
+    interfering with each target lp, filled in as the passes ask.  The r
+    and rO passes see the same gn edges, so the index is kept on the table
+    for the task and gn predecessors it was last built for."""
     if table._index is not None and table._index[0] is task and table._index[1] == gn_pred:
         return table._index[2]
     by_fact: dict[int, int] = {}
@@ -215,7 +216,7 @@ def _interference_index(task: Task, table: InconsistencyTable,
             by_fact[x] = by_fact.get(x, 0) | 1 << l
         for x in bits(d):
             by_delete[x] = by_delete.get(x, 0) | 1 << l
-    index = (by_fact, by_delete, mask_of(by_fact))
+    index = (by_fact, by_delete, mask_of(by_fact), {})
     table._index = (task, gn_pred, index)
     return index
 
@@ -232,7 +233,7 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
     out = g.copy()
     goal = task.goal
     gn_succ, gn_pred, pred = _adjacency(g, path_kinds)
-    by_fact, by_delete, profile_facts = _interference_index(task, table, gn_pred)
+    by_fact, by_delete, profile_facts, interferers = _interference_index(task, table, gn_pred)
     all_nodes = mask_of(g.nodes)
     for lp in g.nodes:
         if goal >> lp & 1:
@@ -261,9 +262,12 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
             sources &= ~short
         if not sources:
             continue
-        hits = by_delete.get(lp, 0)
-        for x in bits(table.mutex_mask(lp) & profile_facts):
-            hits |= by_fact[x]
+        hits = interferers.get(lp)
+        if hits is None:
+            hits = by_delete.get(lp, 0)
+            for x in bits(table.mutex_mask(lp) & profile_facts):
+                hits |= by_fact[x]
+            interferers[lp] = hits
         for l in bits(hits & sources):
             out.add_edge(l, lp, kind)
     return out

@@ -35,7 +35,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import BLANKS, Action, Fact, PlanningError, Task, format_atom, relaxed_closure, split_blanks
 
@@ -410,34 +410,79 @@ def _values_of(refs: tuple):
     return lambda combo: tuple(combo[r] if type(r) is int else r for r in refs)
 
 
+def _join_order(n: int, refs_list: list[tuple]) -> list[int]:
+    """The order to bind ``n`` parameter slots in, given the slot/constant
+    refs of the static preconditions: next, the slot that an atom holding
+    it once, with its other variables bound, keys on the most bound
+    variables; when no atom keys a slot on a bound one, the lowest unbound
+    slot.  Ties go to the lower slot, so a schema whose atoms key nothing
+    on a bound variable keeps its order."""
+    multi = [refs for refs in refs_list if sum(type(r) is int for r in refs) > 1]
+    if not multi:
+        return list(range(n))
+    order: list[int] = []
+    while len(order) < n:
+        best = (0, -min(j for j in range(n) if j not in order))  # (bound variables, -slot)
+        for refs in multi:
+            free = [r for r in refs if type(r) is int and r not in order]
+            if len(free) == 1 and refs.count(free[0]) == 1:
+                best = max(best, (sum(type(r) is int for r in refs) - 1, -free[0]))
+        order.append(-best[1])
+    return order
+
+
 def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
-              static: Optional[dict[str, set]] = None):
+              static: Optional[dict[str, set]] = None) -> Iterator[tuple[str, ...]]:
     """Type-consistent bindings with pairwise-distinct objects, as object
     tuples in parameter order, in lexicographic order.
 
-    Parameters are bound one at a time.  ``static`` maps each static
-    predicate to the argument tuples of its ``:init`` atoms; a precondition
-    on one is applied as soon as its last variable is bound.  One holding
-    that variable once is a join: the true atoms agreeing with the objects
-    already bound give the variable's candidates.  Of several joins on one
-    variable the one with the most bound arguments generates; the others,
-    and atoms holding the variable twice or no variable at all, filter.
+    ``static`` maps each static predicate to the argument tuples of its
+    ``:init`` atoms; the schema's preconditions on them are applied while
+    parameters are bound (``_bind``), in ``_join_order``.  Bindings found
+    out of parameter order are sorted.
     """
     pools = [by_type.get(t, []) for _, t in schema.params]
     if not all(pools):
-        return
+        return iter(())
     # a repeated parameter name takes the object at its last position, so
     # every position of that name reads it (as a dict from names would)
     slot = {v: i for i, (v, _) in enumerate(schema.params)}
-    args = tuple(slot[v] for v, _ in schema.params)
-    resolve = args != tuple(range(len(args)))
+    atoms = [(static[atom.predicate], tuple(slot[a] if a.startswith("?") else a for a in atom.args))
+             for atom in (schema.pre if static is not None else ()) if atom.predicate in static]
+    order = _join_order(len(pools), [refs for _, refs in atoms])
+    identity = list(range(len(pools)))
+    if order == identity:
+        combos = _bind(pools, atoms)
+    else:
+        # slot order[k] is bound k-th
+        at = {j: k for k, j in enumerate(order)}
+        combos = _bind([pools[j] for j in order],
+                       [(true, tuple(at[r] if type(r) is int else r for r in refs))
+                        for true, refs in atoms])
+        combos = iter(sorted(tuple(combo[at[j]] for j in identity) for combo in combos))
+    args = [slot[v] for v, _ in schema.params]
+    if args == identity:
+        return combos
+    return (tuple(combo[i] for i in args) for combo in combos)
+
+
+def _bind(pools: list[list[str]], atoms: list[tuple[set, tuple]]):
+    """The pairwise-distinct picks from ``pools``, one object each, in
+    lexicographic order of the pools, that satisfy ``atoms``: (true argument
+    tuples, refs) pairs, a ref being a pool's position or a constant.
+
+    Positions are bound one at a time, and an atom is applied as soon as its
+    last position is bound.  One holding that position once is a join: the
+    true atoms agreeing with the objects already bound give the position's
+    candidates.  Of several joins on one position the one with the most
+    bound arguments generates; the others, and atoms holding the position
+    twice or no position at all, filter.
+    """
     tests: list[list] = [[] for _ in range(len(pools) + 1)]  # by bound count
-    for atom in schema.pre if static is not None else ():
-        if atom.predicate in static:
-            refs = tuple(slot[a] if a.startswith("?") else a for a in atom.args)
-            depth = 1 + max((r for r in refs if type(r) is int), default=-1)
-            tests[depth].append((static[atom.predicate], refs))
-    # per slot: the join giving its candidates, as (index, key reader), or None
+    for true, refs in atoms:
+        depth = 1 + max((r for r in refs if type(r) is int), default=-1)
+        tests[depth].append((true, refs))
+    # per position: the join giving its candidates, as (index, key reader), or None
     joins: list[Optional[tuple]] = [None] * len(pools)
     for j, pool in enumerate(pools):
         here = tests[j + 1]
@@ -460,7 +505,7 @@ def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
         index, read = joins[j]
         return index.get(read(combo), ())
 
-    # all but the last parameter breadth-first, the last one streamed
+    # all but the last position breadth-first, the last one streamed
     partial = [()] if holds(()) else []
     for j in range(len(pools) - 1):
         partial = [c + (o,) for c in partial for o in candidates(c, j) if o not in c]
@@ -475,7 +520,7 @@ def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
             if o not in c:
                 combo = c + (o,)
                 if not checked or holds(combo):
-                    yield tuple(combo[i] for i in args) if resolve else combo
+                    yield combo
 
 
 def _check_constants(atoms: Sequence[AtomAst], objects: set[str]) -> None:

@@ -6,6 +6,13 @@ the first layer containing it.  Two stopping rules are supported: stop the
 first time the goals are all present (the default for landmark extraction),
 or run to the reachability fixpoint (used for heuristic evaluation and
 relaxed solvability).
+
+Heuristic evaluation, ``extract_relaxed_plan(build_rpg(task, FIXPOINT,
+state), goal)``, is one pass: the fixpoint-mode graph only records its start
+state, and extraction grows local layers over the goal's relevant actions up
+to the goal, then walks them down once with a single subgoal mask.  Values
+are memoised per goal by the start state restricted to the relevant facts,
+when that restriction can merge states.
 """
 
 from __future__ import annotations
@@ -30,103 +37,35 @@ class RPG:
     ``goal_reached`` is False when the fixpoint was hit before the goals
     appeared, i.e. the relaxed task is unsolvable from the start state.
 
-    A fixpoint-mode graph is grown lazily: ``extract_relaxed_plan`` adds
-    layers only until its goal appears, using only the actions relevant to
-    that goal (``Task.relevance``), and reading any layer or level attribute
-    first completes the graph over all actions, so every observer sees the
-    same fixpoint.
+    A fixpoint-mode graph builds nothing until one of its layer or level
+    attributes is read, which grows it over all actions to the fixpoint.
+    ``extract_relaxed_plan`` on a graph not read yet grows its own layers,
+    and leaves the graph as it was.
     """
+
+    __slots__ = ("task", "mode", "start", "_prop_layers", "_act_layers", "_goal_reached", "_view")
 
     def __init__(self, task: Task, state: int, mode: str):
         if mode not in (GOALS_FIRST, FIXPOINT):
             raise ValueError(f"unknown build mode {mode!r}")
         self.task = task
         self.mode = mode
-        self._start(state)
-        if mode == GOALS_FIRST:
-            self._goal_reached = self._grow(task.goal)
-
-    def _start(self, state: int) -> None:
-        """Reset to the single layer ``state``, to grow over every action."""
-        self._scope: Optional[int] = None  # a goal whose relevant actions alone are used
-        self._prop_layers: list[int] = [state]
-        # one more entry than _prop_layers at the fixpoint: the actions first
-        # applicable in the last layer, which add nothing new
-        self._act_layers: list[int] = []
-        # ops not applicable in the last layer yet: the goal's achievers, the
-        # adders of their preconditions (a one-fact goal only) and the rest
-        self._goal_waiting: tuple = ()
-        self._feeding: tuple = ()
-        self._waiting = self.task.ops
-        self._fixed = False
+        self.start = state
+        self._prop_layers: Optional[list[int]] = None
         self._view = None
-
-    def _grow(self, goal: int) -> bool:
-        """Add proposition layers until ``goal`` holds in the last one (True)
-        or the fixpoint is hit first (False).  Only actions not yet
-        applicable are tested: an action enabled earlier stays enabled and
-        its adds are already present.
-
-        The goal's achievers (if set apart by ``_grow_relevant``) are tested
-        first; when they complete the goal, the rest of that last layer is
-        left out: no level it would add is read by extraction.  For a
-        one-fact goal the adders of the achievers' preconditions come next;
-        when they enable an achiever, the rest of that layer is left out too
-        (the next, last layer adds the goal): extraction reads only those
-        preconditions from it.  Such partial layers are never grown on."""
-        layers = self._prop_layers
-        cur = layers[-1]
-        if cur & goal == goal:
-            return True
-        if self._fixed:
-            return False
-        act_layers = self._act_layers
-        goal_waiting, feeding, waiting = self._goal_waiting, self._feeding, self._waiting
-        try:
-            while True:
-                goal_waiting, fired, nxt = _fire(goal_waiting, cur, 0, cur)
-                partial = nxt & goal == goal
-                if feeding and not partial:
-                    feeding, fired, nxt = _fire(feeding, cur, fired, nxt)
-                    # the next layer adds the goal's one fact
-                    partial = any(nxt & op[1] == op[1] for op in goal_waiting)
-                if not partial:
-                    waiting, fired, nxt = _fire(waiting, cur, fired, nxt)
-                act_layers.append(fired)
-                if nxt == cur:
-                    # fixpoint: no new facts can ever appear
-                    self._fixed = True
-                    return False
-                layers.append(nxt)
-                cur = nxt
-                if cur & goal == goal:
-                    return True
-        finally:
-            self._goal_waiting, self._feeding, self._waiting = goal_waiting, feeding, waiting
-
-    def _grow_relevant(self, goal: int) -> bool:
-        """``_grow`` for a fixpoint-mode graph, over the actions relevant to
-        ``goal`` while nothing else has been asked of the graph.
-
-        Every achiever of a relevant fact is relevant, so by induction over
-        the layers each relevant fact and action gets the level it has in
-        the full graph, and the goal is reached, or the fixpoint hit, at the
-        same layer.  A graph grown for one goal starts again over every
-        action when asked about another."""
-        if self._scope is None and len(self._prop_layers) == 1 and not self._fixed:
-            self._scope = goal
-            self._goal_waiting, self._feeding, self._waiting = self.task.relevance(goal)
-        elif self._scope is not None and self._scope != goal:
-            self._start(self._prop_layers[0])
-        return self._grow(goal)
+        if mode == GOALS_FIRST:
+            self._prop_layers, self._act_layers = [state], []
+            self._goal_reached = _grow(self._prop_layers, self._act_layers, task.goal,
+                                       (), (), (), task.ops)
 
     def _observed(self) -> tuple[list, list, list[int]]:
         """(fact_level, action_level, action_layers) of the finished graph:
         the fixpoint for a fixpoint-mode graph."""
-        if self.mode == FIXPOINT and (self._scope is not None or not self._fixed):
-            if self._scope is not None:
-                self._start(self._prop_layers[0])
-            self._grow(-1)  # no finite layer holds every bit of -1
+        if self._prop_layers is None:
+            # _act_layers ends with the actions first applicable in the last
+            # layer, which add nothing new; no finite layer holds all of -1
+            self._prop_layers, self._act_layers = [self.start], []
+            _grow(self._prop_layers, self._act_layers, -1, (), (), (), self.task.ops)
         if self._view is None:
             fact_level: list = [INF] * self.task.num_facts
             below = 0
@@ -178,15 +117,68 @@ class RPG:
         return list(bits(self.task._adder_mask[fact_id] & self._act_layers[level - 1]))
 
 
+def _grow(layers: list[int], act_layers: list[int], goal: int,
+          goal_waiting, feeding, deeper, waiting) -> bool:
+    """Append proposition layers to ``layers`` (and each layer's newly
+    applicable actions to ``act_layers``) until ``goal`` holds in the last
+    one (True) or the fixpoint is hit first (False).  The four op lists
+    (``Task.relevance``) hold the ops to grow over that are not applicable
+    in the last layer; only those are tested, since an action enabled
+    earlier stays enabled and its adds are already present.
+
+    ``goal_waiting``, the goal's achievers, are tested first; when they
+    complete the goal, the rest of that last layer is left out: no level it
+    would add is read by extraction.  For a one-fact goal, ``feeding`` holds
+    the adders of the achievers' preconditions and ``deeper`` the adders of
+    the feeders' preconditions.  A layer fires the feeders next and looks
+    one layer ahead over the achievers; failing that, it fires the deeper
+    ops and looks two layers ahead over the achievers and feeders.  When the
+    goal is reached ahead, the layers looked at become the last ones and the
+    rest of this layer is left out: extraction reads from these layers only
+    facts whose adders were all tested.  Such partial layers are never grown
+    on."""
+    cur = layers[-1]
+    if cur & goal == goal:
+        return True
+    while True:
+        goal_waiting, fired, nxt = _fire(goal_waiting, cur, 0, cur)
+        ahead = ()  # the next layers, when the goal's near adders alone reach it
+        if feeding and nxt & goal != goal:
+            feeding, fired, nxt = _fire(feeding, cur, fired, nxt)
+            _, f1, n1 = _fire(goal_waiting, nxt, 0, nxt)
+            if n1 & goal == goal:
+                ahead = ((f1, n1),)
+            elif deeper:
+                deeper, fired, nxt = _fire(deeper, cur, fired, nxt)
+                _, f1, n1 = _fire(goal_waiting + feeding, nxt, 0, nxt)
+                _, f2, n2 = _fire(goal_waiting, n1, 0, n1)
+                if n2 & goal == goal:
+                    ahead = ((f1, n1), (f2, n2))
+        if not ahead and nxt & goal != goal:
+            waiting, fired, nxt = _fire(waiting, cur, fired, nxt)
+        # at the fixpoint too: the actions first applicable in the last layer
+        act_layers.append(fired)
+        if nxt == cur:
+            # fixpoint: no new facts can ever appear
+            return False
+        layers.append(nxt)
+        for f, n in ahead:
+            act_layers.append(f)
+            layers.append(n)
+        cur = layers[-1]
+        if cur & goal == goal:
+            return True
+
+
 def _fire(ops, cur: int, fired: int, nxt: int) -> tuple[list, int, int]:
     """Fire the ``ops`` applicable in ``cur``: the others, ``fired`` with
     their ids and ``nxt`` with their adds."""
     rest = []
     for op in ops:
-        pre = op[1]
+        aid, pre, add, _ = op
         if cur & pre == pre:
-            fired |= 1 << op[0]
-            nxt |= op[2]
+            fired |= 1 << aid
+            nxt |= add
         else:
             rest.append(op)
     return rest, fired, nxt
@@ -207,42 +199,62 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
 
     Requires a fixpoint-mode graph.  Each subgoal fact picks one achiever at
     the layer below its level (lowest action id breaks ties); the achiever's
-    preconditions are queued as subgoals at their own levels.  Returns the
-    number of distinct selected actions, or INF when the goal is unreachable.
+    preconditions become subgoals at their own levels.  Returns the number
+    of distinct selected actions, or INF when the goal is unreachable.
+
+    On a graph whose layers were not read, the layers are grown here, only
+    until the goal appears and only over the actions relevant to it
+    (``Task.relevance``).  Every achiever of a relevant fact is relevant, so
+    by induction over the layers each relevant fact and action gets the
+    level it has in the full graph, and the goal is reached, or the
+    fixpoint hit, at the same layer.  The value is memoised by the start
+    state restricted to the facts it reads, when that restriction can
+    merge states (``Task._read``).
     """
     if rpg.mode != FIXPOINT:
         raise ValueError("relaxed plan extraction needs a fixpoint-mode graph")
-    # levels up to the goal's are final, so the graph grows no further
-    if not rpg._grow_relevant(goal):
-        return INF
-    layers = rpg._prop_layers
-    act_layers = rpg._act_layers
-    adder_mask = rpg.task._adder_mask
-    ops = rpg.task.ops
-    known = goal | layers[0]  # queued subgoals and level-0 facts
-    top = len(layers) - 1
-    by_layer = [0] * (top + 1)  # queued subgoals by level
-    for f in bits(goal & ~layers[0]):
-        level = top
-        while layers[level - 1] >> f & 1:
-            level -= 1
-        by_layer[level] |= 1 << f
+    task = rpg.task
+    if rpg._prop_layers is not None:
+        layers = rpg._prop_layers
+        return _backchain(task, goal, layers, rpg._act_layers) if layers[-1] & goal == goal else INF
+    classes = task.relevance(goal)
+    memo = task._read[goal]
+    if memo is not None:
+        key = rpg.start & memo[0]
+        value = memo[1].get(key)
+        if value is not None:
+            return value
+    layers, act_layers = [rpg.start], []
+    value = INF
+    if _grow(layers, act_layers, goal, *classes):
+        value = _backchain(task, goal, layers, act_layers)
+    if memo is not None:
+        memo[1][key] = value
+    return value
+
+
+def _backchain(task: Task, goal: int, layers: list[int], act_layers: list[int]) -> int:
+    """The relaxed plan's length, extracted top-down from layers holding
+    ``goal`` in the last one."""
+    adder_mask = task._adder_mask
+    ops = task.ops
+    # subgoals not yet given an achiever; the ones of level l are those
+    # missing from layer l - 1, and an achiever's preconditions sit below l
+    need = goal
     selected = 0
-    for l in range(top, 0, -1):
-        fired = act_layers[l - 1]
-        for f in bits(by_layer[l]):
-            # earliest achiever: first applicable at layer l - 1; lowest id wins
-            achievers = adder_mask[f] & fired
-            a = achievers & -achievers
-            if selected & a:
-                continue
-            selected |= a
-            pre = ops[a.bit_length() - 1][1] & ~known
-            known |= pre
-            for p in bits(pre):
-                # the achiever's preconditions sit at layer l - 1 or below
-                level = l - 1
-                while layers[level - 1] >> p & 1:
-                    level -= 1
-                by_layer[level] |= 1 << p
+    for l in range(len(layers) - 1, 0, -1):
+        below = layers[l - 1]
+        new = need & ~below
+        if new:
+            need &= below
+            fired = act_layers[l - 1]
+            while new:
+                f = new & -new
+                new ^= f
+                # earliest achiever: first applicable at layer l - 1; lowest id wins
+                achievers = adder_mask[f.bit_length() - 1] & fired
+                a = achievers & -achievers
+                if not selected & a:
+                    selected |= a
+                    need |= ops[a.bit_length() - 1][1]
     return selected.bit_count()

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmplan.core import (
+    Fact,
     PlanningError,
+    _fact_id,
     apply_action,
     make_task,
     parse_fact_name,
@@ -96,6 +98,19 @@ def test_fact_name_round_trip(demo_bw):
     pred, args = parse_fact_name("(ON c A)")
     assert (pred, args) == ("on", ("c", "a"))
     assert parse_fact_name("arm-empty") == ("arm-empty", ())
+
+
+def test_fact_is_a_named_tuple_equal_to_its_fields(demo_bw):
+    f = Fact(3, "on", ("c", "a"))
+    assert (f.id, f.predicate, f.args) == (3, "on", ("c", "a"))
+    assert f.name == str(f) == "(on c a)"
+    # a named tuple: it equals, and hashes as, the plain tuple of its fields
+    assert f == (3, "on", ("c", "a")) and hash(f) == hash((3, "on", ("c", "a")))
+    assert isinstance(f, tuple) and f != Fact(4, "on", ("c", "a"))
+    on_c_a = demo_bw.fact_named("(on c a)")
+    assert type(on_c_a) is Fact and demo_bw.facts[on_c_a.id] is on_c_a
+    assert _fact_id(on_c_a) == on_c_a.id == _fact_id(on_c_a.id)
+    assert plan_obeys_order(demo_bw, [], on_c_a, on_c_a.id)
 
 
 def test_action_name_round_trip(demo_bw):

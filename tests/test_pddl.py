@@ -325,6 +325,57 @@ def test_pruned_names_are_built_once(monkeypatch, two_planes):
     assert "(drive-truck la-truck la-po boston-po la)" in first
 
 
+def test_drive_truck_binds_its_city_before_its_destination():
+    from lmplan import pddl
+
+    d = parse_domain(LOGISTICS_DOMAIN)
+    p = parse_problem(gen_logistics(3, 3, 1, 6, seed=1), d)
+    drive = next(s for s in d.schemas if s.name == "drive-truck")
+    # (in-city ?from ?c) keys ?c once ?from is bound, then (in-city ?to ?c)
+    # keys ?to; unary static atoms key nothing on a bound variable
+    slot = {v: i for i, (v, _) in enumerate(drive.params)}
+    refs = [tuple(slot[a] for a in atom.args) for atom in drive.pre]
+    assert [v for v, _ in drive.params] == ["?t", "?from", "?to", "?c"]
+    assert pddl._join_order(4, refs) == [0, 1, 3, 2]
+    # a join keying the next slot anyway, or keying on a constant alone,
+    # keeps the order
+    assert pddl._join_order(3, [(0,), (1,), (2,), (0, 1)]) == [0, 1, 2]
+    assert pddl._join_order(2, [(0,), ("n1", 1)]) == [0, 1]
+    by_type = pddl._pools(p)
+    static = {"truck", "location", "city", "in-city"}
+    static = {name: {a.args for a in p.init if a.predicate == name} for name in static}
+    kept = list(pddl._bindings(drive, by_type, static))
+    # parameter order, lexicographic, and exactly the unfiltered bindings
+    # passing every static precondition
+    expected = [c for c in pddl._bindings(drive, by_type)
+                if all(tuple(c[slot[a]] for a in atom.args) in static[atom.predicate]
+                       for atom in drive.pre if atom.predicate in static)]
+    assert kept == expected == sorted(kept) and len(kept) == 54
+
+
+def test_bindings_found_out_of_order_come_back_sorted():
+    from lmplan import pddl
+
+    # (link ?a ?c) keys ?c once ?a is bound, so ?c is bound before ?b; the
+    # bindings must still come in parameter order, lexicographically
+    d = parse_domain("""(define (domain order) (:predicates (link ?x ?y) (p ?x) (q ?x ?y ?z))
+      (:action go :parameters (?a ?b ?c) :precondition (and (link ?a ?c) (p ?b))
+        :effect (and (q ?a ?b ?c))))""")
+    p = parse_problem("""(define (problem order-p) (:domain order) (:objects a1 a2 b1 b2 c1 c2)
+      (:init (link a1 c2) (link a1 c1) (link a2 c1) (p b2) (p b1) (p c2))
+      (:goal (and (q a1 b1 c1))))""", d)
+    go = d.schemas[0]
+    assert pddl._join_order(3, [(0, 2), (1,)]) == [0, 2, 1]
+    by_type = pddl._pools(p)
+    static = {"link": {a.args for a in p.init if a.predicate == "link"},
+              "p": {a.args for a in p.init if a.predicate == "p"}}
+    kept = list(pddl._bindings(go, by_type, static))
+    expected = [c for c in pddl._bindings(go, by_type)
+                if (c[0], c[2]) in static["link"] and (c[1],) in static["p"]]
+    assert kept == expected == sorted(kept)
+    assert kept[:3] == [("a1", "b1", "c1"), ("a1", "b1", "c2"), ("a1", "b2", "c1")]
+
+
 def test_derived_tasks_have_no_pruned_names(two_planes):
     sub = two_planes.derive(two_planes.init, two_planes.goal, "sub")
     assert sub.pruned_actions == () and two_planes.pruned_actions

@@ -66,17 +66,23 @@ def reference_indexes(task: Task) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _same_relevance(task: Task, goal: int) -> None:
-    achievers, feeders, others = task.relevance(goal)
+    achievers, feeders, deeper, others = task.relevance(goal)
     ref_achievers, ref_others = reference_relevance(task, goal)
     assert achievers == ref_achievers
-    # the feeders are the rest's adders of the achievers' preconditions, set
-    # apart for a one-fact goal only
-    assert tuple(sorted(feeders + others)) == ref_others
-    feeding = 0
+    # the feeders are the rest's adders of the achievers' preconditions, and
+    # the deeper ops the rest's other adders of those facts and of the
+    # preconditions of their adders, set apart for a one-fact goal only
+    assert tuple(sorted(feeders + deeper + others)) == ref_others
+    feeding = needs = 0
     if goal and goal & (goal - 1) == 0:
         for op in achievers:
             feeding |= op[1]
+        needs = feeding
+        for op in ref_achievers + ref_others:
+            if op[2] & feeding:
+                needs |= op[1]
     assert feeders == tuple(op for op in ref_others if op[2] & feeding)
+    assert deeper == tuple(op for op in ref_others if op[2] & needs and not op[2] & feeding)
 
 
 def _same_indexes(task: Task) -> None:
