@@ -31,7 +31,18 @@ intersects exactly the states with an exit, and ``enumerate_states`` keeps
 the transitions the closure generated instead of generating them again.  The
 flagged aftermath search reaches a state with up to three flag combinations;
 it generates the state's successors on the first and reuses them for the
-others.  Nothing outlives the call.
+others.
+
+The closure of a task's initial state that never enters a given fact is
+memoised per task and per forbidden fact (0 for the whole space): the
+landmark, greedy-necessary and reasonable deciders each search it, for the
+fact tested, the order's target and the order's source respectively, as do
+``task_solvable`` and ``oracle_inconsistent`` without a space.  Only
+complete closures are kept, and only as long as the task lives; a derived
+task keeps its own.  A kept closure of N states answers a query with cap c
+as a fresh search would: it is returned if N <= max(c, 1) (a closure of
+the start alone fits any cap) and CapExceeded(c) is raised otherwise.
+Callers must not change the mapping they are handed.
 
 Caps are hard: exceeding one raises CapExceeded rather than truncating.
 """
@@ -39,6 +50,7 @@ Caps are hard: exceeding one raises CapExceeded rather than truncating.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -99,6 +111,23 @@ def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
     return seen
 
 
+# per task: per forbidden bit, the complete closure of the initial state
+_CLOSURES: "weakref.WeakKeyDictionary[Task, dict[int, dict[int, bool]]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
+    """``_closure(task.ops, (task.init,), cap, forbid_bit)``, memoised per
+    task and forbidden bit (see the module docstring).  Read-only."""
+    memo = _CLOSURES.setdefault(task, {})
+    seen = memo.get(forbid_bit)
+    if seen is None:
+        seen = memo[forbid_bit] = _closure(task.ops, (task.init,), cap, forbid_bit)
+    elif len(seen) > max(cap, 1):
+        raise CapExceeded(cap)
+    return seen
+
+
 def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Full reachable state space with transitions."""
     transitions: list[tuple[int, int, int]] = []
@@ -120,8 +149,7 @@ def task_solvable(task: Task, cap: int = DEFAULT_STATE_CAP,
     goal = task.goal
     if space is not None:
         return any(s & goal == goal for s in space.states)
-    seen = _closure(task.ops, (task.init,), cap)
-    return any(s & goal == goal for s in seen)
+    return any(s & goal == goal for s in _init_closure(task, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +167,7 @@ def oracle_landmark(task: Task, fact_id: int, cap: int = DEFAULT_STATE_CAP,
     if (task.init | task.goal) & fbit:
         return True
     goal = task.goal
-    seen = _closure(task.ops, (task.init,), cap, forbid_bit=fbit)
-    return not any(s & goal == goal for s in seen)
+    return not any(s & goal == goal for s in _init_closure(task, cap, fbit))
 
 
 def oracle_n(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP,
@@ -162,7 +189,7 @@ def first_achiever_pre_mask(task: Task, lp: int, cap: int = DEFAULT_STATE_CAP) -
     if task.init & lpbit:
         raise PlanningError("fact is initially true; no first achievement")
     acc = universe
-    for s, exits in _closure(task.ops, (task.init,), cap, forbid_bit=lpbit).items():
+    for s, exits in _init_closure(task, cap, lpbit).items():
         if exits:
             acc &= s
     return acc
@@ -191,7 +218,7 @@ def _achieved_before_states(task: Task, l: int, lp: int, cap: int) -> list[int]:
         return []
     lp_adders = [task.ops[aid] for aid in task.adders[lp]]
     out: dict[int, None] = {}
-    for s in _closure(task.ops, (task.init,), cap, forbid_bit=lbit):
+    for s in _init_closure(task, cap, lbit):
         for _, t in successors(lp_adders, s):
             if not t & lbit:
                 out[t] = None
@@ -269,8 +296,7 @@ def oracle_inconsistent(task: Task, x: int, y: int, cap: int = DEFAULT_STATE_CAP
         return False
     if space is not None:
         return not any(s & both == both for s in space.states)
-    seen = _closure(task.ops, (task.init,), cap)
-    return not any(s & both == both for s in seen)
+    return not any(s & both == both for s in _init_closure(task, cap))
 
 
 # ---------------------------------------------------------------------------
