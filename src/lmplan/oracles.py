@@ -38,11 +38,12 @@ memoised per task and per forbidden fact (0 for the whole space): the
 landmark, greedy-necessary and reasonable deciders each search it, for the
 fact tested, the order's target and the order's source respectively, as do
 ``task_solvable`` and ``oracle_inconsistent`` without a space.  Only
-complete closures are kept, and only as long as the task lives; a derived
-task keeps its own.  A kept closure of N states answers a query with cap c
-as a fresh search would: it is returned if N <= max(c, 1) (a closure of
-the start alone fits any cap) and CapExceeded(c) is raised otherwise.
-Callers must not change the mapping they are handed.
+complete closures are kept, while the task lives (a derived task keeps its
+own) and while its kept closures total at most ``MEMO_STATE_BUDGET`` states;
+a closure past that is searched anew on each query.  A kept closure of N
+states answers a query with cap c as a fresh search would: it is returned
+if N <= max(c, 1) (a closure of the start alone fits any cap), else
+CapExceeded(c) is raised.  Callers must not change the mapping they get.
 
 Caps are hard: exceeding one raises CapExceeded rather than truncating.
 """
@@ -57,6 +58,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .core import PlanningError, Task, bits, successors
 
 DEFAULT_STATE_CAP = 200_000
+MEMO_STATE_BUDGET = DEFAULT_STATE_CAP  # states a task's memo may keep
 
 
 class CapExceeded(PlanningError):
@@ -122,7 +124,9 @@ def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
     memo = _CLOSURES.setdefault(task, {})
     seen = memo.get(forbid_bit)
     if seen is None:
-        seen = memo[forbid_bit] = _closure(task.ops, (task.init,), cap, forbid_bit)
+        seen = _closure(task.ops, (task.init,), cap, forbid_bit)
+        if len(seen) + sum(map(len, memo.values())) <= MEMO_STATE_BUDGET:
+            memo[forbid_bit] = seen
     elif len(seen) > max(cap, 1):
         raise CapExceeded(cap)
     return seen

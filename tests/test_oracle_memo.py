@@ -6,8 +6,9 @@ fact.  On one task, every decider is asked in a shuffled order, twice, with
 caps around each closure's size; each answer, or ``CapExceeded``, must be the
 answer of a freshly built task and of the memo-free references in
 ``test_single_pass`` and ``test_kernel``.  The memo dies with its task,
-derived tasks keep their own, and a repeated query generates no successors
-for the closure it reads.
+derived tasks keep their own, a task keeps no more closure states than the
+memo's budget, and a repeated query generates no successors for the closure
+it reads.
 """
 
 import gc
@@ -181,6 +182,22 @@ def test_derived_tasks_do_not_read_their_parents_entries():
                              actions=[Action(len(parent.actions), "(p-g)", 1 << p, 1 << g, 0)])
     assert not oracle_landmark(shortcut, q) and not oracle_gn(shortcut, q, g)
     assert oracle_landmark(parent, q) and oracle_gn(parent, q, g)
+
+
+def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
+    task = ground_files(DOMAINS["arm"], gen_blocksworld(3, "arm", 0))
+    monkeypatch.setattr(oracles, "MEMO_STATE_BUDGET", len(closure_of(task, DEFAULT_STATE_CAP)))
+    assert task_solvable(task)  # the whole space fills the budget
+    for lp in range(task.num_facts):
+        if (task.init | task.goal) >> lp & 1:
+            continue
+        closure = once_each(closure_of(task, DEFAULT_STATE_CAP, 1 << lp))
+        want = reference_landmark(task, lp, DEFAULT_STATE_CAP)
+        for _ in range(2):  # a closure past the budget is searched anew
+            expansions.clear()
+            assert oracle_landmark(task, lp) == want, lp
+            assert expansions == closure, lp
+    assert list(oracles._CLOSURES[task]) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Time the exact-oracle decider calls of ``oracle-micro``, call by call.
 
-    python3 tools/oracle_queries.py --rounds 3 [--seed 1]
+    python3 tools/oracle_queries.py --rounds 3
 
-Generates the seed's ``oracle-micro`` problem texts as ``perfbench`` does and
+Generates the seed-1 ``oracle-micro`` problem texts as ``perfbench`` does and
 takes the workload's fixed prefix of 400 items, as
 ``tools/dropped_orders.py`` does.  Each round grounds every item afresh, so
 no oracle memo outlives its item, and makes the workload's decider calls in
@@ -38,6 +38,7 @@ from workloads import ORDER_ORACLE_MAX_STATES, WORKLOADS, generate_items  # noqa
 
 WORKLOAD = WORKLOADS["oracle-micro"]
 KINDS = ("landmark", "gn", "r")
+SEED = 1
 
 
 def item_queries(item) -> list[tuple[str, object, tuple, dict]]:
@@ -70,11 +71,10 @@ def run_round(items) -> tuple[list[tuple[str, bool]], dict[str, list[float]]]:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    items = generate_items(SimpleNamespace(bench=bench), WORKLOAD, args.seed)
+    items = generate_items(SimpleNamespace(bench=bench), WORKLOAD, SEED)
     items = items[:WORKLOAD.checked_items]
     first = None
     seconds: dict[str, list[float]] = {k: [] for k in KINDS}
@@ -87,7 +87,7 @@ def main(argv: list[str]) -> int:
             return 1
         for kind in KINDS:
             seconds[kind] += took[kind]
-    print(f"seed {args.seed}: {len(items)} items, {args.rounds} rounds")
+    print(f"seed {SEED}: {len(items)} items, {args.rounds} rounds")
     for kind in KINDS:
         true = sum(answer for k, answer in first if k == kind)
         calls = len(seconds[kind]) // args.rounds
