@@ -125,9 +125,6 @@ class LGG:
     def out_edges(self, fact_id: int):
         return sorted(self._out[fact_id], key=lambda e: (e[1], e[2].value))
 
-    def in_edges(self, fact_id: int):
-        return sorted(self._in[fact_id], key=lambda e: (e[0], e[2].value))
-
     def successors(self, fact_id: int, kinds: Iterable[EdgeKind]) -> list[int]:
         ks = set(kinds)
         return sorted({d for _, d, k in self._out[fact_id] if k in ks})

@@ -23,27 +23,32 @@ one or two monotone flags.  The reductions:
   some s in S is exactly a path from the set S.
 * inconsistency: no enumerated state contains both facts.
 
-Every search generates a state's successors at most once per call.
+Every search reads successors through ``_TaskMemo.successors``, the one
+caller of ``core.successors`` here.  It keeps a successor table per task: a
+state maps to its (action id, successor) pairs in ops order, generated the
+first time any search of the task expands the state, so each reachable
+state is expanded once per task.  The achieved-before scan keeps the pairs
+of lp's adders; the deletion search drops those of actions deleting lp.
 ``_closure``, the breadth-first search over plain states, maps each state it
-keeps to whether one of its successors contains the forbidden fact, that is
-whether the state has an exit from the subspace: the greedy-necessary test
-intersects exactly the states with an exit, and ``enumerate_states`` keeps
-the transitions the closure generated instead of generating them again.  The
-flagged aftermath search reaches a state with up to three flag combinations;
-it generates the state's successors on the first and reuses them for the
-others.
+keeps to whether one of its successors contains the forbidden fact (the
+state has an exit from the subspace, which the greedy-necessary test reads)
+and can record the transitions it reads for ``enumerate_states``.
 
-The closure of a task's initial state that never enters a given fact is
-memoised per task and per forbidden fact (0 for the whole space): the
-landmark, greedy-necessary and reasonable deciders each search it, for the
-fact tested, the order's target and the order's source respectively, as do
-``task_solvable`` and ``oracle_inconsistent`` without a space.  Only
-complete closures are kept, while the task lives (a derived task keeps its
-own) and while its kept closures total at most ``MEMO_STATE_BUDGET`` states;
-a closure past that is searched anew on each query.  A kept closure of N
-states answers a query with cap c as a fresh search would: it is returned
-if N <= max(c, 1) (a closure of the start alone fits any cap), else
-CapExceeded(c) is raised.  Callers must not change the mapping they get.
+The closure of the initial state that never enters a given fact (0 for the
+whole space) is kept per task and fact: the landmark, greedy-necessary and
+reasonable deciders search it for the fact tested, the order's target and
+the order's source, as do ``task_solvable`` and ``oracle_inconsistent``
+without a space.  Callers must not change the mapping they get.
+
+Table and closures live as long as their task (a derived task keeps its
+own, even with its parent's ops) and hold at most ``MEMO_BUDGET`` entries: a
+kept closure counts its states, a table entry its state and transitions.
+Past the budget a closure is searched, or a state expanded, anew each time.
+Each search keeps, counts and caps its own states whatever is kept, so a
+kept closure of N states answers cap c as a fresh search would: it is
+returned if N <= max(c, 1) (a closure of the start alone fits any cap), else
+CapExceeded(c) is raised.  A search that raises CapExceeded may leave table
+entries behind: they are facts about the task.
 
 Caps are hard: exceeding one raises CapExceeded rather than truncating.
 """
@@ -53,12 +58,17 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import PlanningError, Task, bits, successors
 
 DEFAULT_STATE_CAP = 200_000
-MEMO_STATE_BUDGET = DEFAULT_STATE_CAP  # states a task's memo may keep
+# at up to 100 bytes an entry (CPython 3.11, blocksworld and logistics), at
+# most 12.4 MiB: less than one default cap of closure states alone, at 68-86
+# bytes a state
+MEMO_BUDGET = 130_000
+
+Successors = Sequence[tuple[int, int]]  # (action id, successor), in ops order
 
 
 class CapExceeded(PlanningError):
@@ -79,16 +89,55 @@ class StateSpace:
         return len(self.states)
 
 
-def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
+class _TaskMemo:
+    """What the oracles keep about one task (see the module docstring)."""
+
+    __slots__ = ("ops", "closures", "table", "stored")
+
+    def __init__(self, ops: Sequence[tuple[int, int, int, int]]):
+        self.ops = ops
+        # per forbidden bit, the complete closure of the initial state
+        self.closures: dict[int, dict[int, bool]] = {}
+        self.table: dict[int, Successors] = {}
+        self.stored = 0  # entries kept, counted against MEMO_BUDGET
+
+    def keep(self, entries: int) -> bool:
+        """Whether ``entries`` more fit the budget; if so they count."""
+        if self.stored + entries > MEMO_BUDGET:
+            return False
+        self.stored += entries
+        return True
+
+    def successors(self, s: int) -> Successors:
+        """``core.successors(ops, s)`` as a tuple, from the table."""
+        ts = self.table.get(s)
+        if ts is None:
+            ts = tuple(successors(self.ops, s))
+            if self.keep(1 + len(ts)):
+                self.table[s] = ts
+        return ts
+
+
+_MEMOS: "weakref.WeakKeyDictionary[Task, _TaskMemo]" = weakref.WeakKeyDictionary()
+
+
+def _memo(task: Task) -> _TaskMemo:
+    memo = _MEMOS.get(task)
+    if memo is None:
+        memo = _MEMOS[task] = _TaskMemo(task.ops)
+    return memo
+
+
+def _closure(expand: Callable[[int], Successors], starts: Iterable[int],
              cap: int, forbid_bit: int = 0,
              transitions: Optional[list[tuple[int, int, int]]] = None) -> dict[int, bool]:
-    """BFS closure of the states ``starts`` under ``ops`` (``Task.ops``
-    tuples, possibly filtered); states containing ``forbid_bit`` are never
-    entered (no start may contain it).  Returns states in discovery order,
-    each mapped to whether one of its successors contains ``forbid_bit``
-    (it has an exit from the subspace).  Each state's successors are
-    generated once; with a ``transitions`` list, every generated
-    (state, action id, successor) is appended to it, exits included."""
+    """BFS closure of the states ``starts`` under ``expand`` (a state's
+    successors, such as ``_TaskMemo.successors``, possibly filtered); states
+    containing ``forbid_bit`` are never entered (no start may contain it).
+    Returns states in discovery order, each mapped to whether one of its
+    successors contains ``forbid_bit`` (it has an exit from the subspace).
+    Each kept state is expanded once; with a ``transitions`` list, every
+    (state, action id, successor) read is appended to it, exits included."""
     seen: dict[int, bool] = dict.fromkeys(starts, False)
     if any(s & forbid_bit for s in seen):
         raise PlanningError("start state violates the subspace restriction")
@@ -97,7 +146,7 @@ def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for aid, t in successors(ops, s):
+            for aid, t in expand(s):
                 if record:
                     record((s, aid, t))
                 if t & forbid_bit:
@@ -113,20 +162,16 @@ def _closure(ops: Sequence[tuple[int, int, int, int]], starts: Iterable[int],
     return seen
 
 
-# per task: per forbidden bit, the complete closure of the initial state
-_CLOSURES: "weakref.WeakKeyDictionary[Task, dict[int, dict[int, bool]]]" = \
-    weakref.WeakKeyDictionary()
-
-
 def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
-    """``_closure(task.ops, (task.init,), cap, forbid_bit)``, memoised per
-    task and forbidden bit (see the module docstring).  Read-only."""
-    memo = _CLOSURES.setdefault(task, {})
-    seen = memo.get(forbid_bit)
+    """``_closure`` of ``task.init`` under the task's successor table,
+    memoised per task and forbidden bit (see the module docstring).
+    Read-only."""
+    memo = _memo(task)
+    seen = memo.closures.get(forbid_bit)
     if seen is None:
-        seen = _closure(task.ops, (task.init,), cap, forbid_bit)
-        if len(seen) + sum(map(len, memo.values())) <= MEMO_STATE_BUDGET:
-            memo[forbid_bit] = seen
+        seen = _closure(memo.successors, (task.init,), cap, forbid_bit)
+        if memo.keep(len(seen)):
+            memo.closures[forbid_bit] = seen
     elif len(seen) > max(cap, 1):
         raise CapExceeded(cap)
     return seen
@@ -135,7 +180,7 @@ def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
 def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Full reachable state space with transitions."""
     transitions: list[tuple[int, int, int]] = []
-    seen = _closure(task.ops, (task.init,), cap, transitions=transitions)
+    seen = _closure(_memo(task).successors, (task.init,), cap, transitions=transitions)
     return StateSpace(tuple(seen), tuple(transitions), cap)
 
 
@@ -220,11 +265,12 @@ def _achieved_before_states(task: Task, l: int, lp: int, cap: int) -> list[int]:
     lbit, lpbit = 1 << l, 1 << lp
     if task.init & lbit:
         return []
-    lp_adders = [task.ops[aid] for aid in task.adders[lp]]
+    adders = task._adder_mask[lp]
+    expand = _memo(task).successors
     out: dict[int, None] = {}
     for s in _init_closure(task, cap, lbit):
-        for _, t in successors(lp_adders, s):
-            if not t & lbit:
+        for aid, t in expand(s):
+            if adders >> aid & 1 and not t & lbit:
                 out[t] = None
     return list(out)
 
@@ -238,18 +284,14 @@ def _aftermath_violated_from(task: Task, starts: list[int], l: int, lp: int,
     if any(s & goal == goal for s in starts):
         return True  # empty solution plan: nothing achieves l at i >= 1
     # flags: l seen at step >= 1; lp seen at-or-after the first such l.  A
-    # state is reached with up to three flag combinations; its successors
-    # are generated once, on first expansion.
+    # state is reached with up to three flag combinations.
+    expand = _memo(task).successors
     frontier = [(s, False, False) for s in starts]
     seen = set(frontier)
-    succ: dict[int, list[int]] = {}
     while frontier:
         nxt = []
         for s, seen_l, satisfied in frontier:
-            ts = succ.get(s)
-            if ts is None:
-                ts = succ[s] = [t for _, t in successors(task.ops, s)]
-            for t in ts:
+            for _, t in expand(s):
                 n_l = seen_l or bool(t & lbit)
                 n_sat = satisfied or (bool(t & lpbit) and n_l)
                 node = (t, n_l, n_sat)
@@ -271,8 +313,12 @@ def _deletion_violated_from(task: Task, starts: list[int], l: int, lp: int,
     without ever using an action whose delete list mentions lp (the empty
     path counts)."""
     lbit, lpbit = 1 << l, 1 << lp
-    keeps_lp = [op for op in task.ops if not op[3] & lpbit]
-    return any(s & lbit for s in _closure(keeps_lp, starts, cap))
+    ops, expand = task.ops, _memo(task).successors
+
+    def keeping_lp(s: int) -> Successors:
+        return [(aid, t) for aid, t in expand(s) if not ops[aid][3] & lpbit]
+
+    return any(s & lbit for s in _closure(keeping_lp, starts, cap))
 
 
 def oracle_reasonable_report(task: Task, l: int, lp: int,
@@ -311,6 +357,7 @@ def count_solutions_of_length(task: Task, length: int, limit: int = 10_000_000) 
     """Number of action sequences of exactly ``length`` steps that solve the
     task, by exhaustive applicable-prefix enumeration."""
     goal = task.goal
+    expand = _memo(task).successors
     count = 0
     explored = 0
     stack = [(task.init, 0)]
@@ -323,5 +370,5 @@ def count_solutions_of_length(task: Task, length: int, limit: int = 10_000_000) 
             if s & goal == goal:
                 count += 1
             continue
-        stack.extend((t, depth + 1) for _, t in successors(task.ops, s))
+        stack.extend((t, depth + 1) for _, t in expand(s))
     return count

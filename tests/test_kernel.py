@@ -19,7 +19,6 @@ from lmplan.oracles import (
     CapExceeded,
     ReasonableReport,
     _achieved_before_states,
-    _closure,
     enumerate_states,
     oracle_reasonable_report,
 )
@@ -81,8 +80,23 @@ def _deletion_violated_from(task, start, l, lp, cap):
     lbit, lpbit = 1 << l, 1 << lp
     if start & lbit:
         return True  # the empty sequence already has l true, deleting nothing
-    keeps_lp = [op for op in task.ops if not op[3] & lpbit]
-    seen = _closure(keeps_lp, [start], cap)
+    keeps_lp = [(a.pre, a.add, a.delete) for a in task.actions if not a.delete & lpbit]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for pre, add, dele in keeps_lp:
+                if s & pre != pre:
+                    continue
+                t = (s | add) & ~dele
+                if t in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceeded(cap)
+                seen.add(t)
+                nxt.append(t)
+        frontier = nxt
     return any(s & lbit for s in seen)
 
 

@@ -1,14 +1,15 @@
-"""The oracles' per-task memo of closures from the initial state.
+"""The oracles' per-task memo: kept closures and the successor table.
 
-Every decider that searches the closure of a task's initial state that never
-enters a given fact reads it from a memo kept per task and per forbidden
-fact.  On one task, every decider is asked in a shuffled order, twice, with
-caps around each closure's size; each answer, or ``CapExceeded``, must be the
-answer of a freshly built task and of the memo-free references in
-``test_single_pass`` and ``test_kernel``.  The memo dies with its task,
-derived tasks keep their own, a task keeps no more closure states than the
-memo's budget, and a repeated query generates no successors for the closure
-it reads.
+Every oracle search reads a state's successors from a table kept per task,
+and every decider that searches the closure of a task's initial state that
+never enters a given fact reads it from a memo kept per task and per
+forbidden fact.  On one task, every decider and the enumeration are asked in
+a shuffled order, twice, with caps around each closure's size; each answer,
+or ``CapExceeded``, must be the answer of a freshly built task and of the
+memo-free references in ``test_single_pass`` and ``test_kernel``.  The memo
+dies with its task, derived tasks keep their own, the memo keeps no more
+entries than its budget and answers do not depend on the budget, and over
+any sequence of queries a reachable state's successors are generated once.
 """
 
 import gc
@@ -23,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 from lmplan import oracles
 from lmplan.bench import gen_blocksworld
 from lmplan.control import with_init
-from lmplan.core import Action, Task, make_task
+from lmplan.core import Action, Task, make_task, successors
 from lmplan.oracles import (
     DEFAULT_STATE_CAP,
     CapExceeded,
+    count_solutions_of_length,
+    enumerate_states,
     first_achiever_pre_mask,
     oracle_gn,
     oracle_inconsistent,
@@ -41,10 +44,17 @@ from test_core import micro_tasks
 from test_kernel import DOMAINS, reference_reasonable_report
 from test_pipeline_properties import solvable_tasks
 from test_single_pass import (  # noqa: F401  (expansions is a fixture)
+    THREE_BLOCK_IDS,
+    THREE_BLOCKS,
     expansions,
+    once_each,
     outcome,
+    reference_aftermath_violated_from,
     reference_closure,
+    reference_count_solutions_of_length,
+    reference_enumerate_states,
     reference_first_achiever_pre_mask,
+    three_block_task,
 )
 
 
@@ -101,6 +111,9 @@ def queries(task):
     # multi-source search
     out += [(oracle_reasonable_report, (l, lp), None, (1 << l,)) for l, lp in pairs]
     out += [(oracle_inconsistent, (x, y), reference_inconsistent, (0,)) for x, y in pairs]
+    out += [(enumerate_states, (), reference_enumerate_states, (0,))]
+    # the limit counts explored sequences; caps around the space are limits too
+    out += [(count_solutions_of_length, (3,), reference_count_solutions_of_length, (0,))]
     return out
 
 
@@ -145,6 +158,15 @@ def test_memoised_answers_match_on_three_blocks(variant):
     assert_memo_matches_fresh_tasks(task, random.Random(0))
 
 
+@pytest.mark.parametrize("budget", [0, 40])
+def test_answers_do_not_depend_on_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", budget)
+    task = ground_files(DOMAINS["no-arm"], gen_blocksworld(3, "no-arm", 1))
+    assert_memo_matches_fresh_tasks(task, random.Random(budget))
+    memo = oracles._MEMOS[task]
+    assert memo.stored == entries(memo) <= budget
+
+
 # ---------------------------------------------------------------------------
 # Lifetime: the memo belongs to its task
 # ---------------------------------------------------------------------------
@@ -160,14 +182,15 @@ def chain_task():
 def test_memo_entry_dies_with_its_task():
     task = chain_task()
     assert oracle_landmark(task, fid(task, "q"))
-    assert task in oracles._CLOSURES
+    memo = oracles._MEMOS[task]
+    assert memo.closures and memo.table
     alive = weakref.ref(task)
     gc.collect()
-    before = len(oracles._CLOSURES)
-    del task
+    before = len(oracles._MEMOS)
+    del task, memo
     gc.collect()
     assert alive() is None
-    assert len(oracles._CLOSURES) == before - 1
+    assert len(oracles._MEMOS) == before - 1
 
 
 def test_derived_tasks_do_not_read_their_parents_entries():
@@ -184,63 +207,136 @@ def test_derived_tasks_do_not_read_their_parents_entries():
     assert oracle_landmark(parent, q) and oracle_gn(parent, q, g)
 
 
+@pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
+def test_derived_tasks_do_not_read_their_parents_table(variant, seed, expansions):
+    parent = three_block_task(variant, seed)
+    whole = once_each(closure_of(parent, DEFAULT_STATE_CAP))
+    space = enumerate_states(parent)
+    assert expansions == whole
+    # same ops, same initial state: still a table of their own
+    for child in (with_init(parent, parent.init),
+                  parent.derive(parent.init, parent.goal, "copy")):
+        expansions.clear()
+        assert enumerate_states(child) == space
+        assert expansions == whole
+        assert oracles._MEMOS[child].table is not oracles._MEMOS[parent].table
+
+
+# ---------------------------------------------------------------------------
+# The budget
+# ---------------------------------------------------------------------------
+
+def entries(memo):
+    """What the memo counts against its budget, counted anew."""
+    return (sum(map(len, memo.closures.values())) + len(memo.table)
+            + sum(map(len, memo.table.values())))
+
+
 def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
     task = ground_files(DOMAINS["arm"], gen_blocksworld(3, "arm", 0))
-    monkeypatch.setattr(oracles, "MEMO_STATE_BUDGET", len(closure_of(task, DEFAULT_STATE_CAP)))
-    assert task_solvable(task)  # the whole space fills the budget
+    space = reference_enumerate_states(task)
+    out = Counter(s for s, _, _ in space.transitions)
+    # table entries are kept in the order states are first expanded, each
+    # while its state and transitions fit: here the first half of them fill
+    # the budget exactly
+    kept = space.states[:len(space) // 2]
+    budget = sum(1 + out[s] for s in kept)
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", budget)
+    assert enumerate_states(task) == space
+    memo = oracles._MEMOS[task]
+    assert tuple(memo.table) == kept and memo.stored == budget == entries(memo)
+    # a state past the budget is expanded anew on each read
+    for _ in range(2):
+        expansions.clear()
+        assert enumerate_states(task) == space
+        assert expansions == once_each(s for s in space.states if s not in memo.table)
+    # a closure is kept only if it fits what is left; one not kept is
+    # searched anew on each query, past-budget states expanded anew
     for lp in range(task.num_facts):
         if (task.init | task.goal) >> lp & 1:
             continue
-        closure = once_each(closure_of(task, DEFAULT_STATE_CAP, 1 << lp))
         want = reference_landmark(task, lp, DEFAULT_STATE_CAP)
-        for _ in range(2):  # a closure past the budget is searched anew
+        for _ in range(2):
+            searched = [closure_of(task, DEFAULT_STATE_CAP, bit) for bit in (0, 1 << lp)
+                        if bit not in memo.closures]
             expansions.clear()
             assert oracle_landmark(task, lp) == want, lp
-            assert expansions == closure, lp
-    assert list(oracles._CLOSURES[task]) == [0]
+            assert expansions == sum((once_each(s for s in closure if s not in memo.table)
+                                      for closure in searched), Counter()), lp
+            assert memo.stored == entries(memo) == budget
+    assert tuple(memo.table) == kept and not memo.closures
 
 
 # ---------------------------------------------------------------------------
-# Successor generation: once per state on a first query, none on a repeat
+# Successor generation: once per reachable state and task
 # ---------------------------------------------------------------------------
 
-def once_each(states):
-    return Counter(dict.fromkeys(states, 1))
+def reasonable_reads(task, l, lp, cap=DEFAULT_STATE_CAP):
+    """The states whose successors ``oracle_reasonable_report`` reads, found
+    by the memo-free references: the closure without l, then the aftermath
+    search and, if that does not refute the order, the deletion search."""
+    lbit, lpbit = 1 << l, 1 << lp
+    if task.init & lbit:
+        return set()
+    closure = closure_of(task, cap, lbit)
+    read = set(closure)
+    starts = dict.fromkeys(t for s in closure for aid, t in successors(task.ops, s)
+                           if aid in task.adders[lp] and not t & lbit)
+    if starts and not reference_aftermath_violated_from(task, list(starts), l, lp, cap, read):
+        keeps_lp = [op for op in task.ops if not op[3] & lpbit]
+        read.update(reference_closure(keeps_lp, starts, cap))
+    return read
 
 
 @pytest.mark.parametrize("variant", ["arm", "no-arm"])
 def test_repeated_queries_generate_no_successors(variant, expansions):
     task = ground_files(DOMAINS[variant], gen_blocksworld(3, variant, 0))
     assert task_solvable(task)
-    assert expansions == once_each(closure_of(task, DEFAULT_STATE_CAP))
+    whole = once_each(closure_of(task, DEFAULT_STATE_CAP))
+    assert expansions == whole
+    # every reachable state is in the table: no query generates successors
     for lp in range(task.num_facts):
-        if (task.init | task.goal) >> lp & 1:
-            continue
-        expansions.clear()
+        other = (lp + 1) % task.num_facts
         oracle_landmark(task, lp)
-        assert expansions == once_each(closure_of(task, DEFAULT_STATE_CAP, 1 << lp)), lp
-        expansions.clear()
-        oracle_landmark(task, lp)
-        first_achiever_pre_mask(task, lp)
-        oracle_gn(task, (lp + 1) % task.num_facts, lp)
+        if not task.init >> lp & 1:
+            first_achiever_pre_mask(task, lp)
+        oracle_gn(task, other, lp)
+        oracle_reasonable_report(task, other, lp)
         task_solvable(task)
-        oracle_inconsistent(task, lp, (lp + 1) % task.num_facts)
-        assert not expansions, lp
+        oracle_inconsistent(task, lp, other)
+        assert expansions == whole, lp
+    assert enumerate_states(task) == reference_enumerate_states(task)
+    assert count_solutions_of_length(task, 4) == reference_count_solutions_of_length(task, 4)
+    assert expansions == whole
 
 
 @pytest.mark.parametrize("variant", ["arm", "no-arm"])
 def test_repeated_reasonable_query_reuses_the_achieved_before_closure(variant, expansions):
     task = ground_files(DOMAINS[variant], gen_blocksworld(3, variant, 1))
+    read = set()
     for l in range(task.num_facts):
-        if task.init >> l & 1:
-            continue
-        closure = once_each(closure_of(task, DEFAULT_STATE_CAP, 1 << l))
-        for k, lp in enumerate(f for f in range(task.num_facts) if f != l):
-            expansions.clear()
-            oracle_reasonable_report(task, l, lp)
-            first = expansions.copy()
-            expansions.clear()
-            oracle_reasonable_report(task, l, lp)
-            # the aftermath and deletion searches run again; the closure
-            # without l is searched on the first query with source l only
-            assert first == expansions + (closure if k == 0 else Counter()), (l, lp)
+        for lp in range(task.num_facts):
+            if l == lp:
+                continue
+            read |= reasonable_reads(task, l, lp)
+            first = oracle_reasonable_report(task, l, lp)
+            # the first query expands only what no earlier query expanded
+            assert expansions == once_each(read), (l, lp)
+            # a repeat expands nothing: the closure without l is kept, and
+            # the aftermath and deletion searches read the table
+            assert oracle_reasonable_report(task, l, lp) == first
+            assert expansions == once_each(read), (l, lp)
+
+
+@pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
+def test_shuffled_queries_expand_each_reachable_state_once(variant, seed, expansions):
+    task = three_block_task(variant, seed)
+    calls = [(decide, args) for decide, args, _, _ in queries(task)]
+    want = [outcome(decide, fresh(task), *args) for decide, args in calls]
+    expansions.clear()
+    order = list(range(len(calls)))
+    random.Random(seed).shuffle(order)
+    for i in order:
+        decide, args = calls[i]
+        assert outcome(decide, task, *args) == want[i], (decide.__name__, args)
+    assert expansions == once_each(closure_of(task, DEFAULT_STATE_CAP))

@@ -8,7 +8,12 @@ combination it was reached with.  The references below are those versions,
 with their own copy of the closure, so that a fault in ``oracles._closure``
 cannot hide in both sides.  Values must be equal, and around each space's
 size n, caps n - 1, n and n + 1 must give the same value or both raise
-``CapExceeded``.
+``CapExceeded``.  ``count_solutions_of_length``, which reads the successor
+table too, is held against its table-free version under several limits.
+
+Every search reads successors from a table kept per task, so over all the
+searches a test makes on one task, each state's successors are generated at
+most once, and exactly for the states the references expand.
 """
 
 from collections import Counter
@@ -24,6 +29,7 @@ from lmplan.oracles import (
     CapExceeded,
     StateSpace,
     _achieved_before_states,
+    count_solutions_of_length,
     enumerate_states,
     first_achiever_pre_mask,
 )
@@ -74,7 +80,9 @@ def reference_first_achiever_pre_mask(task, lp, cap=DEFAULT_STATE_CAP):
     return acc
 
 
-def reference_aftermath_violated_from(task, starts, l, lp, cap):
+def reference_aftermath_violated_from(task, starts, l, lp, cap, expanded=None):
+    """With an ``expanded`` set, adds each state whose successors it
+    generates."""
     lbit, lpbit = 1 << l, 1 << lp
     goal = task.goal
     if any(s & goal == goal for s in starts):
@@ -84,6 +92,8 @@ def reference_aftermath_violated_from(task, starts, l, lp, cap):
     while frontier:
         nxt = []
         for s, seen_l, satisfied in frontier:
+            if expanded is not None:
+                expanded.add(s)
             for _, t in successors(task.ops, s):
                 n_l = seen_l or bool(t & lbit)
                 n_sat = satisfied or (bool(t & lpbit) and n_l)
@@ -98,6 +108,24 @@ def reference_aftermath_violated_from(task, starts, l, lp, cap):
                 nxt.append(node)
         frontier = nxt
     return False
+
+
+def reference_count_solutions_of_length(task, length, limit=10_000_000):
+    goal = task.goal
+    count = 0
+    explored = 0
+    stack = [(task.init, 0)]
+    while stack:
+        s, depth = stack.pop()
+        explored += 1
+        if explored > limit:
+            raise CapExceeded(limit)
+        if depth == length:
+            if s & goal == goal:
+                count += 1
+            continue
+        stack.extend((t, depth + 1) for _, t in successors(task.ops, s))
+    return count
 
 
 def outcome(fn, *args):
@@ -151,6 +179,14 @@ def assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP,)):
                                    cap)), (l, lp, cap)
 
 
+def assert_solution_counts_match(task, lengths=range(4), limits=(1, 2, 5, 50, 10_000_000)):
+    for length in lengths:
+        for limit in limits:
+            assert (outcome(count_solutions_of_length, task, length, limit)
+                    == outcome(reference_count_solutions_of_length, task, length, limit)), \
+                (length, limit)
+
+
 def small_tasks():
     four = ground_files(DOMAINS["arm"], gen_blocksworld(4, "arm", 0))
     return three_block_tasks() + [four]
@@ -173,16 +209,22 @@ def test_aftermath_matches_reference(task):
     assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, n // 3, n // 2, n))
 
 
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_solution_counts_match_reference(task):
+    assert_solution_counts_match(task)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(solvable_tasks(), micro_tasks()))
 def test_single_pass_searches_on_random_tasks(task):
     assert_enumeration_matches(task)
     assert_first_achievers_match(task)
     assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, 2, 3))
+    assert_solution_counts_match(task)
 
 
 # ---------------------------------------------------------------------------
-# Each state's successors are generated at most once per query
+# Each state's successors are generated at most once per task
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -198,14 +240,18 @@ def expansions(monkeypatch):
     return counts
 
 
+def once_each(states):
+    return Counter(dict.fromkeys(states, 1))
+
+
 THREE_BLOCKS = [(variant, seed) for variant in ("arm", "no-arm") for seed in (0, 1)]
 THREE_BLOCK_IDS = [f"bw-{variant}-3-{seed}" for variant, seed in THREE_BLOCKS]
 
 
 def three_block_task(variant, seed):
     """A three-block task grounded for the calling test alone: the oracles
-    memoise closures per task, so a task that an earlier test queried would
-    answer some queries without generating any successors."""
+    keep a successor table per task, so a task that an earlier test queried
+    would answer some queries without generating any successors."""
     return ground_files(DOMAINS[variant], gen_blocksworld(3, variant, seed))
 
 
@@ -213,34 +259,48 @@ def three_block_task(variant, seed):
 def test_enumeration_expands_each_state_once(variant, seed, expansions):
     task = three_block_task(variant, seed)
     space = enumerate_states(task)
-    assert set(expansions) == set(space.states)
-    assert max(expansions.values()) == 1
+    assert expansions == once_each(space.states)
+    # a second enumeration reads every state's successors from the table
+    assert enumerate_states(task) == space == reference_enumerate_states(task)
+    assert expansions == once_each(space.states)
 
 
 @pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
 def test_first_achiever_search_expands_each_state_once(variant, seed, expansions):
     task = three_block_task(variant, seed)
+    expanded = set()
     for lp in range(task.num_facts):
         if task.init >> lp & 1:
             continue
-        expansions.clear()
         first_achiever_pre_mask(task, lp)
-        assert expansions and max(expansions.values()) == 1, lp
+        # exactly the closure's states, those expanded before excepted
+        expanded.update(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP,
+                                          forbid_bit=1 << lp))
+        assert expansions == once_each(expanded), lp
+    assert expanded
 
 
 @pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
 def test_aftermath_search_expands_each_state_once(variant, seed, expansions):
     task = three_block_task(variant, seed)
+    expanded = set()
     searched = 0
     for l in range(task.num_facts):
         for lp in range(task.num_facts):
             if l == lp:
                 continue
             starts = _achieved_before_states(task, l, lp, DEFAULT_STATE_CAP)
+            if not task.init >> l & 1:
+                expanded.update(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP,
+                                                  forbid_bit=1 << l))
             if not starts:
                 continue
-            expansions.clear()
+            before = len(expanded)
             oracles._aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP)
-            assert not expansions or max(expansions.values()) == 1, (l, lp)
-            searched += bool(expansions)
+            reference_aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP,
+                                              expanded)
+            # the scan and the search expand exactly the states the
+            # references expand, those expanded before excepted
+            assert expansions == once_each(expanded), (l, lp)
+            searched += len(expanded) > before
     assert searched
