@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -85,8 +86,21 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# binary digits "0"/"1" as the flag bytes 0/1 (Task._ops_of)
+# binary digits "0"/"1" as the flag bytes 0/1 (flags_of)
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def flags_of(ids: int) -> bytes:
+    """One flag byte per id of the mask ``ids``, lowest first, up to its
+    highest id: the selector ``itertools.compress`` takes."""
+    # the binary digits reversed
+    return bin(ids)[:1:-1].encode().translate(_FLAGS)
+
+
+def union_of(masks: Sequence[int], ids: int, start: int = 0) -> int:
+    """``start`` or'ed with ``masks[i]`` for every id i in the mask ``ids``,
+    the loop run in C."""
+    return functools.reduce(operator.or_, itertools.compress(masks, flags_of(ids)), start)
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -127,9 +141,14 @@ class Task:
         # heuristic reads for it and its values memoised by the start state
         # restricted to them (see relevance)
         self._read: dict[int, Optional[tuple[int, dict]]] = {}
+        # per goal of two or more facts in _relevance: what rpg._grow needs to
+        # grow a whole layer at once (see _layering)
+        self._layered: dict[int, tuple[int, int, tuple, tuple]] = {}
+        # (consumers, adds) once built, shared by derived tasks with these ops
+        self._layer_index: list = []
         # per fact below _cone_limit, once asked for: its relevant actions
-        # and facts (see relevance) as masks over ids
-        self._cones: dict[int, tuple[int, int]] = {}
+        # and facts (see relevance) and its near adders, as masks over ids
+        self._cones: dict[int, tuple[int, int, int]] = {}
         self._changed = 0  # the facts some action adds or deletes
         self._append(facts, actions)
         self._cone_limit = len(self.facts)
@@ -145,34 +164,50 @@ class Task:
         """Validate and index further facts and actions, ids continuing.
         Returns whether some new action adds a fact that was there before."""
         facts, actions = tuple(facts), tuple(actions)
-        old = (1 << len(self.facts)) - 1
-        for i, f in enumerate(facts, len(self.facts)):
+        old = len(self.facts)
+        for i, f in enumerate(facts, old):
             if f.id != i:
                 raise PlanningError(f"non-contiguous fact id {f.id} at {i}")
         self.facts += facts
-        universe = (1 << len(self.facts)) - 1
-        adders = list(self.adders) + [()] * len(facts)
-        adder_mask = list(self._adder_mask) + [0] * len(facts)
-        adder_pre = list(self._adder_pre) + [0] * len(facts)
-        added = changed = 0
-        for i, a in enumerate(actions, len(self.actions)):
-            if a.id != i:
-                raise PlanningError(f"non-contiguous action id {a.id} at {i}")
-            if (a.pre | a.add | a.delete) & ~universe:
-                raise PlanningError(f"action {a.name} references unknown facts")
-            added |= a.add
-            changed |= a.add | a.delete
-            for f in bits(a.add):
-                adders[f] += (a.id,)
-                adder_mask[f] |= 1 << a.id
-                adder_pre[f] |= a.pre
+        n = len(self.facts)
+        # per fact the new actions add: their ids, as a mask, and their
+        # preconditions, to be appended to the fact's index entries
+        gained: dict[int, list] = {}
+        ops = []
+        changed = 0
+        for i, (aid, name, pre, add, dele) in enumerate(actions, len(self.actions)):
+            if aid != i:
+                raise PlanningError(f"non-contiguous action id {aid} at {i}")
+            if (pre | add | dele) >> n:
+                raise PlanningError(f"action {name} references unknown facts")
+            ops.append((aid, pre, add, dele))
+            changed |= add | dele
+            while add:
+                low = add & -add
+                add ^= low
+                entry = gained.get(low.bit_length() - 1)
+                if entry is None:
+                    gained[low.bit_length() - 1] = [(i,), 1 << i, pre]
+                else:
+                    entry[0] += (i,)
+                    entry[1] |= 1 << i
+                    entry[2] |= pre
         self.actions += actions
+        self.ops += tuple(ops)
         self._changed |= changed
-        self.adders = tuple(adders)
-        self._adder_mask = tuple(adder_mask)
-        self._adder_pre = tuple(adder_pre)
-        self.ops += tuple((a.id, a.pre, a.add, a.delete) for a in actions)
-        return bool(added & old)
+        if facts:
+            adders, masks, pres = zip(*[gained.pop(f, ((), 0, 0)) for f in range(old, n)])
+            self.adders += adders
+            self._adder_mask += masks
+            self._adder_pre += pres
+        if gained:  # facts that were there gain adders
+            adders, masks, pres = list(self.adders), list(self._adder_mask), list(self._adder_pre)
+            for f, (ids, mask, pre) in gained.items():
+                adders[f] += ids
+                masks[f] |= mask
+                pres[f] |= pre
+            self.adders, self._adder_mask, self._adder_pre = tuple(adders), tuple(masks), tuple(pres)
+        return bool(gained)
 
     def _pose(self, init: int, goal: int, name: str) -> None:
         if (init | goal) >> len(self.facts):
@@ -185,13 +220,21 @@ class Task:
                facts: Sequence[Fact] = (), actions: Sequence[Action] = ()) -> "Task":
         """This task's facts and actions plus ``facts`` and ``actions`` (ids
         continuing), posed from ``init`` to ``goal``.  The same task as the
-        constructor would build, without re-indexing what is shared."""
+        constructor would build, without re-indexing what is shared: a task
+        adding no actions shares the relevance records and the consumer
+        index, built or not yet; one adding actions (a compiled sub-task)
+        starts its own, and shares the relevance cones unless a fact that
+        was there gains an adder."""
         t = Task.__new__(Task)
         t.facts, t.actions, t.adders, t.ops = self.facts, self.actions, self.adders, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
         t._changed = self._changed
-        t._relevance, t._read = ({}, {}) if actions else (self._relevance, self._read)
-        if t._append(facts, actions):
+        if actions:
+            t._relevance, t._read, t._layered, t._layer_index = {}, {}, {}, []
+        else:
+            t._relevance, t._read, t._layered = self._relevance, self._read, self._layered
+            t._layer_index = self._layer_index
+        if (facts or actions) and t._append(facts, actions):
             t._cones, t._cone_limit = {}, len(t.facts)
         else:
             # no fact that was there gains an adder, so none changes its
@@ -242,19 +285,19 @@ class Task:
         add, but then only ends a growth that can no longer reach the goal),
         and extraction reads them.  When actions change other facts too,
         states that agree on the relevant ones share a value, which
-        ``_read`` then memoises for the goal."""
+        ``_read`` then memoises for the goal.  For a goal of two or more
+        facts, ``_layered`` records what whole-layer growth reads: the
+        relevant actions and facts as masks, and the consumer index."""
         if goal not in self._relevance:
             chosen = 0  # relevant actions, as a mask over ids
             read = 0  # relevant facts of the cones
-            cones, limit = self._cones, self._cone_limit
+            limit = self._cone_limit
             facts = frontier = goal
             while frontier:
                 pre = 0
                 for f in bits(frontier):
                     if f < limit:
-                        cone = cones.get(f)
-                        if cone is None:
-                            cone = cones[f] = self._cone(f)
+                        cone = self._cone_of(f)
                         chosen |= cone[0]
                         read |= cone[1]
                     else:
@@ -266,13 +309,11 @@ class Task:
             for f in bits(goal):
                 achieving |= self._adder_mask[f]
             if goal & (goal - 1) == 0 < goal:
-                # the achievers' preconditions, then also those of their adders
-                needs = self._adder_pre[goal.bit_length() - 1]
-                for p in bits(needs):
+                # the adders of the achievers' preconditions, then also those
+                # of the preconditions of those adders
+                for p in bits(self._adder_pre[goal.bit_length() - 1]):
                     feeding |= self._adder_mask[p]
-                    needs |= self._adder_pre[p]
-                for q in bits(needs):
-                    deeper |= self._adder_mask[q]
+                    deeper |= self._cone_of(p)[2]
                 feeding &= chosen & ~achieving
                 deeper &= chosen & ~achieving & ~feeding
             self._relevance[goal] = (
@@ -280,27 +321,63 @@ class Task:
                 self._ops_of(chosen & ~achieving & ~feeding & ~deeper))
             read |= facts
             self._read[goal] = (read, {}) if self._changed & ~read else None
+            if goal & (goal - 1):
+                self._layered[goal] = (chosen, read, *self._layering())
         return self._relevance[goal]
+
+    def _layering(self) -> list:
+        """[consumers, adds]: per fact, the actions with it as a
+        precondition, as a mask over ids; per action, its add list.  Built
+        on first use and shared with derived tasks that add no actions."""
+        index = self._layer_index
+        if not index:
+            consumers = [0] * len(self.facts)
+            for aid, pre, _, _ in self.ops:
+                bit = 1 << aid
+                while pre:
+                    low = pre & -pre
+                    consumers[low.bit_length() - 1] |= bit
+                    pre ^= low
+            index += (tuple(consumers), tuple(map(operator.itemgetter(2), self.ops)))
+        return index
 
     def _ops_of(self, actions: int) -> tuple:
         """The ops of the actions in the mask ``actions``, in ops order."""
-        # one flag byte per id, lowest first: the binary digits reversed
-        return tuple(itertools.compress(self.ops, bin(actions)[:1:-1].encode().translate(_FLAGS)))
+        return tuple(itertools.compress(self.ops, flags_of(actions)))
 
-    def _cone(self, fact: int) -> tuple[int, int]:
-        """The actions relevant to ``fact`` alone and the facts relevant to
-        it (itself and their preconditions), as masks over ids."""
-        adder_mask, adder_pre = self._adder_mask, self._adder_pre
+    def _cone_of(self, fact: int) -> tuple[int, int, int]:
+        """``_cone(fact)``, kept in ``_cones`` if ``fact`` is below
+        ``_cone_limit``."""
+        cone = self._cones.get(fact)
+        if cone is None:
+            cone = self._cone(fact)
+            if fact < self._cone_limit:
+                self._cones[fact] = cone
+        return cone
+
+    def _cone(self, fact: int) -> tuple[int, int, int]:
+        """The actions relevant to ``fact`` alone, the facts relevant to it
+        (itself and their preconditions), and its near adders (its adders and
+        those of their preconditions), as masks over ids."""
+        adder_mask, adder_pre, cones = self._adder_mask, self._adder_pre, self._cones
         facts = frontier = 1 << fact
         chosen = 0
         while frontier:
             pre = 0
             for f in bits(frontier):
-                chosen |= adder_mask[f]
-                pre |= adder_pre[f]
+                cone = cones.get(f)
+                if cone is None:
+                    chosen |= adder_mask[f]
+                    pre |= adder_pre[f]
+                else:  # a cone kept already holds all f leads to
+                    chosen |= cone[0]
+                    facts |= cone[1]
             frontier = pre & ~facts
             facts |= frontier
-        return chosen, facts
+        near = adder_mask[fact]
+        for q in bits(adder_pre[fact]):
+            near |= adder_mask[q]
+        return chosen, facts, near
 
     @property
     def num_facts(self) -> int:

@@ -135,7 +135,7 @@ class LGG:
 
     def leaves(self) -> tuple[int, ...]:
         """Nodes with no incoming edges; empty only on an empty graph."""
-        out = tuple(n for n in self.nodes if not self._in[n])
+        out = tuple(sorted(n for n, into in self._in.items() if not into))
         if not out and len(self):
             raise PlanningError("nonempty graph without leaves: a cycle leaked through")
         return out
@@ -217,7 +217,8 @@ def generate_candidates(task: Task, rpg: RPG, use_level_test: bool = True) -> LG
 # Lookahead
 # ---------------------------------------------------------------------------
 
-def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) -> LGG:
+def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True, *,
+                     in_place: bool = False) -> LGG:
     """Add two-step orders through same-predicate intermediate fact sets.
 
     For a node whose earliest achievers share no precondition, each predicate
@@ -225,10 +226,15 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
     intermediate fact set; a fact required by all earliest achievers of all
     set members is ordered below the node with an ln edge.  New facts are fed
     back through the backchaining loop, and nodes found that way get the same
-    lookahead treatment.
+    lookahead treatment.  With ``in_place``, ``g`` itself is extended and
+    returned.
     """
-    out = g.copy()
+    out = g if in_place else g.copy()
     fact_level = rpg.fact_level
+    by_name: dict[str, int] = {}  # the facts of each predicate, as a mask
+    for f in task.facts:
+        by_name[f.predicate] = by_name.get(f.predicate, 0) | 1 << f.id
+    predicates = sorted(by_name.items())
     pending = deque(sorted(out.nodes))
     queued = set(pending)
     while pending:
@@ -242,23 +248,24 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
         if not achievers:
             continue
         pre_masks = [task.actions[a].pre for a in achievers]
-        by_pred: dict[str, set[int]] = {}
+        needed = 0
         for m in pre_masks:
-            for f in bits(m):
-                by_pred.setdefault(task.facts[f].predicate, set()).add(f)
+            needed |= m
         new_nodes: list[int] = []
-        for pred in sorted(by_pred):
-            members = by_pred[pred]
-            member_mask = mask_of(members)
+        for _, facts in predicates:
+            member_mask = needed & facts
+            if not member_mask:
+                continue
             if not all(m & member_mask for m in pre_masks):
                 continue  # some achiever has no precondition on this predicate
-            if len(members) == 1:
+            if member_mask & (member_mask - 1) == 0:
                 continue  # a plain shared precondition; gn already covers it
+            members = list(bits(member_mask))
             if any(fact_level[f] == 0 for f in members):
                 continue  # disjunction already true initially
             two_step: list[int] = []
             ok = True
-            for f in sorted(members):
+            for f in members:
                 step = rpg.earliest_achievers(f)
                 if not step:
                     ok = False
@@ -290,7 +297,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_landmarks(task: Task, g: LGG) -> LGG:
+def verify_landmarks(task: Task, g: LGG, *, in_place: bool = False) -> LGG:
     """Keep only nodes that are provably landmarks.
 
     Goal and initial facts are landmarks by definition.  Any other node L is
@@ -303,9 +310,10 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
     unreachable.  It is the greatest fixpoint of "an initial fact is always
     reached; any other fact is unreached without L's adders iff each of its
     achievers adds L or needs a fact unreached without them", which is the
-    complement of relaxed reachability, bit by bit.
+    complement of relaxed reachability, bit by bit.  With ``in_place``, ``g``
+    itself is pruned and returned.
     """
-    out = g.copy()
+    out = g if in_place else g.copy()
     trivial = task.init | task.goal
     open_nodes = mask_of(out.nodes) & ~trivial
     unreached = [0 if task.init >> f & 1 else open_nodes for f in range(task.num_facts)]
@@ -322,9 +330,9 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
             if b != blocked[aid]:
                 blocked[aid] = b
                 for p in add_facts:
-                    u = open_nodes
-                    for a in task.adders[p]:
-                        u &= blocked[a]
+                    # blocked sets only shrink, so the AND over p's adders
+                    # takes in b alone
+                    u = unreached[p] & b
                     if u != unreached[p]:
                         unreached[p] = u
                         changed = True

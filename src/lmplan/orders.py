@@ -11,9 +11,10 @@ pairwise marked by induction over its generating action sequence.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
-from .core import PlanningError, Task, bits, mask_of
+from .core import PlanningError, Task, bits, flags_of, mask_of, union_of
 from .landmarks import GN, LN, R, RO, EdgeKind, LGG
 
 
@@ -58,11 +59,9 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     action is monotone, so this order reaches the same least fixpoint as
     repeated sweeps over all actions.
     """
-    touched = 0
-    for _, _, add, dele in task.ops:
-        touched |= add | dele
-    static = task.init & ~touched
-    reached = task.init & ~static
+    universe = (1 << task.num_facts) - 1
+    static = task.init & ~task._changed
+    reached = task.init ^ static
     co = [0] * task.num_facts
     for f in bits(reached):
         co[f] = reached
@@ -72,7 +71,9 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     for i, pre, add, dele in task.ops:
         pre &= ~static
         pre_facts = tuple(bits(pre))
-        acts.append((pre, pre_facts, add, tuple(bits(add)), ~dele))
+        # what survives: the facts it does not delete (kept non-negative, as
+        # all masks here, since bit operations on negative ints cost more)
+        acts.append((pre, pre_facts, add, tuple(bits(add)), universe ^ (universe & dele)))
         for r in pre_facts:
             watch[r] |= 1 << i
         if not pre_facts:
@@ -81,14 +82,11 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     while pending:
         grown = 0  # facts whose co-reachable set grew in this sweep
         first_reached = False
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            pre, pre_facts, add, add_facts, keep = acts[low.bit_length() - 1]
+        for pre, pre_facts, add, add_facts, keep in itertools.compress(acts, flags_of(pending)):
             persist = reached & keep
             for r in pre_facts:
                 c = co[r]
-                if pre & ~c:
+                if pre & c != pre:
                     break  # a precondition is unreached, or some pair still mutex
                 persist &= c
             else:
@@ -96,7 +94,7 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
                 stale = 0  # persisting facts not yet co-reachable with some add
                 for p in add_facts:
                     c = co[p]
-                    grow = with_adds & ~c
+                    grow = (with_adds | c) ^ c
                     if grow:
                         stale |= grow
                         co[p] = c | grow
@@ -108,13 +106,10 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
                     low = stale & -stale
                     co[low.bit_length() - 1] |= add
                     stale ^= low
-                if add & ~reached:
+                if add & reached != add:
                     reached |= add
                     first_reached = True
-        if first_reached:
-            pending = unconditional
-        for q in bits(grown):
-            pending |= watch[q]
+        pending = union_of(watch, grown, unconditional if first_reached else 0)
     for f in bits(reached):
         co[f] |= static
     for s in bits(static):
@@ -222,73 +217,81 @@ def _interference_index(task: Task, table: InconsistencyTable, gn_pred: dict[int
 
 
 def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
-                   path_kinds: tuple[EdgeKind, ...], kind: EdgeKind) -> LGG:
+                   path_kinds: tuple[EdgeKind, ...], kind: EdgeKind, in_place: bool) -> LGG:
     """Add a ``kind`` edge (l, lp) for every interfering pair whose aftermath
     test passes.  The aftermath of a non-goal lp: the nodes L that reach,
     over ``path_kinds`` edges, some Ln != lp whose ``path_kinds`` successor
     is also a strict-gn successor of lp.  For r edges a goal lp is in the
     aftermath of every node, and pairs joined by a gn path of length one or
-    two are skipped; for rO edges goal targets are skipped."""
+    two are skipped; for rO edges goal targets are skipped.  With
+    ``in_place`` the edges go into ``g`` itself, once all of it was read."""
     reasonable = kind is R
-    out = g.copy()
+    out = g if in_place else g.copy()
     goal = task.goal
     gn_succ, gn_pred, pred = _adjacency(g, path_kinds)
     by_fact, by_delete, profile_facts, interferers = _interference_index(task, table, gn_pred)
-    all_nodes = mask_of(g.nodes)
+    # after[x]: the non-goal lp with x in their aftermath, for all lp at once.
+    # x is in lp's aftermath iff it is some Ln != lp (an edge x -> t with a
+    # gn edge lp -> t) or has an edge to a node in lp's aftermath.
+    steps = [(s, d) for s, d, k in g.edges if k in path_kinds]
+    after = dict.fromkeys(g.nodes, 0)
+    for s, d in steps:
+        after[s] |= gn_pred[d] & ~goal & ~(1 << s)
+    changed = True
+    while changed:
+        changed = False
+        for s, d in steps:
+            a = after[s] | after[d]
+            if a != after[s]:
+                after[s] = a
+                changed = True
+    targets = 0  # the non-goal lp with a nonempty aftermath
+    for a in after.values():
+        targets |= a
     for lp in g.nodes:
-        if goal >> lp & 1:
+        bit = 1 << lp
+        if goal & bit:
             if not reasonable:
                 continue
-            sources = all_nodes
-        else:
-            lns = 0
-            for t in bits(gn_succ[lp]):
-                lns |= pred[t]
-            # backward closure of lns, a breadth of nodes at a time
-            sources = frontier = lns & ~(1 << lp)
-            while frontier:
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= pred[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & ~sources
-                sources |= frontier
-        sources &= ~(1 << lp)
-        if reasonable:
-            short = gn_pred[lp]
-            for m in bits(short):
-                short |= gn_pred[m]
-            sources &= ~short
-        if not sources:
+        elif not targets & bit:
             continue
+        excluded = bit
+        if reasonable:
+            excluded |= gn_pred[lp]
+            for m in bits(gn_pred[lp]):
+                excluded |= gn_pred[m]
         hits = interferers.get(lp)
         if hits is None:
             hits = by_delete.get(lp, 0)
             for x in bits(table.mutex_mask(lp) & profile_facts):
                 hits |= by_fact[x]
             interferers[lp] = hits
-        for l in bits(hits & sources):
-            out.add_edge(l, lp, kind)
+        for l in bits(hits & ~excluded):
+            if goal & bit or after[l] & bit:
+                out.add_edge(l, lp, kind)
     return out
 
 
-def add_reasonable_orders(task: Task, g: LGG, table: InconsistencyTable) -> LGG:
+def add_reasonable_orders(task: Task, g: LGG, table: InconsistencyTable, *,
+                          in_place: bool = False) -> LGG:
     """Insert r edges for interfering pairs licensed by the aftermath test.
 
     A goal node is in the aftermath of every other node.  A non-goal node lp
     is in the aftermath of L when L has a (possibly empty) gn/ln path to some
     Ln that shares a strict-gn successor with lp.  Pairs connected by a gn
-    path of length one or two are skipped.
+    path of length one or two are skipped.  With ``in_place``, ``g`` itself
+    gets the edges.
     """
-    return _insert_orders(task, g, table, (GN, LN), R)
+    return _insert_orders(task, g, table, (GN, LN), R, in_place)
 
 
-def add_obedient_orders(task: Task, g: LGG, table: InconsistencyTable) -> LGG:
+def add_obedient_orders(task: Task, g: LGG, table: InconsistencyTable, *,
+                        in_place: bool = False) -> LGG:
     """Insert rO edges: the aftermath test additionally rides the committed r
     edges, goal targets are skipped (already handled), the interference test
-    is unchanged, and new rO edges are not fed back into the conditions."""
-    return _insert_orders(task, g, table, (GN, LN, R), RO)
+    is unchanged, and new rO edges are not fed back into the conditions.
+    With ``in_place``, ``g`` itself gets the edges."""
+    return _insert_orders(task, g, table, (GN, LN, R), RO, in_place)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +358,16 @@ def _cyclic_edges(edges) -> list[tuple[int, int, EdgeKind]]:
     return [e for e in edges if comp[e[0]] == comp[e[1]]]
 
 
-def remove_cycles(g: LGG) -> LGG:
+def remove_cycles(g: LGG, *, in_place: bool = False) -> LGG:
     """Break cycles by dropping rO edges on cycles, then r edges on cycles.
 
     gn/ln edges are never removed; if a cycle survives both phases the input
     violated the level-decreasing property and a CycleError is raised.
     Dropping edges only splits components, so each phase looks only at the
-    edges inside the components left by the one before.
+    edges inside the components left by the one before.  With ``in_place``,
+    ``g`` itself loses the edges.
     """
-    out = g.copy()
+    out = g if in_place else g.copy()
     cyclic = _cyclic_edges(out.edges)
     for kind in (RO, R):
         for e in cyclic:

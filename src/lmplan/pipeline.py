@@ -27,7 +27,8 @@ class PipelineConfig:
 
 def build_landmark_graph(task: Task, config: PipelineConfig = PipelineConfig(),
                          table: Optional[InconsistencyTable] = None) -> LGG:
-    """Candidates, lookahead, verification, order insertion, cycle removal."""
+    """Candidates, lookahead, verification, order insertion, cycle removal;
+    each stage works on the graph the one before made."""
     if task.provably_unsolvable:
         raise PlanningError("goal is relaxed-unreachable; no landmark graph")
     rpg = build_rpg(task, GOALS_FIRST)
@@ -35,13 +36,13 @@ def build_landmark_graph(task: Task, config: PipelineConfig = PipelineConfig(),
         raise PlanningError("goal is relaxed-unreachable; no landmark graph")
     g = generate_candidates(task, rpg, use_level_test=config.level_test)
     if config.lookahead:
-        g = lookahead_extend(task, rpg, g, use_level_test=config.level_test)
-    g = verify_landmarks(task, g)
+        g = lookahead_extend(task, rpg, g, use_level_test=config.level_test, in_place=True)
+    g = verify_landmarks(task, g, in_place=True)
     if config.reasonable or config.obedient:
         if table is None:
             table = compute_mutexes(task)
         if config.reasonable:
-            g = add_reasonable_orders(task, g, table)
+            g = add_reasonable_orders(task, g, table, in_place=True)
         if config.obedient:
-            g = add_obedient_orders(task, g, table)
-    return remove_cycles(g)
+            g = add_obedient_orders(task, g, table, in_place=True)
+    return remove_cycles(g, in_place=True)

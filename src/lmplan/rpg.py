@@ -13,13 +13,20 @@ state, and extraction grows local layers over the goal's relevant actions up
 to the goal, then walks them down once with a single subgoal mask.  Values
 are memoised per goal by the start state restricted to the relevant facts,
 when that restriction can merge states.
+
+A goal of two or more facts (plain search's full goal) grows a whole layer
+at once: the relevant actions that fire are those that no missing fact
+consumes, found with two unions run in C over the task's consumer index
+(``Task._layering``).  A one-fact goal (every control-loop sub-task's) tests
+its ops one at a time instead, nearest adders first, and stops as soon as
+the goal is in sight.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import Action, Task, bits, relaxed_closure
+from .core import Action, Task, bits, relaxed_closure, union_of
 
 GOALS_FIRST = "goals-first"
 FIXPOINT = "fixpoint"
@@ -118,7 +125,7 @@ class RPG:
 
 
 def _grow(layers: list[int], act_layers: list[int], goal: int,
-          goal_waiting, feeding, deeper, waiting) -> bool:
+          goal_waiting, feeding, deeper, waiting, layered=None) -> bool:
     """Append proposition layers to ``layers`` (and each layer's newly
     applicable actions to ``act_layers``) until ``goal`` holds in the last
     one (True) or the fixpoint is hit first (False).  The four op lists
@@ -136,16 +143,40 @@ def _grow(layers: list[int], act_layers: list[int], goal: int,
     goal is reached ahead, the layers looked at become the last ones and the
     rest of this layer is left out: extraction reads from these layers only
     facts whose adders were all tested.  Such partial layers are never grown
-    on."""
+    on.
+
+    With ``layered`` (``Task._layered``: the goal's relevant actions as a
+    mask, its relevant facts, and the task's consumer index and add lists),
+    the op lists are ignored and each layer is computed whole: the waiting
+    relevant actions fire unless some missing relevant fact is one of their
+    preconditions, and the next layer adds all their adds."""
     cur = layers[-1]
     if cur & goal == goal:
         return True
+    if layered is not None:
+        waiting, facts, consumers, adds = layered
+        while True:
+            blocked = union_of(consumers, facts & ~cur)
+            fired = waiting & ~blocked
+            waiting &= blocked
+            nxt = union_of(adds, fired, cur)
+            act_layers.append(fired)
+            if nxt == cur:
+                return False
+            layers.append(nxt)
+            cur = nxt
+            if cur & goal == goal:
+                return True
     while True:
         goal_waiting, fired, nxt = _fire(goal_waiting, cur, 0, cur)
         ahead = ()  # the next layers, when the goal's near adders alone reach it
         if feeding and nxt & goal != goal:
             feeding, fired, nxt = _fire(feeding, cur, fired, nxt)
-            _, f1, n1 = _fire(goal_waiting, nxt, 0, nxt)
+            f1, n1 = 0, nxt  # _fire(goal_waiting, nxt, 0, nxt), no ops left kept
+            for aid, pre, add, _ in goal_waiting:
+                if nxt & pre == pre:
+                    f1 |= 1 << aid
+                    n1 |= add
             if n1 & goal == goal:
                 ahead = ((f1, n1),)
             elif deeper:
@@ -226,7 +257,7 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
             return value
     layers, act_layers = [rpg.start], []
     value = INF
-    if _grow(layers, act_layers, goal, *classes):
+    if _grow(layers, act_layers, goal, *classes, task._layered.get(goal)):
         value = _backchain(task, goal, layers, act_layers)
     if memo is not None:
         memo[1][key] = value

@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "heuristic_evals.py"
-LINE = re.compile(r"(blocksworld-arm|logistics) (gbfs|sub-tasks): (\d+) evaluations, "
+LINE = re.compile(r"(blocksworld-arm 9|logistics 2-3-2-4|logistics 3-3-1-6) (gbfs|sub-tasks): "
+                  r"(\d+) evaluations, "
                   r"values sum (\d+) \((\d+) infinite\), ([0-9.]+) us per evaluation")
 
 
@@ -21,8 +22,9 @@ def test_one_round_reports_each_kind():
     parsed = [LINE.fullmatch(line) for line in done.stdout.strip().splitlines()]
     assert all(parsed), done.stdout
     kinds = [m.group(1, 2) for m in parsed]
-    assert kinds == [("blocksworld-arm", "gbfs"), ("blocksworld-arm", "sub-tasks"),
-                     ("logistics", "gbfs"), ("logistics", "sub-tasks")]
+    assert kinds == [(case, kind) for case in ("blocksworld-arm 9", "logistics 2-3-2-4",
+                                               "logistics 3-3-1-6")
+                     for kind in ("gbfs", "sub-tasks")]
     for m in parsed:
         count, total, infinite, micros = int(m.group(3)), int(m.group(4)), int(m.group(5)), \
             float(m.group(6))

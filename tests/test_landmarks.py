@@ -177,3 +177,19 @@ def test_graph_copy_is_independent(demo_bw):
     h.remove_node(next(iter(h.nodes)))
     assert len(h) == len(g) - 1
     assert g == demo_graph(demo_bw)
+
+
+def test_lookahead_skips_a_predicate_that_some_achiever_does_not_need():
+    # g's achievers need (p o0), (p o1) or (q x); p groups two of them, but
+    # (a-q) needs no p fact, so {(p o0), (p o1)} is no disjunctive landmark
+    # and the m shared by their adders gets no ln edge
+    task = make_task(actions=[
+        ("(make-m)", ["s"], ["m"], []),
+        ("(p0)", ["m"], ["(p o0)"], []), ("(p1)", ["m"], ["(p o1)"], []),
+        ("(qx)", ["m"], ["(q x)"], []),
+        ("(a-p0)", ["(p o0)"], ["g"], []), ("(a-p1)", ["(p o1)"], ["g"], []),
+        ("(a-q)", ["(q x)"], ["g"], []),
+    ], init=["s"], goal=["g"])
+    rpg = build_rpg(task, GOALS_FIRST)
+    g = lookahead_extend(task, rpg, generate_candidates(task, rpg))
+    assert g.nodes == (fid(task, "g"),) and g.edges == ()

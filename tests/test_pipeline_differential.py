@@ -3,15 +3,17 @@
 The references below are the implementations these fast paths replaced,
 kept unchanged: the eagerly built relaxed planning graph and its plan
 extraction, the sweeping pair-reachability fixpoint, one relaxed
-reachability test per candidate landmark, the per-pair interference and
-aftermath tests of r/rO insertion, and cycle removal with one strongly
-connected component pass per edge kind.  Every fast path must give the
+reachability test per candidate landmark, lookahead grouping preconditions
+one fact at a time, the per-pair interference and aftermath tests of r/rO
+insertion, and cycle removal with one strongly connected component pass per
+edge kind.  Every fast path must give the
 same levels, layers, heuristic values, mutex table and graphs.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterable
 
 import pytest
@@ -21,7 +23,18 @@ from lmplan import planners
 from lmplan.bench import generate_task
 from lmplan.control import compile_disjunctive_goal, solve, with_init
 from lmplan.core import Task, bits, make_task, successors
-from lmplan.landmarks import GN, LGG, LN, R, RO, EdgeKind, generate_candidates, lookahead_extend, verify_landmarks
+from lmplan.landmarks import (
+    GN,
+    LGG,
+    LN,
+    R,
+    RO,
+    EdgeKind,
+    _expand_candidates,
+    generate_candidates,
+    lookahead_extend,
+    verify_landmarks,
+)
 from lmplan.orders import (
     CycleError,
     InconsistencyTable,
@@ -33,7 +46,7 @@ from lmplan.orders import (
 )
 from lmplan.pipeline import build_landmark_graph
 from lmplan.planners import gbfs_plan
-from lmplan.rpg import FIXPOINT, GOALS_FIRST, INF, build_rpg, extract_relaxed_plan, relaxed_solvable
+from lmplan.rpg import FIXPOINT, GOALS_FIRST, INF, RPG, build_rpg, extract_relaxed_plan, relaxed_solvable
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +394,63 @@ def reference_verify_landmarks(task: Task, g: LGG) -> LGG:
     return out
 
 
+def reference_lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool) -> LGG:
+    """Lookahead orders, grouping each node's achievers' preconditions by
+    predicate one fact at a time."""
+    out = g.copy()
+    fact_level = rpg.fact_level
+    pending = deque(sorted(out.nodes))
+    queued = set(pending)
+    while pending:
+        lp = pending.popleft()
+        if lp not in out:
+            continue
+        level = fact_level[lp]
+        if level == 0 or level is INF:
+            continue
+        achievers = rpg.earliest_achievers(lp)
+        if not achievers:
+            continue
+        pre_masks = [task.actions[a].pre for a in achievers]
+        by_pred: dict[str, set[int]] = {}
+        for m in pre_masks:
+            for f in bits(m):
+                by_pred.setdefault(task.facts[f].predicate, set()).add(f)
+        new_nodes: list[int] = []
+        for pred in sorted(by_pred):
+            members = by_pred[pred]
+            member_mask = sum(1 << f for f in members)
+            if not all(m & member_mask for m in pre_masks):
+                continue
+            if len(members) == 1 or any(fact_level[f] == 0 for f in members):
+                continue
+            two_step: list[int] = []
+            for f in sorted(members):
+                step = rpg.earliest_achievers(f)
+                if not step:
+                    break
+                two_step.extend(step)
+            else:
+                shared = task.actions[two_step[0]].pre
+                for aid in two_step[1:]:
+                    shared &= task.actions[aid].pre
+                for l in bits(shared):
+                    if fact_level[l] == 0:
+                        continue
+                    if l not in out:
+                        out.add_node(l)
+                        new_nodes.append(l)
+                    if not out.has_edge(l, lp, GN):
+                        out.add_edge(l, lp, LN)
+        if new_nodes:
+            grown = _expand_candidates(task, rpg, out, new_nodes, use_level_test)
+            for n in new_nodes + grown:
+                if n not in queued:
+                    queued.add(n)
+                    pending.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
@@ -397,11 +467,13 @@ GENERATED = generated_tasks()
 
 
 @st.composite
-def random_tasks(draw):
+def random_tasks(draw, shared_predicates=False):
     """Unconstrained random tasks: adds may overlap deletes, goals may be
-    unreachable, facts may be static or never reachable."""
+    unreachable, facts may be static or never reachable.  With
+    ``shared_predicates``, facts come two to a predicate, as lookahead's
+    grouping of preconditions by predicate needs."""
     n = draw(st.integers(2, 7))
-    facts = [f"f{i}" for i in range(n)]
+    facts = [f"(p{i // 2} o{i % 2})" if shared_predicates else f"f{i}" for i in range(n)]
     universe = (1 << n) - 1
     names = lambda m: [facts[i] for i in range(n) if m >> i & 1]
     actions = []
@@ -545,7 +617,9 @@ def _check_pipeline_stages(task):
         return
     for level_test in (True, False):
         g = generate_candidates(task, rpg, use_level_test=level_test)
+        expected = reference_lookahead_extend(task, rpg, g, level_test)
         g = lookahead_extend(task, rpg, g, use_level_test=level_test)
+        _same_graph(g, expected)
         _same_graph(verify_landmarks(task, g), reference_verify_landmarks(task, g))
         g = verify_landmarks(task, g)
         r = add_reasonable_orders(task, g, table)
@@ -558,6 +632,9 @@ def _check_pipeline_stages(task):
                     assert interferes(task, table, g, l, lp) == \
                         reference_interferes(task, table, g, l, lp)
         _check_cycles(ro)
+        if level_test:
+            # the pipeline runs the same stages in place
+            _same_graph(build_landmark_graph(task), remove_cycles(ro))
 
 
 def _check_cycles(g):
@@ -578,6 +655,12 @@ def test_pipeline_stages_match_reference_on_generated_tasks():
 @settings(max_examples=150)
 @given(random_tasks())
 def test_pipeline_stages_match_reference_on_random_tasks(task):
+    _check_pipeline_stages(task)
+
+
+@settings(max_examples=150)
+@given(random_tasks(shared_predicates=True))
+def test_pipeline_stages_match_reference_on_random_tasks_sharing_predicates(task):
     _check_pipeline_stages(task)
 
 

@@ -3,14 +3,14 @@ evaluates.
 
     python3 tools/heuristic_evals.py --rounds 5
 
-Solves blocksworld-arm 9 and logistics 2-3-2-4, seeds 0-2, with gbfs plain
-and as the control loop's base planner (``control.solve`` with landmarks off
+Solves blocksworld-arm 9 and logistics 2-3-2-4 and 3-3-1-6, seeds 0-2, with
+gbfs plain and as the control loop's base planner (``control.solve`` with landmarks off
 and on), and times every heuristic evaluation gbfs makes: from its
 ``planners.build_rpg`` call to the end of its ``planners.extract_relaxed_plan``
 call.  Each round grounds the tasks and solves them again, so whatever an
 evaluation computes once per task and goal is paid for again, as in a run.
-Per kind (domain, and ``gbfs`` plain or ``sub-tasks``: every call of the
-control loop, its final original-goal call included), it prints the
+Per kind (domain and size, and ``gbfs`` plain or ``sub-tasks``: every call
+of the control loop, its final original-goal call included), it prints the
 evaluation count, the sum of the finite values and the count of infinite
 ones (equal across checkouts whose heuristic agrees), and the median over
 the rounds of the microseconds per evaluation.  Runs lmplan from this
@@ -32,7 +32,7 @@ from lmplan.bench import generate_task  # noqa: E402
 from lmplan.control import solve  # noqa: E402
 from lmplan.rpg import INF  # noqa: E402
 
-CASES = (("blocksworld-arm", 9), ("logistics", (2, 3, 2, 4)))
+CASES = (("blocksworld-arm", 9), ("logistics", (2, 3, 2, 4)), ("logistics", (3, 3, 1, 6)))
 SEEDS = range(3)
 
 
@@ -67,6 +67,7 @@ def main(argv: list[str]) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     for domain, size in CASES:
+        label = "-".join(map(str, size)) if isinstance(size, tuple) else str(size)
         for landmarks, kind in ((False, "gbfs"), (True, "sub-tasks")):
             per_eval = []
             for _ in range(args.rounds):
@@ -77,7 +78,7 @@ def main(argv: list[str]) -> int:
                     seconds += s
                 per_eval.append(seconds / len(values) * 1e6)
             finite = [v for v in values if v is not INF]
-            print(f"{domain} {kind}: {len(values)} evaluations, values sum {sum(finite)} "
+            print(f"{domain} {label} {kind}: {len(values)} evaluations, values sum {sum(finite)} "
                   f"({len(values) - len(finite)} infinite), "
                   f"{statistics.median(per_eval):.2f} us per evaluation", flush=True)
     return 0
