@@ -177,21 +177,6 @@ def interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -
 # Reasonable / obedient-reasonable order insertion
 # ---------------------------------------------------------------------------
 
-def _adjacency(g: LGG, kinds: tuple[EdgeKind, ...]) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Successor and predecessor bitmasks of every node over gn edges, and
-    its predecessor bitmask over ``kinds`` edges."""
-    gn_succ = dict.fromkeys(g.nodes, 0)
-    gn_pred = dict(gn_succ)
-    pred = dict(gn_succ)
-    for s, d, k in g.edges:
-        if k is GN:
-            gn_succ[s] |= 1 << d
-            gn_pred[d] |= 1 << s
-        if k in kinds:
-            pred[d] |= 1 << s
-    return gn_succ, gn_pred, pred
-
-
 def _interference_index(task: Task, table: InconsistencyTable, gn_pred: dict[int, int]
                         ) -> tuple[dict[int, int], dict[int, int], int, dict[int, int]]:
     """Interference, indexed by profile fact: l interferes with lp iff lp's
@@ -228,12 +213,17 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
     reasonable = kind is R
     out = g if in_place else g.copy()
     goal = task.goal
-    gn_succ, gn_pred, pred = _adjacency(g, path_kinds)
+    gn_pred = dict.fromkeys(g.nodes, 0)  # per node, its gn predecessors
+    steps = []  # the path_kinds edges
+    for s, d, k in g.edges:
+        if k is GN:
+            gn_pred[d] |= 1 << s
+        if k in path_kinds:
+            steps.append((s, d))
     by_fact, by_delete, profile_facts, interferers = _interference_index(task, table, gn_pred)
     # after[x]: the non-goal lp with x in their aftermath, for all lp at once.
     # x is in lp's aftermath iff it is some Ln != lp (an edge x -> t with a
     # gn edge lp -> t) or has an edge to a node in lp's aftermath.
-    steps = [(s, d) for s, d, k in g.edges if k in path_kinds]
     after = dict.fromkeys(g.nodes, 0)
     for s, d in steps:
         after[s] |= gn_pred[d] & ~goal & ~(1 << s)
