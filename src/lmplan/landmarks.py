@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .core import PlanningError, Task, bits, mask_of
 from .rpg import INF, RPG
@@ -96,6 +96,12 @@ class LGG:
         if self._edge_list is None:
             self._edge_list = tuple(sorted(self._edges))
         return self._edge_list
+
+    @property
+    def edge_set(self) -> AbstractSet[tuple[int, int, EdgeKind]]:
+        """The edges in no set order, without ``edges``' sort: the graph's
+        own set, so read it before changing the graph."""
+        return self._edges
 
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> None:
         if src == dst:
@@ -217,8 +223,7 @@ def generate_candidates(task: Task, rpg: RPG, use_level_test: bool = True) -> LG
 # Lookahead
 # ---------------------------------------------------------------------------
 
-def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True, *,
-                     in_place: bool = False) -> LGG:
+def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) -> LGG:
     """Add two-step orders through same-predicate intermediate fact sets.
 
     For a node whose earliest achievers share no precondition, each predicate
@@ -226,20 +231,18 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True, 
     intermediate fact set; a fact required by all earliest achievers of all
     set members is ordered below the node with an ln edge.  New facts are fed
     back through the backchaining loop, and nodes found that way get the same
-    lookahead treatment.  With ``in_place``, ``g`` itself is extended and
-    returned.
+    lookahead treatment.  ``g`` itself is extended and returned.
     """
-    out = g if in_place else g.copy()
     fact_level = rpg.fact_level
     by_name: dict[str, int] = {}  # the facts of each predicate, as a mask
     for f in task.facts:
         by_name[f.predicate] = by_name.get(f.predicate, 0) | 1 << f.id
     predicates = sorted(by_name.items())
-    pending = deque(sorted(out.nodes))
+    pending = deque(sorted(g.nodes))
     queued = set(pending)
     while pending:
         lp = pending.popleft()
-        if lp not in out:
+        if lp not in g:
             continue
         level = fact_level[lp]
         if level == 0 or level is INF:
@@ -279,25 +282,25 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True, 
             for l in bits(shared):
                 if fact_level[l] == 0:
                     continue
-                if l not in out:
-                    out.add_node(l)
+                if l not in g:
+                    g.add_node(l)
                     new_nodes.append(l)
-                if not out.has_edge(l, lp, GN):
-                    out.add_edge(l, lp, LN)
+                if not g.has_edge(l, lp, GN):
+                    g.add_edge(l, lp, LN)
         if new_nodes:
-            grown = _expand_candidates(task, rpg, out, new_nodes, use_level_test)
+            grown = _expand_candidates(task, rpg, g, new_nodes, use_level_test)
             for n in new_nodes + grown:
                 if n not in queued:
                     queued.add(n)
                     pending.append(n)
-    return out
+    return g
 
 
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_landmarks(task: Task, g: LGG, *, in_place: bool = False) -> LGG:
+def verify_landmarks(task: Task, g: LGG) -> LGG:
     """Keep only nodes that are provably landmarks.
 
     Goal and initial facts are landmarks by definition.  Any other node L is
@@ -310,10 +313,10 @@ def verify_landmarks(task: Task, g: LGG, *, in_place: bool = False) -> LGG:
     unreachable.  It is the greatest fixpoint of "an initial fact is always
     reached; any other fact is unreached without L's adders iff each of its
     achievers adds L or needs a fact unreached without them", which is the
-    complement of relaxed reachability, bit by bit.  With ``in_place``, ``g``
-    itself is pruned and returned.
+    complement of relaxed reachability, bit by bit.  The kept graph is a new
+    one and ``g`` is left as it was, so that a caller can compare the two.
     """
-    out = g if in_place else g.copy()
+    out = g.copy()
     trivial = task.init | task.goal
     open_nodes = mask_of(out.nodes) & ~trivial
     unreached = [0 if task.init >> f & 1 else open_nodes for f in range(task.num_facts)]

@@ -202,20 +202,19 @@ def _interference_index(task: Task, table: InconsistencyTable, gn_pred: dict[int
 
 
 def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
-                   path_kinds: tuple[EdgeKind, ...], kind: EdgeKind, in_place: bool) -> LGG:
+                   path_kinds: tuple[EdgeKind, ...], kind: EdgeKind) -> LGG:
     """Add a ``kind`` edge (l, lp) for every interfering pair whose aftermath
     test passes.  The aftermath of a non-goal lp: the nodes L that reach,
     over ``path_kinds`` edges, some Ln != lp whose ``path_kinds`` successor
     is also a strict-gn successor of lp.  For r edges a goal lp is in the
     aftermath of every node, and pairs joined by a gn path of length one or
-    two are skipped; for rO edges goal targets are skipped.  With
-    ``in_place`` the edges go into ``g`` itself, once all of it was read."""
+    two are skipped; for rO edges goal targets are skipped.  The edges go
+    into ``g`` itself, once all of it was read."""
     reasonable = kind is R
-    out = g if in_place else g.copy()
     goal = task.goal
     gn_pred = dict.fromkeys(g.nodes, 0)  # per node, its gn predecessors
     steps = []  # the path_kinds edges
-    for s, d, k in g.edges:
+    for s, d, k in g.edge_set:
         if k is GN:
             gn_pred[d] |= 1 << s
         if k in path_kinds:
@@ -258,30 +257,28 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
             interferers[lp] = hits
         for l in bits(hits & ~excluded):
             if goal & bit or after[l] & bit:
-                out.add_edge(l, lp, kind)
-    return out
+                g.add_edge(l, lp, kind)
+    return g
 
 
-def add_reasonable_orders(task: Task, g: LGG, table: InconsistencyTable, *,
-                          in_place: bool = False) -> LGG:
+def add_reasonable_orders(task: Task, g: LGG, table: InconsistencyTable) -> LGG:
     """Insert r edges for interfering pairs licensed by the aftermath test.
 
     A goal node is in the aftermath of every other node.  A non-goal node lp
     is in the aftermath of L when L has a (possibly empty) gn/ln path to some
     Ln that shares a strict-gn successor with lp.  Pairs connected by a gn
-    path of length one or two are skipped.  With ``in_place``, ``g`` itself
-    gets the edges.
+    path of length one or two are skipped.  ``g`` itself gets the edges and
+    is returned.
     """
-    return _insert_orders(task, g, table, (GN, LN), R, in_place)
+    return _insert_orders(task, g, table, (GN, LN), R)
 
 
-def add_obedient_orders(task: Task, g: LGG, table: InconsistencyTable, *,
-                        in_place: bool = False) -> LGG:
+def add_obedient_orders(task: Task, g: LGG, table: InconsistencyTable) -> LGG:
     """Insert rO edges: the aftermath test additionally rides the committed r
     edges, goal targets are skipped (already handled), the interference test
     is unchanged, and new rO edges are not fed back into the conditions.
-    With ``in_place``, ``g`` itself gets the edges."""
-    return _insert_orders(task, g, table, (GN, LN, R), RO, in_place)
+    ``g`` itself gets the edges and is returned."""
+    return _insert_orders(task, g, table, (GN, LN, R), RO)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +345,22 @@ def _cyclic_edges(edges) -> list[tuple[int, int, EdgeKind]]:
     return [e for e in edges if comp[e[0]] == comp[e[1]]]
 
 
-def remove_cycles(g: LGG, *, in_place: bool = False) -> LGG:
+def remove_cycles(g: LGG) -> LGG:
     """Break cycles by dropping rO edges on cycles, then r edges on cycles.
 
     gn/ln edges are never removed; if a cycle survives both phases the input
     violated the level-decreasing property and a CycleError is raised.
     Dropping edges only splits components, so each phase looks only at the
-    edges inside the components left by the one before.  With ``in_place``,
-    ``g`` itself loses the edges.
+    edges inside the components left by the one before.  The result is a new
+    graph and ``g`` is left as it was, so that a caller can compare the two.
     """
-    out = g if in_place else g.copy()
-    cyclic = _cyclic_edges(out.edges)
+    out = g.copy()
+    cyclic = _cyclic_edges(g.edge_set)
     for kind in (RO, R):
         for e in cyclic:
             if e[2] is kind:
                 out.remove_edge(*e)
         cyclic = _cyclic_edges([e for e in cyclic if e[2] is not kind])
     if cyclic:
-        raise CycleError(f"cycles remain after removal: {cyclic}")
+        raise CycleError(f"cycles remain after removal: {sorted(cyclic)}")
     return out

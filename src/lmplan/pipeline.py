@@ -27,8 +27,7 @@ class PipelineConfig:
 
 def build_landmark_graph(task: Task, config: PipelineConfig = PipelineConfig(),
                          table: Optional[InconsistencyTable] = None) -> LGG:
-    """Candidates, lookahead, verification, order insertion, cycle removal;
-    each stage works on the graph the one before made."""
+    """Candidates, lookahead, verification, order insertion, cycle removal."""
     if task.provably_unsolvable:
         raise PlanningError("goal is relaxed-unreachable; no landmark graph")
     rpg = build_rpg(task, GOALS_FIRST)
@@ -36,13 +35,13 @@ def build_landmark_graph(task: Task, config: PipelineConfig = PipelineConfig(),
         raise PlanningError("goal is relaxed-unreachable; no landmark graph")
     g = generate_candidates(task, rpg, use_level_test=config.level_test)
     if config.lookahead:
-        g = lookahead_extend(task, rpg, g, use_level_test=config.level_test, in_place=True)
-    g = verify_landmarks(task, g, in_place=True)
+        g = lookahead_extend(task, rpg, g, use_level_test=config.level_test)
+    g = verify_landmarks(task, g)
     if config.reasonable or config.obedient:
         if table is None:
             table = compute_mutexes(task)
         if config.reasonable:
-            g = add_reasonable_orders(task, g, table, in_place=True)
+            g = add_reasonable_orders(task, g, table)
         if config.obedient:
-            g = add_obedient_orders(task, g, table, in_place=True)
-    return remove_cycles(g, in_place=True)
+            g = add_obedient_orders(task, g, table)
+    return remove_cycles(g)

@@ -50,8 +50,7 @@ class RPG:
     and leaves the graph as it was.
     """
 
-    __slots__ = ("task", "mode", "start", "_prop_layers", "_act_layers", "_goal_reached",
-                 "_fact_level", "_action_view")
+    __slots__ = ("task", "mode", "start", "_prop_layers", "_act_layers", "_goal_reached", "_view")
 
     def __init__(self, task: Task, state: int, mode: str):
         if mode not in (GOALS_FIRST, FIXPOINT):
@@ -60,39 +59,27 @@ class RPG:
         self.mode = mode
         self.start = state
         self._prop_layers: Optional[list[int]] = None
-        self._fact_level = self._action_view = None
+        self._view = None
         if mode == GOALS_FIRST:
             self._prop_layers, self._act_layers = [state], []
             self._goal_reached = _grow(self._prop_layers, self._act_layers, task.goal,
                                        (), (), (), task.ops)
 
-    @property
-    def prop_layers(self) -> list[int]:
-        """The finished graph's layers: the fixpoint for a fixpoint-mode graph."""
+    def _observed(self) -> tuple[list, list, list[int]]:
+        """(fact_level, action_level, action_layers) of the finished graph:
+        the fixpoint for a fixpoint-mode graph."""
         if self._prop_layers is None:
             # _act_layers ends with the actions first applicable in the last
             # layer, which add nothing new; no finite layer holds all of -1
             self._prop_layers, self._act_layers = [self.start], []
             _grow(self._prop_layers, self._act_layers, -1, (), (), (), self.task.ops)
-        return self._prop_layers
-
-    @property
-    def fact_level(self) -> list:
-        if self._fact_level is None:
+        if self._view is None:
             fact_level: list = [INF] * self.task.num_facts
             below = 0
-            for level, layer in enumerate(self.prop_layers):
+            for level, layer in enumerate(self._prop_layers):
                 for f in bits(layer & ~below):
                     fact_level[f] = level
                 below = layer
-            self._fact_level = fact_level
-        return self._fact_level
-
-    def _actions(self) -> tuple[list, list[int]]:
-        """(action_level, action_layers), built on first read: the landmark
-        pipeline reads only fact levels."""
-        if self._action_view is None:
-            layers = self.prop_layers
             action_level: list = [INF] * len(self.task.actions)
             # action layer i: every action applicable in proposition layer i
             action_layers, acc = [], 0
@@ -101,11 +88,17 @@ class RPG:
                     action_level[a] = level
                 acc |= fired
                 action_layers.append(acc)
-            self._action_view = (action_level, action_layers[:len(layers) - 1])
-        return self._action_view
+            self._view = (fact_level, action_level, action_layers[:len(self._prop_layers) - 1])
+        return self._view
 
-    action_level = property(lambda self: self._actions()[0])
-    action_layers = property(lambda self: self._actions()[1])
+    fact_level = property(lambda self: self._observed()[0])
+    action_level = property(lambda self: self._observed()[1])
+    action_layers = property(lambda self: self._observed()[2])
+
+    @property
+    def prop_layers(self) -> list[int]:
+        self._observed()
+        return self._prop_layers
 
     @property
     def goal_reached(self) -> bool:
@@ -125,7 +118,7 @@ class RPG:
 
     def earliest_achievers(self, fact_id: int) -> list[int]:
         """Action ids adding ``fact_id`` at the layer right below its level."""
-        level = self.fact_level[fact_id]
+        level = self._observed()[0][fact_id]
         if level is INF or level == 0:
             return []
         return list(bits(self.task._adder_mask[fact_id] & self._act_layers[level - 1]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from lmplan.bench import generate_task
 from lmplan.control import _compile, compile_disjunctive_goal, with_init
 from lmplan.core import Action, Fact, bits
 from lmplan.rpg import FIXPOINT, INF, build_rpg, extract_relaxed_plan
@@ -131,8 +132,8 @@ def test_derived_tasks_do_not_read_their_parents_index():
 
 
 def test_a_child_derived_before_the_index_is_built_shares_it():
-    task = GENERATED[-1]
-    task._layer_index.clear()  # as if no full-goal evaluation had run yet
+    task = generate_task("logistics", (2, 2, 1, 2), 1)  # no evaluation has run on it
+    assert not task._layer_index
     child = with_init(task, _reachable_states(task, 3)[-1])
     check(child, child.init, child.goal)
     assert task._layering() is child._layering()

@@ -1,6 +1,6 @@
 import pytest
 
-from lmplan.landmarks import GN, LN, R, RO, LGG, generate_candidates, verify_landmarks
+from lmplan.landmarks import GN, LN, R, RO, LGG, generate_candidates, lookahead_extend, verify_landmarks
 from lmplan.orders import (
     CycleError,
     add_obedient_orders,
@@ -103,16 +103,15 @@ def test_short_gn_path_suppresses_redundant_edge(demo_bw):
 def test_reasonable_orders_only_add_edges(demo_bw):
     m = compute_mutexes(demo_bw)
     base = verified_graph(demo_bw)
-    g = add_reasonable_orders(demo_bw, base, m)
+    g = add_reasonable_orders(demo_bw, base.copy(), m)
     assert set(base.edges) <= set(g.edges)
     assert set(base.nodes) == set(g.nodes)
 
 
 def test_empty_graph_passes_through(demo_bw):
     m = compute_mutexes(demo_bw)
-    g = LGG()
-    assert add_reasonable_orders(demo_bw, g, m) == g
-    assert add_obedient_orders(demo_bw, g, m) == g
+    assert add_reasonable_orders(demo_bw, LGG(), m) == LGG()
+    assert add_obedient_orders(demo_bw, LGG(), m) == LGG()
 
 
 THREE_TOWER_PROBLEM = """\
@@ -173,7 +172,7 @@ def test_obedient_pass_skips_goal_targets(obedient_witness):
 def test_obedient_unchanged_without_material(demo_bw):
     m = compute_mutexes(demo_bw)
     base = verified_graph(demo_bw)
-    g = add_obedient_orders(demo_bw, base, m)
+    g = add_obedient_orders(demo_bw, base.copy(), m)
     assert set(base.edges) <= set(g.edges)
 
 
@@ -209,6 +208,24 @@ def test_remove_cycles_faults_on_gn_cycle():
     g = _graph([(0, 1, GN), (1, 0, GN)])
     with pytest.raises(CycleError):
         remove_cycles(g)
+
+
+def test_adding_stages_extend_their_input_and_removing_stages_copy(two_planes):
+    # the traced benchmark run counts verification's candidates and cycle
+    # removal's dropped edges from their inputs after the call
+    t = two_planes
+    rpg = build_rpg(t, GOALS_FIRST)
+    m = compute_mutexes(t)
+    g = generate_candidates(t, rpg)
+    assert lookahead_extend(t, rpg, g) is g
+    before = g.copy()
+    v = verify_landmarks(t, g)
+    assert v is not g and g == before
+    assert add_reasonable_orders(t, v, m) is v
+    assert add_obedient_orders(t, v, m) is v
+    cyclic = _graph([(0, 1, GN), (1, 2, R), (2, 1, RO)])
+    before = cyclic.copy()
+    assert remove_cycles(cyclic) != cyclic and cyclic == before
 
 
 def test_full_pipeline_is_deterministic(two_planes, demo_bw):
