@@ -38,8 +38,7 @@ The closure of the initial state that never enters a given fact (0 for the
 whole space) is kept per task and fact: the landmark, greedy-necessary and
 reasonable deciders search it for the fact tested, the order's target and
 the order's source, as do ``task_solvable`` and ``oracle_inconsistent``
-without a space.  Callers must not change the mapping they get.  Beside a
-kept closure for lp, ``first_achiever_pre_mask`` keeps its answer, one int.
+without a space.  Callers must not change the mapping they get.
 
 Table and closures live as long as their task (a derived task keeps its
 own, even with its parent's ops) and hold at most ``MEMO_BUDGET`` entries: a
@@ -93,14 +92,12 @@ class StateSpace:
 class _TaskMemo:
     """What the oracles keep about one task (see the module docstring)."""
 
-    __slots__ = ("ops", "closures", "pre_masks", "table", "stored")
+    __slots__ = ("ops", "closures", "table", "stored")
 
     def __init__(self, ops: Sequence[tuple[int, int, int, int]]):
         self.ops = ops
         # per forbidden bit, the complete closure of the initial state
         self.closures: dict[int, dict[int, bool]] = {}
-        # per forbidden bit with a kept closure: first_achiever_pre_mask
-        self.pre_masks: dict[int, int] = {}
         self.table: dict[int, Successors] = {}
         self.stored = 0  # entries kept, counted against MEMO_BUDGET
 
@@ -237,18 +234,13 @@ def first_achiever_pre_mask(task: Task, lp: int, cap: int = DEFAULT_STATE_CAP) -
 
     All-ones when lp can never be newly achieved (vacuous case)."""
     lpbit = 1 << lp
+    universe = (1 << task.num_facts) - 1
     if task.init & lpbit:
         raise PlanningError("fact is initially true; no first achievement")
-    seen = _init_closure(task, cap, lpbit)  # the cap is checked on every call
-    memo = _memo(task)
-    acc = memo.pre_masks.get(lpbit)
-    if acc is None:
-        acc = (1 << task.num_facts) - 1
-        for s, exits in seen.items():
-            if exits:
-                acc &= s
-        if memo.closures.get(lpbit) is seen:
-            memo.pre_masks[lpbit] = acc
+    acc = universe
+    for s, exits in _init_closure(task, cap, lpbit).items():
+        if exits:
+            acc &= s
     return acc
 
 

@@ -19,7 +19,10 @@ at once: the relevant actions that fire are those that no missing fact
 consumes, found with two unions run in C over the task's consumer index
 (``Task._layering``).  A one-fact goal (every control-loop sub-task's) tests
 its ops one at a time instead, nearest adders first, and stops as soon as
-the goal is in sight.
+the goal is in sight.  A task derived without new actions (``with_init``,
+the control loop's final call) reads its parent's consumer index and
+relevance records; a compiled sub-task, which adds actions, builds its own
+index and relevance records and reads its parent's relevance cones.
 """
 
 from __future__ import annotations

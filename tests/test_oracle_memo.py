@@ -8,9 +8,8 @@ a shuffled order, twice, with caps around each closure's size; each answer,
 or ``CapExceeded``, must be the answer of a freshly built task and of the
 memo-free references in ``test_single_pass`` and ``test_kernel``.  The memo
 dies with its task, derived tasks keep their own, the memo keeps no more
-entries than its budget and answers do not depend on the budget, over any
-sequence of queries a reachable state's successors are generated once, and a
-repeated first-achiever query makes no second pass over its kept closure.
+entries than its budget and answers do not depend on the budget, and over
+any sequence of queries a reachable state's successors are generated once.
 """
 
 import gc
@@ -309,49 +308,6 @@ def test_repeated_queries_generate_no_successors(variant, expansions):
     assert enumerate_states(task) == reference_enumerate_states(task)
     assert count_solutions_of_length(task, 4) == reference_count_solutions_of_length(task, 4)
     assert expansions == whole
-
-
-class CountingClosure(dict):
-    """A kept closure that counts the passes over its states."""
-
-    passes = 0
-
-    def items(self):
-        CountingClosure.passes += 1
-        return super().items()
-
-
-@pytest.mark.parametrize("variant", ["arm", "no-arm"])
-def test_repeated_first_achiever_query_makes_no_second_pass(variant):
-    task = ground_files(DOMAINS[variant], gen_blocksworld(3, variant, 0))
-    memo = oracles._memo(task)
-    for lp in range(task.num_facts):
-        if task.init >> lp & 1:
-            continue
-        first = first_achiever_pre_mask(task, lp)
-        assert first == reference_first_achiever_pre_mask(task, lp)
-        # the closure without lp is kept, and its mask beside it: count the
-        # passes any later query makes over the closure
-        kept = memo.closures[1 << lp] = CountingClosure(memo.closures[1 << lp])
-        CountingClosure.passes = 0
-        assert first_achiever_pre_mask(task, lp) == first
-        for l in range(task.num_facts):
-            assert oracle_gn(task, l, lp) == reference_gn(task, l, lp, DEFAULT_STATE_CAP)
-        assert CountingClosure.passes == 0, lp
-        # the cap contract holds for the kept answer too
-        assert outcome(first_achiever_pre_mask, task, lp, len(kept)) == first
-        if len(kept) > 1:
-            assert outcome(first_achiever_pre_mask, task, lp, len(kept) - 1) is CapExceeded
-
-
-def test_first_achiever_masks_are_kept_only_beside_kept_closures(monkeypatch):
-    monkeypatch.setattr(oracles, "MEMO_BUDGET", 0)
-    task = ground_files(DOMAINS["no-arm"], gen_blocksworld(3, "no-arm", 0))
-    for lp in range(task.num_facts):
-        if not task.init >> lp & 1:
-            assert first_achiever_pre_mask(task, lp) == reference_first_achiever_pre_mask(task, lp)
-    memo = oracles._MEMOS[task]
-    assert not memo.closures and not memo.pre_masks
 
 
 @pytest.mark.parametrize("variant", ["arm", "no-arm"])
