@@ -54,7 +54,7 @@ from .oracles import (
 from .pddl import ParseError, ground, ground_files, parse_domain, parse_problem
 from .pipeline import PipelineConfig, build_landmark_graph
 from .planners import Outcome, PlannerResult, SearchLimits, bfs_plan, gbfs_plan
-from .rpg import FIXPOINT, GOALS_FIRST, INF, RPG, build_rpg, extract_relaxed_plan, relaxed_solvable
+from .rpg import FIXPOINT, GOALS_FIRST, INF, RPG, build_rpg, extract_relaxed_plan
 from .control import (
     ControlConfig,
     ControlOutcome,

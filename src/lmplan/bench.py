@@ -161,7 +161,9 @@ def export_lgg(task: Task, g: LGG, fmt: str = "dot") -> str:
         lines = ["digraph landmarks {"]
         for n in g.nodes:
             shape = "doublecircle" if task.goal >> n & 1 else "ellipse"
-            lines.append(f'  n{n} [label="{task.facts[n].name}", shape={shape}];')
+            # the reader keeps " and \ inside symbols
+            label = task.facts[n].name.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{n} [label="{label}", shape={shape}];')
         for s, d, k in g.edges:
             lines.append(f'  n{s} -> n{d} [label="{k.value}", {_DOT_STYLE[k]}];')
         lines.append("}")

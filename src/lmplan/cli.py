@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 solved/ok, 1 unsolved or property-false, 2 usage error.
-LMPLAN_TIME_LIMIT overrides the default per-search time limit in seconds.
+LMPLAN_TIME_LIMIT overrides the default per-search time limit in seconds;
+only plan and bench read it, when --time-limit is not given.
 Search limits must be positive finite numbers; sizes, counts and state caps
 positive integers; bench configs must name known planners.
 """
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", choices=["on", "off"], default="on")
     p.add_argument("--mode", choices=["disj", "conjdisj", "dnf"], default="disj")
     p.add_argument("--safety-net", action="store_true")
-    p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
+    p.add_argument("--time-limit", type=_seconds)
     p.add_argument("--node-limit", type=_count, default=1_000_000)
     p.set_defaults(func=cmd_plan)
 
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_count, default=10)
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--configs", type=_configs, default="bfs,bfs+L")
-    p.add_argument("--time-limit", type=_seconds, default=_default_time_limit())
+    p.add_argument("--time-limit", type=_seconds)
     p.add_argument("--node-limit", type=_count, default=1_000_000)
     p.add_argument("--workers", type=_count, default=1,
                    help="parallel worker processes (default sequential)")
@@ -277,6 +278,8 @@ def main(argv=None) -> int:
             ap.error(f"{args.property} takes {need} fact argument(s)")
     elif args.command == "bench":
         _check_size_arity(ap, args)
+    if args.command in ("plan", "bench") and args.time_limit is None:
+        args.time_limit = _default_time_limit()
     try:
         return args.func(args)
     except (PlanningError, OSError) as exc:

@@ -218,7 +218,9 @@ def solve(task: Task, planner: BasePlanner, landmarks: bool,
     if deadline is not None:
         planner = _until(planner, deadline)
     if landmarks:
-        result = run_control(task, build_landmark_graph(task), planner, config)
+        # one mutex table for the r/rO orders and a dnf-mode loop
+        table = compute_mutexes(task)
+        result = run_control(task, build_landmark_graph(task, table=table), planner, config, table)
     else:
         result = planner(task, config.limits)
     if not result.solved:

@@ -3,6 +3,10 @@
 States and fact sets are plain Python ints used as bitmasks over a task's
 fact universe, so membership, union, and difference are single big-int
 operations.  All types are immutable after construction and safe to share.
+A task derived from another (``Task.derive``) may add facts and actions,
+but its new actions add only new facts.  ``relaxed_closure`` is the
+grounder's delete-free reachability fixpoint; the layered one is
+``rpg._grow``.
 """
 
 from __future__ import annotations
@@ -160,9 +164,10 @@ class Task:
         self._pruned = pruned_actions if callable(pruned_actions) else "\n".join(pruned_actions)
         self.provably_unsolvable = provably_unsolvable
 
-    def _append(self, facts: Sequence[Fact], actions: Sequence[Action]) -> bool:
-        """Validate and index further facts and actions, ids continuing.
-        Returns whether some new action adds a fact that was there before."""
+    def _append(self, facts: Sequence[Fact], actions: Sequence[Action]) -> None:
+        """Validate and index further facts and actions, ids continuing.  A
+        new action may add only new facts: no fact that was there gains an
+        adder, so its index entries and relevance cone stay as they are."""
         facts, actions = tuple(facts), tuple(actions)
         old = len(self.facts)
         for i, f in enumerate(facts, old):
@@ -170,8 +175,8 @@ class Task:
                 raise PlanningError(f"non-contiguous fact id {f.id} at {i}")
         self.facts += facts
         n = len(self.facts)
-        # per fact the new actions add: their ids, as a mask, and their
-        # preconditions, to be appended to the fact's index entries
+        # per new fact the new actions add: their ids, as a mask, and their
+        # preconditions
         gained: dict[int, list] = {}
         ops = []
         changed = 0
@@ -180,6 +185,8 @@ class Task:
                 raise PlanningError(f"non-contiguous action id {aid} at {i}")
             if (pre | add | dele) >> n:
                 raise PlanningError(f"action {name} references unknown facts")
+            if add & ((1 << old) - 1):
+                raise PlanningError(f"action {name} adds a fact of the task it extends")
             ops.append((aid, pre, add, dele))
             changed |= add | dele
             while add:
@@ -196,18 +203,10 @@ class Task:
         self.ops += tuple(ops)
         self._changed |= changed
         if facts:
-            adders, masks, pres = zip(*[gained.pop(f, ((), 0, 0)) for f in range(old, n)])
+            adders, masks, pres = zip(*[gained.get(f, ((), 0, 0)) for f in range(old, n)])
             self.adders += adders
             self._adder_mask += masks
             self._adder_pre += pres
-        if gained:  # facts that were there gain adders
-            adders, masks, pres = list(self.adders), list(self._adder_mask), list(self._adder_pre)
-            for f, (ids, mask, pre) in gained.items():
-                adders[f] += ids
-                masks[f] |= mask
-                pres[f] |= pre
-            self.adders, self._adder_mask, self._adder_pre = tuple(adders), tuple(masks), tuple(pres)
-        return bool(gained)
 
     def _pose(self, init: int, goal: int, name: str) -> None:
         if (init | goal) >> len(self.facts):
@@ -223,8 +222,9 @@ class Task:
         constructor would build, without re-indexing what is shared: a task
         adding no actions shares the relevance records and the consumer
         index, built or not yet; one adding actions (a compiled sub-task)
-        starts its own, and shares the relevance cones unless a fact that
-        was there gains an adder."""
+        starts its own.  Both share the relevance cones, since a new action
+        may add only new facts (PlanningError otherwise); a new fact's cone
+        is not shared (a sibling's differs)."""
         t = Task.__new__(Task)
         t.facts, t.actions, t.adders, t.ops = self.facts, self.actions, self.adders, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
@@ -234,12 +234,9 @@ class Task:
         else:
             t._relevance, t._read, t._layered = self._relevance, self._read, self._layered
             t._layer_index = self._layer_index
-        if (facts or actions) and t._append(facts, actions):
-            t._cones, t._cone_limit = {}, len(t.facts)
-        else:
-            # no fact that was there gains an adder, so none changes its
-            # cone; a new fact's cone is not shared (a sibling's differs)
-            t._cones, t._cone_limit = self._cones, self._cone_limit
+        if facts or actions:
+            t._append(facts, actions)
+        t._cones, t._cone_limit = self._cones, self._cone_limit
         t._pose(init, goal, name)
         t._pruned = ""
         t.provably_unsolvable = False
@@ -489,7 +486,8 @@ def successors(ops: Iterable[tuple[int, int, int, int]],
 def relaxed_closure(pairs: Iterable[tuple[int, int]], state: int) -> int:
     """The facts reachable from ``state`` when deletes are ignored: the
     least superset of ``state`` holding ``add`` for every (pre, add) pair
-    whose ``pre`` it holds."""
+    whose ``pre`` it holds.  The grounder prunes the actions whose
+    preconditions it does not hold."""
     waiting = list(pairs)
     while True:
         before = state

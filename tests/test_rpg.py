@@ -1,16 +1,16 @@
 import pytest
 
-from lmplan.core import make_task
+from lmplan.core import bits, make_task, relaxed_closure
 from lmplan.rpg import (
     FIXPOINT,
     GOALS_FIRST,
     INF,
     build_rpg,
     extract_relaxed_plan,
-    relaxed_solvable,
 )
 
 from conftest import fid
+from test_pipeline_differential import ReferenceRPG
 
 
 def test_demo_levels_match_hand_built_graph(demo_bw):
@@ -25,13 +25,19 @@ def test_demo_levels_match_hand_built_graph(demo_bw):
 
 def test_demo_first_layers_are_exact(demo_bw):
     rpg = build_rpg(demo_bw, GOALS_FIRST)
-    assert rpg.prop_layers[0] == demo_bw.init
+    ref = ReferenceRPG(demo_bw, demo_bw.init, GOALS_FIRST)
+    assert rpg.start == ref.prop_layers[0] == demo_bw.init
     first_actions = {demo_bw.actions[a].name
                      for a in range(len(demo_bw.actions))
-                     if rpg.action_level[a] == 0}
+                     if ref.action_level[a] == 0}
     assert first_actions == {"(pick-up a)", "(pick-up b)", "(unstack d c)"}
-    new_facts = {f.name for f in demo_bw.facts_in(rpg.prop_layers[1] & ~rpg.prop_layers[0])}
+    new_facts = {f.name for f in demo_bw.facts_in(ref.prop_layers[1] & ~ref.prop_layers[0])}
     assert new_facts == {"(holding a)", "(holding b)", "(holding d)", "(clear c)"}
+    # the graph's level-1 facts are those, and their earliest achievers the
+    # actions of layer 0
+    assert {f.name for f in demo_bw.facts if rpg.fact_level[f.id] == 1} == new_facts
+    assert {demo_bw.actions[a].name for f in demo_bw.facts if rpg.fact_level[f.id] == 1
+            for a in rpg.earliest_achievers(f.id)} == first_actions
     # the third layer is the first to hold stacked-on facts
     assert rpg.fact_level[fid(demo_bw, "(on b a)")] == 2
     assert rpg.fact_level[fid(demo_bw, "(on b c)")] == 2
@@ -45,42 +51,63 @@ def test_goal_in_init_gives_single_layer():
 
 def test_goals_first_stops_before_long_route(roadmap):
     rpg = build_rpg(roadmap, GOALS_FIRST)
-    assert rpg.action_level[roadmap.action_named("(move-c-d)").id] is INF
-    assert rpg.action_level[roadmap.action_named("(move-e-d)").id] == 1
-    full = build_rpg(roadmap, FIXPOINT)
-    assert full.action_level[roadmap.action_named("(move-c-d)").id] == 2
+    at_d = fid(roadmap, "(at d)")
+    move_c_d = roadmap.action_named("(move-c-d)").id
+    move_e_d = roadmap.action_named("(move-e-d)").id
+    # (at d) appears in layer 2, added by (move-e-d) from layer 1
+    assert rpg.top_layer == 2 and rpg.fact_level[at_d] == 2
+    assert rpg.earliest_achievers(at_d) == [move_e_d]
+    ref = ReferenceRPG(roadmap, roadmap.init, GOALS_FIRST)
+    assert ref.action_level[move_c_d] is INF
+    assert ref.action_level[move_e_d] == 1
+    full = ReferenceRPG(roadmap, roadmap.init, FIXPOINT)
+    assert full.action_level[move_c_d] == 2
 
 
 def test_layers_are_monotone_and_level_consistent(demo_bw, two_planes):
     for task in (demo_bw, two_planes):
-        rpg = build_rpg(task, FIXPOINT)
-        for lo, hi in zip(rpg.prop_layers, rpg.prop_layers[1:]):
+        full = ReferenceRPG(task, task.init, FIXPOINT)
+        for lo, hi in zip(full.prop_layers, full.prop_layers[1:]):
             assert lo & hi == lo
-        for lo, hi in zip(rpg.action_layers, rpg.action_layers[1:]):
+        for lo, hi in zip(full.action_layers, full.action_layers[1:]):
             assert lo & hi == lo
-        for a in task.actions:
-            lvl = rpg.action_level[a.id]
-            if lvl is not INF:
-                # every precondition is available at the action's layer
-                assert all(rpg.fact_level[f] <= lvl
-                           for f in range(task.num_facts) if a.pre >> f & 1)
+        rpg = build_rpg(task, GOALS_FIRST)
+        level = rpg.fact_level
+        for f in range(task.num_facts):
+            if level[f] is INF or level[f] == 0:
+                assert rpg.earliest_achievers(f) == []
+                continue
+            achievers = rpg.earliest_achievers(f)
+            assert achievers
+            for a in achievers:
+                # first applicable one layer below the fact: every
+                # precondition is there, and one arrived just then
+                pre_levels = [level[p] for p in bits(task.actions[a].pre)]
+                assert max(pre_levels, default=0) == level[f] - 1
 
+
+# Delete-free reachability by the grounder's fixpoint, over (pre, add) pairs
 
 def test_relaxed_solvable_survives_achiever_removal(roadmap):
     at_e = 1 << fid(roadmap, "(at e)")
-    acts = [a for a in roadmap.actions if not a.add & at_e]
-    assert relaxed_solvable(acts, roadmap.init, roadmap.goal)
+    pairs = [(a.pre, a.add) for a in roadmap.actions if not a.add & at_e]
+    assert relaxed_closure(pairs, roadmap.init) == \
+        roadmap.mask(["(at a)", "(at b)", "(at c)", "(at d)"])
 
 
 def test_relaxed_solvable_trivial_when_goal_initial(roadmap):
-    assert relaxed_solvable([], roadmap.init, roadmap.init)
+    assert relaxed_closure([], roadmap.init) == roadmap.init
 
 
 def test_relaxed_unsolvable_without_key_achievers(demo_bw):
     holding_c = 1 << fid(demo_bw, "(holding c)")
-    acts = [a for a in demo_bw.actions if not a.add & holding_c]
-    goal = demo_bw.mask(["(on c a)"])
-    assert not relaxed_solvable(acts, demo_bw.init, goal)
+    pairs = [(a.pre, a.add) for a in demo_bw.actions if not a.add & holding_c]
+    reached = relaxed_closure(pairs, demo_bw.init)
+    assert not reached & holding_c
+    assert not reached >> fid(demo_bw, "(on c a)") & 1
+    # with them, the goal is reached
+    everything = [(a.pre, a.add) for a in demo_bw.actions]
+    assert relaxed_closure(everything, demo_bw.init) & demo_bw.goal == demo_bw.goal
 
 
 def test_extract_zero_when_goal_holds(demo_bw):
@@ -106,7 +133,7 @@ def test_extract_takes_the_lowest_id_achiever_of_a_layer():
         ("(g-from-x)", ["x"], ["g"], []),
     ], init=["s"], goal=["g"])
     g = fid(t, "g")
-    assert build_rpg(t, FIXPOINT).earliest_achievers(g) == [3, 4]
+    assert build_rpg(t, GOALS_FIRST).earliest_achievers(g) == [3, 4]
     # a one-fact goal (grown with the achievers' feeders first) and a
     # two-fact one
     for goal in (t.goal, t.goal | t.init):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from lmplan import bench
+from lmplan import bench, control, orders, pipeline
 from lmplan.bench import generate_task, run_config_detail
 from lmplan.control import ControlConfig, run_control, solve
 from lmplan.core import PlanningError
@@ -104,3 +104,23 @@ def test_bench_records_an_invalid_plan_as_an_error(monkeypatch):
     outcome, _, length, detail = run_config_detail(task, "bfs", 30)
     assert (outcome, length, detail) == \
         ("error", None, "PlanningError: planner returned an invalid plan")
+
+
+@pytest.mark.parametrize("mode", ["disj", "conjdisj", "dnf"])
+def test_solve_computes_the_mutex_table_once(mode, monkeypatch):
+    calls = []
+
+    def counted(task):
+        calls.append(task)
+        return orders.compute_mutexes(task)
+
+    cfg = ControlConfig(mode=mode)
+    for seed in range(2):
+        task = generate_task("logistics", (2, 3, 2, 4), seed)
+        expected = run_control(task, build_landmark_graph(task), PLANNERS["gbfs"], cfg).plan
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "compute_mutexes", counted)
+            m.setattr(control, "compute_mutexes", counted)
+            plan, _ = solve(task, PLANNERS["gbfs"], True, cfg)
+        assert calls == [task] and plan == expected
+        calls.clear()

@@ -8,14 +8,17 @@ the whole action list, which is what ``Task._append`` did for every derived
 task.  The relevance cones that derived tasks share with the task they come
 from must give the same relevant actions as the one-pass reference, on
 compiled sub-tasks, on ``with_init`` tasks and on a derived task whose new
-action adds a fact that was there before.
+action reads facts whose cones are kept.  A derived task's new action may
+not add a fact that was there before.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from lmplan.bench import generate_task
 from lmplan.control import _compile, compile_disjunctive_goal, with_init
-from lmplan.core import Action, Fact, Task, bits
+from lmplan.core import Action, Fact, PlanningError, Task, bits
 from lmplan.pipeline import build_landmark_graph
 
 from test_pipeline_differential import GENERATED, _reachable_states
@@ -126,22 +129,26 @@ def test_relevance_matches_reference_on_with_init_tasks():
                 _same_relevance(moved, goal)
 
 
-def test_cones_are_not_shared_once_an_old_fact_gains_an_adder():
+def test_derive_refuses_an_action_adding_an_old_fact():
     task = generate_task("logistics", (2, 2, 1, 2), 0)
     # memoise every original fact's cone first, so that a stale one would show
     for f in range(task.num_facts):
         task.relevance(1 << f)
     target = next(f for f in range(task.num_facts) if task.adders[f] and not task.init >> f & 1)
     n, m = task.num_facts, len(task.actions)
+    extra = Fact(n, "extra", ())
     shortcut = Action(m, "(shortcut)", 1 << n, 1 << target, 0)
     seed = Action(m + 1, "(seed)", 0, 1 << n, 0)
-    derived = task.derive(task.init, 1 << target, "derived",
-                          facts=[Fact(n, "extra", ())], actions=[shortcut, seed])
+    with pytest.raises(PlanningError, match="adds a fact of the task it extends"):
+        task.derive(task.init, 1 << target, "derived", facts=[extra], actions=[shortcut, seed])
+    # an action from the target to the new fact: the cones are shared
+    onward = Action(m, "(onward)", 1 << target, 1 << n, 0)
+    derived = task.derive(task.init, 1 << n, "derived", facts=[extra], actions=[onward])
     _same_indexes(derived)
-    assert derived._cones is not task._cones
+    assert derived._cones is task._cones
     for goal in _goals(derived):
         _same_relevance(derived, goal)
-    assert any(op[0] == m for op in derived.relevance(1 << target)[0])
+    assert [op[0] for op in derived.relevance(1 << n)[0]] == [m]
 
 
 def test_derived_tasks_keep_the_indexes_of_a_constructed_task():
