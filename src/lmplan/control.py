@@ -137,9 +137,7 @@ def run_control(task: Task, g: LGG, base: BasePlanner,
         table = compute_mutexes(task)
 
     g = g.copy()
-    for f in list(g.nodes):
-        if task.init >> f & 1:
-            g.remove_node(f)
+    g.remove_nodes(f for f in g.nodes if task.init >> f & 1)
 
     s = task.init
     plan: list[int] = []
@@ -176,9 +174,8 @@ def run_control(task: Task, g: LGG, base: BasePlanner,
         removed = [f for f in disj if added >> f & 1]
         if not removed:
             removed = [f for f in disj if s_next >> f & 1]
-        for f in removed:
-            g.remove_node(f)
-            achieved_goals |= task.goal & (1 << f)
+        g.remove_nodes(removed)
+        achieved_goals |= task.goal & mask_of(removed)
         plan.extend(fragment)
         s = s_next
         iterations.append(IterationRecord(disj, fragment, s, tuple(removed)))

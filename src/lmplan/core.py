@@ -133,8 +133,6 @@ class Task:
     ):
         self.facts: tuple[Fact, ...] = ()
         self.actions: tuple[Action, ...] = ()
-        # adders[f] = ids of actions with f in their add list
-        self.adders: tuple[tuple[int, ...], ...] = ()
         # ops[i] = (id, pre, add, delete) of action i, the input of successors()
         self.ops: tuple[tuple[int, int, int, int], ...] = ()
         # per fact: its adders as a mask over action ids, and their preconditions
@@ -175,7 +173,7 @@ class Task:
                 raise PlanningError(f"non-contiguous fact id {f.id} at {i}")
         self.facts += facts
         n = len(self.facts)
-        # per new fact the new actions add: their ids, as a mask, and their
+        # per new fact the new actions add: their ids as a mask, and their
         # preconditions
         gained: dict[int, list] = {}
         ops = []
@@ -194,17 +192,15 @@ class Task:
                 add ^= low
                 entry = gained.get(low.bit_length() - 1)
                 if entry is None:
-                    gained[low.bit_length() - 1] = [(i,), 1 << i, pre]
+                    gained[low.bit_length() - 1] = [1 << i, pre]
                 else:
-                    entry[0] += (i,)
-                    entry[1] |= 1 << i
-                    entry[2] |= pre
+                    entry[0] |= 1 << i
+                    entry[1] |= pre
         self.actions += actions
         self.ops += tuple(ops)
         self._changed |= changed
         if facts:
-            adders, masks, pres = zip(*[gained.get(f, ((), 0, 0)) for f in range(old, n)])
-            self.adders += adders
+            masks, pres = zip(*[gained.get(f, (0, 0)) for f in range(old, n)])
             self._adder_mask += masks
             self._adder_pre += pres
 
@@ -226,7 +222,7 @@ class Task:
         may add only new facts (PlanningError otherwise); a new fact's cone
         is not shared (a sibling's differs)."""
         t = Task.__new__(Task)
-        t.facts, t.actions, t.adders, t.ops = self.facts, self.actions, self.adders, self.ops
+        t.facts, t.actions, t.ops = self.facts, self.actions, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
         t._changed = self._changed
         if actions:

@@ -36,13 +36,12 @@ RO = EdgeKind.OBEDIENT_REASONABLE
 
 
 class LGG:
-    """Directed multigraph over landmark fact ids with typed edges."""
+    """Directed multigraph over landmark fact ids with typed edges, each edge
+    kept once, in one set."""
 
     def __init__(self):
         self._verified: dict[int, bool] = {}
         self._edges: set[tuple[int, int, EdgeKind]] = set()
-        self._out: dict[int, set[tuple[int, int, EdgeKind]]] = {}
-        self._in: dict[int, set[tuple[int, int, EdgeKind]]] = {}
         self._nodes: Optional[tuple[int, ...]] = None  # sorted, until a change
         self._edge_list: Optional[tuple[tuple[int, int, EdgeKind], ...]] = None
 
@@ -64,8 +63,6 @@ class LGG:
         if fact_id not in self._verified:
             self._nodes = None
             self._verified[fact_id] = verified
-            self._out[fact_id] = set()
-            self._in[fact_id] = set()
 
     def verified(self, fact_id: int) -> bool:
         return self._verified[fact_id]
@@ -75,18 +72,18 @@ class LGG:
             raise PlanningError(f"not a node: {fact_id}")
         self._verified[fact_id] = flag
 
-    def remove_node(self, fact_id: int) -> None:
-        """Drop a node together with its incident edges."""
-        out, into = self._out.pop(fact_id), self._in.pop(fact_id)
-        for e in out:
-            self._in[e[1]].discard(e)
-        for e in into:
-            self._out[e[0]].discard(e)
-        if out or into:
-            self._edges -= out | into
-            self._edge_list = None
+    def remove_nodes(self, fact_ids: Iterable[int]) -> None:
+        """Drop nodes together with their incident edges, in one pass over
+        the edges."""
+        gone = set(fact_ids)
+        if not gone:
+            return
+        for n in gone:
+            del self._verified[n]
         self._nodes = None
-        del self._verified[fact_id]
+        kept = {e for e in self._edges if e[0] not in gone and e[1] not in gone}
+        if len(kept) != len(self._edges):
+            self._edges, self._edge_list = kept, None
 
     # -- edges --------------------------------------------------------------
 
@@ -112,36 +109,24 @@ class LGG:
         if e not in self._edges:
             self._edge_list = None
             self._edges.add(e)
-            self._out[src].add(e)
-            self._in[dst].add(e)
 
     def remove_edge(self, src: int, dst: int, kind: EdgeKind) -> None:
         e = (src, dst, kind)
         if e in self._edges:
             self._edge_list = None
-        self._edges.discard(e)
-        self._out[src].discard(e)
-        self._in[dst].discard(e)
+            self._edges.remove(e)
 
-    def has_edge(self, src: int, dst: int, kind: Optional[EdgeKind] = None) -> bool:
-        if kind is not None:
-            return (src, dst, kind) in self._edges
-        return any((src, dst, k) in self._edges for k in EdgeKind)
-
-    def out_edges(self, fact_id: int):
-        return sorted(self._out[fact_id], key=lambda e: (e[1], e[2].value))
-
-    def successors(self, fact_id: int, kinds: Iterable[EdgeKind]) -> list[int]:
-        ks = set(kinds)
-        return sorted({d for _, d, k in self._out[fact_id] if k in ks})
+    def has_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
+        return (src, dst, kind) in self._edges
 
     def predecessors(self, fact_id: int, kinds: Iterable[EdgeKind]) -> list[int]:
         ks = set(kinds)
-        return sorted({s for s, _, k in self._in[fact_id] if k in ks})
+        return sorted({s for s, d, k in self._edges if d == fact_id and k in ks})
 
     def leaves(self) -> tuple[int, ...]:
         """Nodes with no incoming edges; empty only on an empty graph."""
-        out = tuple(sorted(n for n, into in self._in.items() if not into))
+        targets = {d for _, d, _ in self._edges}
+        out = tuple(n for n in self.nodes if n not in targets)
         if not out and len(self):
             raise PlanningError("nonempty graph without leaves: a cycle leaked through")
         return out
@@ -150,8 +135,6 @@ class LGG:
         g = LGG()
         g._verified = dict(self._verified)
         g._edges = set(self._edges)
-        g._out = {n: set(v) for n, v in self._out.items()}
-        g._in = {n: set(v) for n, v in self._in.items()}
         g._nodes, g._edge_list = self._nodes, self._edge_list
         return g
 
@@ -171,7 +154,7 @@ class LGG:
 def _achievers(task: Task, rpg: RPG, fact_id: int, use_level_test: bool) -> list[int]:
     if use_level_test:
         return rpg.earliest_achievers(fact_id)
-    return list(task.adders[fact_id])
+    return list(bits(task._adder_mask[fact_id]))
 
 
 def _expand_candidates(task: Task, rpg: RPG, g: LGG, seeds: Iterable[int],
@@ -342,9 +325,8 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
     kept = 0
     for f in bits(task.goal):
         kept |= unreached[f]
+    kept |= trivial
+    out.remove_nodes(l for l in out.nodes if not kept >> l & 1)
     for l in out.nodes:
-        if trivial >> l & 1 or kept >> l & 1:
-            out.set_verified(l)
-        else:
-            out.remove_node(l)
+        out.set_verified(l)
     return out

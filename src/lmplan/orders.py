@@ -42,8 +42,13 @@ class InconsistencyTable:
         return ((1 << n) - 1) & ~self._co[x] & ~(1 << x)
 
     def pairs(self) -> list[tuple[int, int]]:
-        n = len(self._co)
-        return [(x, y) for x in range(n) for y in range(x + 1, n) if self.query(x, y)]
+        """The mutex pairs (x, y), x < y, in order."""
+        universe = (1 << len(self._co)) - 1
+        out = []
+        for x, co in enumerate(self._co):
+            above = universe ^ ((2 << x) - 1)  # the facts after x
+            out.extend((x, y) for y in bits(above & ~co))
+        return out
 
 
 def compute_mutexes(task: Task) -> InconsistencyTable:
@@ -134,7 +139,7 @@ def interference_conditions(task: Task, table: InconsistencyTable, g: LGG,
     is unreachable and the pair irrelevant).
     """
     c1 = table.query(l, lp)
-    adders = task.adders[l]
+    adders = task._adder_mask[l]
     c2 = c3 = False
     if adders:
         shared_add, shared_del = _shared_effects(task, adders)
@@ -144,10 +149,10 @@ def interference_conditions(task: Task, table: InconsistencyTable, g: LGG,
     return c1, c2, c3, c4
 
 
-def _shared_effects(task: Task, adders) -> tuple[int, int]:
-    """Add and delete lists common to all of ``adders`` (nonempty)."""
+def _shared_effects(task: Task, adders: int) -> tuple[int, int]:
+    """Add and delete lists common to all of ``adders`` (a nonempty mask)."""
     shared_add = shared_del = -1
-    for aid in adders:
+    for aid in bits(adders):
         a = task.actions[aid]
         shared_add &= a.add
         shared_del &= a.delete
@@ -162,7 +167,7 @@ def _interference_profile(task: Task, gn_pred: int, l: int) -> tuple[int, int]:
     shared deletes in ``d``, 4 the gn predecessors ``gn_pred``)."""
     m = 1 << l | gn_pred
     d = 0
-    adders = task.adders[l]
+    adders = task._adder_mask[l]
     if adders:
         shared_add, d = _shared_effects(task, adders)
         m |= shared_add
@@ -285,64 +290,23 @@ def add_obedient_orders(task: Task, g: LGG, table: InconsistencyTable) -> LGG:
 # Cycle removal
 # ---------------------------------------------------------------------------
 
-def _sccs(nodes: tuple[int, ...], succ: dict[int, set[int]]) -> dict[int, int]:
-    """Map node -> strongly connected component id (iterative Tarjan)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comp: dict[int, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp[0]
-                    if w == v:
-                        break
-                ncomp[0] += 1
-    return comp
-
-
 def _cyclic_edges(edges) -> list[tuple[int, int, EdgeKind]]:
-    """The edges whose endpoints share a strongly connected component of the
-    graph that ``edges`` form."""
-    succ: dict[int, set[int]] = {}
+    """The edges on a cycle of the graph that ``edges`` form: those whose
+    source is reachable from their target.  ``reach[n]``, the nodes reachable
+    from n as a mask, is the least fixpoint of "an edge's target and all it
+    reaches are reachable from the edge's source"."""
+    reach: dict[int, int] = {}
     for s, d, _ in edges:
-        succ.setdefault(s, set()).add(d)
-        succ.setdefault(d, set())
-    comp = _sccs(tuple(succ), succ)
-    return [e for e in edges if comp[e[0]] == comp[e[1]]]
+        reach[s] = reach[d] = 0
+    changed = True
+    while changed:
+        changed = False
+        for s, d, _ in edges:
+            r = reach[s] | reach[d] | 1 << d
+            if r != reach[s]:
+                reach[s] = r
+                changed = True
+    return [e for e in edges if reach[e[1]] >> e[0] & 1]
 
 
 def remove_cycles(g: LGG) -> LGG:
@@ -350,9 +314,9 @@ def remove_cycles(g: LGG) -> LGG:
 
     gn/ln edges are never removed; if a cycle survives both phases the input
     violated the level-decreasing property and a CycleError is raised.
-    Dropping edges only splits components, so each phase looks only at the
-    edges inside the components left by the one before.  The result is a new
-    graph and ``g`` is left as it was, so that a caller can compare the two.
+    Dropping edges only breaks cycles, so each phase looks only at the edges
+    still on a cycle after the one before.  The result is a new graph and
+    ``g`` is left as it was, so that a caller can compare the two.
     """
     out = g.copy()
     cyclic = _cyclic_edges(g.edge_set)

@@ -71,13 +71,12 @@ def bfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResult
     while frontier:
         nxt: list[int] = []
         for s in frontier:
+            # the clock is read before every 1024th expansion
+            if expanded >= limits.max_nodes or (
+                    expanded % 1024 == 1023 and time.monotonic() - t0 > limits.max_seconds):
+                return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, expanded,
+                                     time.monotonic() - t0)
             expanded += 1
-            if expanded % 1024 == 0 and time.monotonic() - t0 > limits.max_seconds:
-                return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, expanded,
-                                     time.monotonic() - t0)
-            if expanded > limits.max_nodes:
-                return PlannerResult(Outcome.RESOURCE_EXHAUSTED, None, expanded,
-                                     time.monotonic() - t0)
             for aid, t in successors(task.ops, s):
                 if t in parents:
                     continue
@@ -118,13 +117,11 @@ def gbfs_plan(task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResul
     open_list: list[tuple[float, int, int]] = [(h0, counter, init)]
     expanded = 0
     while open_list:
+        # every expansion: one can take tens of milliseconds on large tasks
+        if expanded >= limits.max_nodes or time.monotonic() - t0 > limits.max_seconds:
+            break
         _, _, s = heapq.heappop(open_list)
         expanded += 1
-        # every expansion: one can take tens of milliseconds on large tasks
-        if time.monotonic() - t0 > limits.max_seconds:
-            break
-        if expanded > limits.max_nodes:
-            break
         fresh = []
         for aid, t in successors(task.ops, s):
             if t in parents:

@@ -57,14 +57,16 @@ def fid(task, name):
 def topological_order_exists(g):
     """Kahn's algorithm: succeeds exactly on acyclic graphs."""
     indeg = {n: 0 for n in g.nodes}
-    for _, d, _ in g.edges:
+    succ = {n: [] for n in g.nodes}
+    for s, d, _ in g.edges:
         indeg[d] += 1
+        succ[s].append(d)
     queue = [n for n, k in indeg.items() if k == 0]
     seen = 0
     while queue:
         n = queue.pop()
         seen += 1
-        for _, d, _ in g.out_edges(n):
+        for d in succ[n]:
             indeg[d] -= 1
             if indeg[d] == 0:
                 queue.append(d)

@@ -53,9 +53,7 @@ def test_unmap_strips_artificial_actions(twin):
 
 def test_leaves_on_demo_graph(demo_bw):
     g = build_landmark_graph(demo_bw)
-    for f in list(g.nodes):
-        if demo_bw.init >> f & 1:
-            g.remove_node(f)
+    g.remove_nodes(f for f in g.nodes if demo_bw.init >> f & 1)
     lv = {demo_bw.facts[n].name for n in g.leaves()}
     assert "(clear c)" in lv  # all of its order sources are initial facts
 

@@ -174,7 +174,7 @@ def test_verification_keeps_goal_and_initial_nodes(shared_add):
 def test_graph_copy_is_independent(demo_bw):
     g = demo_graph(demo_bw)
     h = g.copy()
-    h.remove_node(next(iter(h.nodes)))
+    h.remove_nodes([next(iter(h.nodes))])
     assert len(h) == len(g) - 1
     assert g == demo_graph(demo_bw)
 

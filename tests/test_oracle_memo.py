@@ -282,7 +282,7 @@ def reasonable_reads(task, l, lp, cap=DEFAULT_STATE_CAP):
     closure = closure_of(task, cap, lbit)
     read = set(closure)
     starts = dict.fromkeys(t for s in closure for aid, t in successors(task.ops, s)
-                           if aid in task.adders[lp] and not t & lbit)
+                           if task._adder_mask[lp] >> aid & 1 and not t & lbit)
     if starts and not reference_aftermath_violated_from(task, list(starts), l, lp, cap, read):
         keeps_lp = [op for op in task.ops if not op[3] & lpbit]
         read.update(reference_closure(keeps_lp, starts, cap))

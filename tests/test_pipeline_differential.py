@@ -115,7 +115,7 @@ class ReferenceRPG:
         level = self.fact_level[fact_id]
         if level is INF or level == 0:
             return []
-        return [a for a in self.task.adders[fact_id] if self.action_level[a] == level - 1]
+        return [a for a in bits(self.task._adder_mask[fact_id]) if self.action_level[a] == level - 1]
 
 
 def reference_extract_relaxed_plan(rpg: RPG, goal: int):
@@ -200,7 +200,7 @@ def reference_interference_conditions(task: Task, table: InconsistencyTable, g: 
     is unreachable and the pair irrelevant).
     """
     c1 = table.query(l, lp)
-    adders = task.adders[l]
+    adders = list(bits(task._adder_mask[l]))
     c2 = c3 = False
     if adders:
         shared_add = task.actions[adders[0]].add
@@ -231,12 +231,17 @@ def _backward_closure(g: LGG, starts: Iterable[int], kinds: tuple[EdgeKind, ...]
     return seen
 
 
+def _successors(g: LGG, n: int, kinds: tuple[EdgeKind, ...]) -> list[int]:
+    """The targets of ``n``'s ``kinds`` edges, read off the edge list."""
+    return sorted({d for s, d, k in g.edges if s == n and k in kinds})
+
+
 def _short_gn_path(g: LGG, l: int, lp: int) -> bool:
     """gn path of length 1 or 2 from l to lp (such an r edge would be moot)."""
-    succ = g.successors(l, (GN,))
+    succ = _successors(g, l, (GN,))
     if lp in succ:
         return True
-    return any(lp in g.successors(m, (GN,)) for m in succ)
+    return any(lp in _successors(g, m, (GN,)) for m in succ)
 
 
 def _aftermath_sources(g: LGG, lp: int, step_kinds: tuple[EdgeKind, ...],
@@ -244,7 +249,7 @@ def _aftermath_sources(g: LGG, lp: int, step_kinds: tuple[EdgeKind, ...],
     """Nodes L such that lp is (approximately) in the aftermath of L, for a
     non-goal lp: L reaches, over ``path_kinds`` edges, some Ln != lp whose
     ``step_kinds`` successor is also a strict-gn successor of lp."""
-    shared_targets = set(g.successors(lp, (GN,)))
+    shared_targets = set(_successors(g, lp, (GN,)))
     lns = set()
     for ln1 in shared_targets:
         for ln in g.predecessors(ln1, step_kinds):
@@ -388,7 +393,7 @@ def reference_verify_landmarks(task: Task, g: LGG) -> LGG:
         lbit = 1 << l
         pruned = [(a.pre, a.add) for a in task.actions if not a.add & lbit]
         if relaxed_closure(pruned, task.init) & task.goal == task.goal:
-            out.remove_node(l)
+            out.remove_nodes([l])
         else:
             out.set_verified(l)
     return out
@@ -694,8 +699,8 @@ def test_mutex_table_is_symmetric():
 
 def _same_task(a, b):
     assert (a.facts, a.actions, a.init, a.goal, a.name) == (b.facts, b.actions, b.init, b.goal, b.name)
-    assert (a.adders, a.ops, a.pruned_actions, a.provably_unsolvable) == \
-        (b.adders, b.ops, b.pruned_actions, b.provably_unsolvable)
+    assert (a._adder_mask, a.ops, a.pruned_actions, a.provably_unsolvable) == \
+        (b._adder_mask, b.ops, b.pruned_actions, b.provably_unsolvable)
     for f in a.facts:
         assert a.fact_named(f.name) == b.fact_named(f.name)
     for act in a.actions:

@@ -1,3 +1,5 @@
+import pytest
+
 from lmplan.core import make_task, validate_plan
 from lmplan.bench import gen_blocksworld
 from lmplan.instances import BLOCKSWORLD_ARM_DOMAIN
@@ -65,15 +67,24 @@ def test_gbfs_finds_some_valid_route(roadmap):
 
 
 def test_gbfs_checks_the_clock_on_every_expansion(roadmap):
+    # the clock has run out before the first expansion, so nothing is expanded
     res = gbfs_plan(roadmap, SearchLimits(max_seconds=1e-9))
     assert res.outcome is Outcome.RESOURCE_EXHAUSTED
-    assert res.expanded == 1
+    assert res.expanded == 0
 
 
 def test_node_limit_reports_exhaustion(demo_bw):
     res = bfs_plan(demo_bw, SearchLimits(max_nodes=2, max_seconds=60))
     assert res.outcome is Outcome.RESOURCE_EXHAUSTED
     assert res.expanded >= 2
+
+
+@pytest.mark.parametrize("planner", [bfs_plan, gbfs_plan])
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_node_limit_exit_reports_the_nodes_expanded(demo_bw, planner, limit):
+    res = planner(demo_bw, SearchLimits(max_nodes=limit, max_seconds=60))
+    assert res.outcome is Outcome.RESOURCE_EXHAUSTED
+    assert res.expanded == limit
 
 
 TWO_BLOCK_SWAP = """\

@@ -3,7 +3,7 @@ loop read.
 
 The references below are the implementations the fast paths replaced, kept
 unchanged: ``Task.relevance`` as one backward pass per goal, and the task
-indexes (``adders``, ``_adder_mask``, ``_adder_pre``, ``ops``) rebuilt from
+indexes (``_adder_mask``, ``_adder_pre``, ``ops``) rebuilt from
 the whole action list, which is what ``Task._append`` did for every derived
 task.  The relevance cones that derived tasks share with the task they come
 from must give the same relevant actions as the one-pass reference, on
@@ -51,17 +51,15 @@ def reference_relevance(task: Task, goal: int) -> tuple[tuple, tuple]:
 
 
 def reference_indexes(task: Task) -> tuple:
-    """(adders, adder masks, adder preconditions, ops) built anew from the actions."""
-    adders = [()] * task.num_facts
+    """(adder masks, adder preconditions, ops) built anew from the actions."""
     adder_mask = [0] * task.num_facts
     adder_pre = [0] * task.num_facts
     for a in task.actions:
         for f in bits(a.add):
-            adders[f] += (a.id,)
             adder_mask[f] |= 1 << a.id
             adder_pre[f] |= a.pre
     ops = tuple((a.id, a.pre, a.add, a.delete) for a in task.actions)
-    return tuple(adders), tuple(adder_mask), tuple(adder_pre), ops
+    return tuple(adder_mask), tuple(adder_pre), ops
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +87,7 @@ def _same_relevance(task: Task, goal: int) -> None:
 
 
 def _same_indexes(task: Task) -> None:
-    assert (task.adders, task._adder_mask, task._adder_pre, task.ops) == reference_indexes(task)
+    assert (task._adder_mask, task._adder_pre, task.ops) == reference_indexes(task)
 
 
 def _goals(task: Task) -> list[int]:
@@ -134,7 +132,7 @@ def test_derive_refuses_an_action_adding_an_old_fact():
     # memoise every original fact's cone first, so that a stale one would show
     for f in range(task.num_facts):
         task.relevance(1 << f)
-    target = next(f for f in range(task.num_facts) if task.adders[f] and not task.init >> f & 1)
+    target = next(f for f in range(task.num_facts) if task._adder_mask[f] and not task.init >> f & 1)
     n, m = task.num_facts, len(task.actions)
     extra = Fact(n, "extra", ())
     shortcut = Action(m, "(shortcut)", 1 << n, 1 << target, 0)
@@ -157,5 +155,5 @@ def test_derived_tasks_keep_the_indexes_of_a_constructed_task():
         sub = compile_disjunctive_goal(task, state, [0, task.num_facts - 1]).task
         built = Task(sub.facts, sub.actions, sub.init, sub.goal, name=sub.name)
         _same_indexes(built)
-        assert (sub.adders, sub._adder_mask, sub._adder_pre, sub.ops) == \
-            (built.adders, built._adder_mask, built._adder_pre, built.ops)
+        assert (sub._adder_mask, sub._adder_pre, sub.ops) == \
+            (built._adder_mask, built._adder_pre, built.ops)
