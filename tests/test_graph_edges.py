@@ -20,21 +20,13 @@ from lmplan.landmarks import GN, LGG, LN, R, RO
 from lmplan.orders import CycleError, compute_mutexes, remove_cycles
 
 from conftest import topological_order_exists
+from test_orders import _graph
 from test_pipeline_differential import (
     GENERATED,
     _check_cycles,
     random_tasks,
     reference_remove_cycles,
 )
-
-
-def _graph(edges, nodes=()):
-    g = LGG()
-    for n in sorted(set(nodes) | {n for e in edges for n in e[:2]}):
-        g.add_node(n, verified=True)
-    for s, d, k in edges:
-        g.add_edge(s, d, k)
-    return g
 
 
 def _ring(nodes, kinds):
