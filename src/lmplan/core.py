@@ -4,9 +4,11 @@ States and fact sets are plain Python ints used as bitmasks over a task's
 fact universe, so membership, union, and difference are single big-int
 operations.  All types are immutable after construction and safe to share.
 A task derived from another (``Task.derive``) may add facts and actions,
-but its new actions add only new facts.  ``relaxed_closure`` is the
-grounder's delete-free reachability fixpoint; the layered one is
-``rpg._grow``.
+but its new actions add only new facts.  A task keeps only indexes that
+depend on its actions alone (each fact's adders, and the relevance cones
+that derived tasks share); what the relaxed-plan heuristic keeps per goal
+is ``rpg``'s.  ``relaxed_closure`` is the grounder's delete-free
+reachability fixpoint; the layered one is ``rpg._grow``.
 """
 
 from __future__ import annotations
@@ -138,18 +140,8 @@ class Task:
         # per fact: its adders as a mask over action ids, and their preconditions
         self._adder_mask: tuple[int, ...] = ()
         self._adder_pre: tuple[int, ...] = ()
-        self._relevance: dict[int, tuple[tuple, tuple, tuple, tuple]] = {}
-        # per goal in _relevance: None, or the facts the relaxed-plan
-        # heuristic reads for it and its values memoised by the start state
-        # restricted to them (see relevance)
-        self._read: dict[int, Optional[tuple[int, dict]]] = {}
-        # per goal of two or more facts in _relevance: what rpg._grow needs to
-        # grow a whole layer at once (see _layering)
-        self._layered: dict[int, tuple[int, int, tuple, tuple]] = {}
-        # (consumers, adds) once built, shared by derived tasks with these ops
-        self._layer_index: list = []
         # per fact below _cone_limit, once asked for: its relevant actions
-        # and facts (see relevance) and its near adders, as masks over ids
+        # and facts and its near adders, as masks over ids (see _cone)
         self._cones: dict[int, tuple[int, int, int]] = {}
         self._changed = 0  # the facts some action adds or deletes
         self._append(facts, actions)
@@ -215,21 +207,14 @@ class Task:
                facts: Sequence[Fact] = (), actions: Sequence[Action] = ()) -> "Task":
         """This task's facts and actions plus ``facts`` and ``actions`` (ids
         continuing), posed from ``init`` to ``goal``.  The same task as the
-        constructor would build, without re-indexing what is shared: a task
-        adding no actions shares the relevance records and the consumer
-        index, built or not yet; one adding actions (a compiled sub-task)
-        starts its own.  Both share the relevance cones, since a new action
-        may add only new facts (PlanningError otherwise); a new fact's cone
-        is not shared (a sibling's differs)."""
+        constructor would build, without re-indexing what is shared.  It
+        shares the relevance cones, since a new action may add only new
+        facts (PlanningError otherwise); a new fact's cone is not shared (a
+        sibling's differs)."""
         t = Task.__new__(Task)
         t.facts, t.actions, t.ops = self.facts, self.actions, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
         t._changed = self._changed
-        if actions:
-            t._relevance, t._read, t._layered, t._layer_index = {}, {}, {}, []
-        else:
-            t._relevance, t._read, t._layered = self._relevance, self._read, self._layered
-            t._layer_index = self._layer_index
         if facts or actions:
             t._append(facts, actions)
         t._cones, t._cone_limit = self._cones, self._cone_limit
@@ -260,98 +245,31 @@ class Task:
     def _action_index(self) -> dict[str, int]:
         return {a.name: a.id for a in self.actions}
 
-    def relevance(self, goal: int) -> tuple[tuple, tuple, tuple, tuple]:
-        """Backward relevance of ``goal`` in the delete relaxation: the ops
-        of the relevant actions (those adding a goal or a precondition of
-        another relevant action), in ops order, split into the goal's
-        achievers; when the goal is one fact (else none), the adders of
-        their preconditions and the adders of those adders' preconditions;
-        and the rest.  Memoised per goal.
-
-        Relevance distributes over the goal's facts, so the relevant actions
-        are the union of each fact's cone, and a cone once computed is kept
-        (``_cones``) for the facts below ``_cone_limit``.
-
-        The relaxed-plan heuristic reads a state only through the relevant
-        facts, the goal and the relevant actions' preconditions: growth tests
-        those (its fixpoint test also sees other facts that relevant actions
-        add, but then only ends a growth that can no longer reach the goal),
-        and extraction reads them.  When actions change other facts too,
-        states that agree on the relevant ones share a value, which
-        ``_read`` then memoises for the goal.  For a goal of two or more
-        facts, ``_layered`` records what whole-layer growth reads: the
-        relevant actions and facts as masks, and the consumer index."""
-        if goal not in self._relevance:
-            chosen = 0  # relevant actions, as a mask over ids
-            read = 0  # relevant facts of the cones
-            limit = self._cone_limit
-            facts = frontier = goal
-            while frontier:
-                pre = 0
-                for f in bits(frontier):
-                    if f < limit:
-                        cone = self._cone_of(f)
-                        chosen |= cone[0]
-                        read |= cone[1]
-                    else:
-                        chosen |= self._adder_mask[f]
-                        pre |= self._adder_pre[f]
-                frontier = pre & ~facts
-                facts |= frontier
-            achieving = feeding = deeper = 0
-            for f in bits(goal):
-                achieving |= self._adder_mask[f]
-            if goal & (goal - 1) == 0 < goal:
-                # the adders of the achievers' preconditions, then also those
-                # of the preconditions of those adders
-                for p in bits(self._adder_pre[goal.bit_length() - 1]):
-                    feeding |= self._adder_mask[p]
-                    deeper |= self._cone_of(p)[2]
-                feeding &= chosen & ~achieving
-                deeper &= chosen & ~achieving & ~feeding
-            self._relevance[goal] = (
-                self._ops_of(chosen & achieving), self._ops_of(feeding), self._ops_of(deeper),
-                self._ops_of(chosen & ~achieving & ~feeding & ~deeper))
-            read |= facts
-            self._read[goal] = (read, {}) if self._changed & ~read else None
-            if goal & (goal - 1):
-                self._layered[goal] = (chosen, read, *self._layering())
-        return self._relevance[goal]
-
-    def _layering(self) -> list:
-        """[consumers, adds]: per fact, the actions with it as a
-        precondition, as a mask over ids; per action, its add list.  Built
-        on first use and shared with derived tasks that add no actions."""
-        index = self._layer_index
-        if not index:
-            consumers = [0] * len(self.facts)
-            for aid, pre, _, _ in self.ops:
-                bit = 1 << aid
-                while pre:
-                    low = pre & -pre
-                    consumers[low.bit_length() - 1] |= bit
-                    pre ^= low
-            index += (tuple(consumers), tuple(map(operator.itemgetter(2), self.ops)))
-        return index
-
-    def _ops_of(self, actions: int) -> tuple:
-        """The ops of the actions in the mask ``actions``, in ops order."""
-        return tuple(itertools.compress(self.ops, flags_of(actions)))
-
     def _cone_of(self, fact: int) -> tuple[int, int, int]:
         """``_cone(fact)``, kept in ``_cones`` if ``fact`` is below
-        ``_cone_limit``."""
+        ``_cone_limit``.  Above it (a fact a derived task added, such as a
+        sub-task's goal), it is built from the cones of its adders'
+        preconditions, and those below the limit (the sub-task's leaves)
+        are kept for the sub-tasks to come."""
         cone = self._cones.get(fact)
         if cone is None:
-            cone = self._cone(fact)
-            if fact < self._cone_limit:
-                self._cones[fact] = cone
+            limit = self._cone_limit
+            if fact < limit:
+                cone = self._cones[fact] = self._cone(fact)
+            else:
+                cone = (self._adder_mask[fact], 1 << fact, self._adder_mask[fact])
+                for p in bits(self._adder_pre[fact]):
+                    # not recursing into a new fact: new facts may form a cycle
+                    below = self._cone_of(p) if p < limit else self._cone(p)
+                    cone = (cone[0] | below[0], cone[1] | below[1], cone[2] | self._adder_mask[p])
         return cone
 
     def _cone(self, fact: int) -> tuple[int, int, int]:
-        """The actions relevant to ``fact`` alone, the facts relevant to it
-        (itself and their preconditions), and its near adders (its adders and
-        those of their preconditions), as masks over ids."""
+        """The actions relevant to ``fact`` alone in the delete relaxation
+        (its adders and, recursively, the adders of their preconditions), the
+        facts relevant to it (itself and those preconditions), and its near
+        adders (its adders and those of their preconditions), as masks over
+        ids."""
         adder_mask, adder_pre, cones = self._adder_mask, self._adder_pre, self._cones
         facts = frontier = 1 << fact
         chosen = 0

@@ -74,10 +74,14 @@ class LGG:
 
     def remove_nodes(self, fact_ids: Iterable[int]) -> None:
         """Drop nodes together with their incident edges, in one pass over
-        the edges."""
+        the edges.  An id that is not a node raises PlanningError, and the
+        graph is left unchanged."""
         gone = set(fact_ids)
         if not gone:
             return
+        strangers = gone - self._verified.keys()
+        if strangers:
+            raise PlanningError(f"not a node: {min(strangers)}")
         for n in gone:
             del self._verified[n]
         self._nodes = None

@@ -343,6 +343,8 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             if len(section) != 2 or not isinstance(section[1], Symbol):
                 raise _err(section, "(:domain NAME) takes one name")
             domain_name = section[1].text
+            if domain_name != domain.name:
+                raise _err(section, f"problem is for domain {domain_name!r}, not {domain.name!r}")
         elif head == ":objects":
             objects = tuple(_typed_list(section[1:], "objects"))
             for _, t in objects:

@@ -16,19 +16,24 @@ restriction can merge states.
 A goal of two or more facts (plain search's full goal) grows a whole layer
 at once: the relevant actions that fire are those that no missing fact
 consumes, found with two unions run in C over the task's consumer index
-(``Task._layering``).  A one-fact goal (every control-loop sub-task's) tests
+(``_layering``).  A one-fact goal (every control-loop sub-task's) tests
 its ops one at a time instead, nearest adders first, and stops as soon as
-the goal is in sight.  A task derived without new actions (``with_init``,
-the control loop's final call) reads its parent's consumer index and
-relevance records; a compiled sub-task, which adds actions, builds its own
-index and relevance records and reads its parent's relevance cones.
+the goal is in sight.  What the heuristic keeps lives here, one record per
+task (``_RECORDS``) that dies with the task: per goal, its relevant ops,
+value memo and whole-layer inputs, and the consumer index.  Every task
+builds its own, ``with_init`` tasks and compiled sub-tasks included; a
+derived task reads only the relevance cones it shares with its parent
+(``Task._cone_of``).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+import weakref
 from typing import Optional
 
-from .core import Task, bits, union_of
+from .core import Task, bits, flags_of, union_of
 
 GOALS_FIRST = "goals-first"
 FIXPOINT = "fixpoint"
@@ -80,7 +85,7 @@ def _grow(layers: list[int], act_layers: list[int], goal: int,
     """Append proposition layers to ``layers`` (and each layer's newly
     applicable actions to ``act_layers``) until ``goal`` holds in the last
     one (True) or the fixpoint is hit first (False).  The four op lists
-    (``Task.relevance``) hold the ops to grow over that are not applicable
+    (``_relevance``) hold the ops to grow over that are not applicable
     in the last layer; only those are tested, since an action enabled
     earlier stays enabled and its adds are already present.
 
@@ -96,7 +101,7 @@ def _grow(layers: list[int], act_layers: list[int], goal: int,
     facts whose adders were all tested.  Such partial layers are never grown
     on.
 
-    With ``layered`` (``Task._layered``: the goal's relevant actions as a
+    With ``layered`` (from ``_relevance``: the goal's relevant actions as a
     mask, its relevant facts, and the task's consumer index and add lists),
     the op lists are ignored and each layer is computed whole: the waiting
     relevant actions fire unless some missing relevant fact is one of their
@@ -180,18 +185,16 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
     of distinct selected actions, or INF when the goal is unreachable.
 
     The layers are grown here, only until the goal appears and only over
-    the actions relevant to it (``Task.relevance``).  Every achiever of a
+    the actions relevant to it (``_relevance``).  Every achiever of a
     relevant fact is relevant, so by induction over the layers each relevant
     fact and action gets the level it has in the graph grown over all
     actions, and the goal is reached, or the fixpoint hit, at the same
     layer.  The value is memoised by the start state restricted to the
-    facts it reads, when that restriction can merge states (``Task._read``).
+    facts it reads, when that restriction can merge states.
     """
     if rpg.mode != FIXPOINT:
         raise ValueError("relaxed plan extraction needs a fixpoint-mode graph")
-    task = rpg.task
-    classes = task.relevance(goal)
-    memo = task._read[goal]
+    classes, memo, layered = _relevance(rpg.task, goal)
     if memo is not None:
         key = rpg.start & memo[0]
         value = memo[1].get(key)
@@ -199,11 +202,97 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
             return value
     layers, act_layers = [rpg.start], []
     value = INF
-    if _grow(layers, act_layers, goal, *classes, task._layered.get(goal)):
-        value = _backchain(task, goal, layers, act_layers)
+    if _grow(layers, act_layers, goal, *classes, layered):
+        value = _backchain(rpg.task, goal, layers, act_layers)
     if memo is not None:
         memo[1][key] = value
     return value
+
+
+class _Record(dict):
+    """What the heuristic keeps for one task: per goal, its entry
+    (``_relevance``), and the consumer index once built (``_layering``)."""
+
+    layering: Optional[tuple[tuple, tuple]] = None
+
+
+_RECORDS: "weakref.WeakKeyDictionary[Task, _Record]" = weakref.WeakKeyDictionary()
+
+
+def _record(task: Task) -> _Record:
+    record = _RECORDS.get(task)
+    if record is None:
+        record = _RECORDS[task] = _Record()
+    return record
+
+
+def _relevance(task: Task, goal: int) -> tuple[tuple, Optional[tuple[int, dict]], Optional[tuple]]:
+    """The entry of ``goal`` on ``task``, built on first use: the four op
+    classes, the value memo or None, and the whole-layer inputs or None.
+
+    The op classes are the ops of the relevant actions (those adding a goal
+    or a precondition of another relevant action), in ops order, split into
+    the goal's achievers; when the goal is one fact (else none), the adders
+    of their preconditions and the adders of those adders' preconditions;
+    and the rest.  Relevance distributes over the goal's facts, so the
+    relevant actions and facts are the union of each fact's cone
+    (``Task._cone_of``).
+
+    The heuristic reads a state only through the relevant facts, the goal
+    and the relevant actions' preconditions: growth tests those (its
+    fixpoint test also sees other facts that relevant actions add, but then
+    only ends a growth that can no longer reach the goal), and extraction
+    reads them.  When actions change other facts too, states that agree on
+    the relevant ones share a value, and the memo (the relevant facts, and
+    the values by the start state restricted to them) keeps it.  For a goal
+    of two or more facts, the whole-layer inputs are what ``_grow`` reads
+    to grow a whole layer at once: the relevant actions and facts as masks,
+    and the consumer index."""
+    record = _record(task)
+    entry = record.get(goal)
+    if entry is not None:
+        return entry
+    chosen = read = achieving = 0
+    for f in bits(goal):
+        cone = task._cone_of(f)
+        chosen |= cone[0]
+        read |= cone[1]
+        achieving |= task._adder_mask[f]
+    feeding = deeper = 0
+    if goal & (goal - 1) == 0 < goal:
+        # the adders of the achievers' preconditions (the goal's near adders
+        # but its own), then also those of the preconditions of those adders
+        feeding = cone[2] & chosen & ~achieving
+        for p in bits(task._adder_pre[goal.bit_length() - 1]):
+            deeper |= task._cone_of(p)[2]
+        deeper &= chosen & ~achieving & ~feeding
+    classes = (_ops_of(task, chosen & achieving), _ops_of(task, feeding),
+               _ops_of(task, deeper), _ops_of(task, chosen & ~achieving & ~feeding & ~deeper))
+    memo = (read, {}) if task._changed & ~read else None
+    layered = (chosen, read, *_layering(task)) if goal & (goal - 1) else None
+    entry = record[goal] = (classes, memo, layered)
+    return entry
+
+
+def _layering(task: Task) -> tuple[tuple, tuple]:
+    """(consumers, adds): per fact, the actions with it as a precondition,
+    as a mask over ids; per action, its add list.  Built on first use."""
+    record = _record(task)
+    if record.layering is None:
+        consumers = [0] * len(task.facts)
+        for aid, pre, _, _ in task.ops:
+            bit = 1 << aid
+            while pre:
+                low = pre & -pre
+                consumers[low.bit_length() - 1] |= bit
+                pre ^= low
+        record.layering = (tuple(consumers), tuple(map(operator.itemgetter(2), task.ops)))
+    return record.layering
+
+
+def _ops_of(task: Task, actions: int) -> tuple:
+    """The ops of the actions in the mask ``actions``, in ops order."""
+    return tuple(itertools.compress(task.ops, flags_of(actions)))
 
 
 def _backchain(task: Task, goal: int, layers: list[int], act_layers: list[int]) -> int:

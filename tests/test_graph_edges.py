@@ -196,6 +196,19 @@ def test_remove_nodes_one_batch_equals_one_at_a_time():
         assert g == one_by_one and g.edges == one_by_one.edges
 
 
+def test_remove_nodes_with_an_unknown_id_leaves_the_graph_unchanged():
+    g = LGG()
+    for f in (1, 2, 3):
+        g.add_node(f)
+    g.add_edge(1, 2, GN)
+    g.add_edge(2, 3, GN)
+    before = g.copy()
+    with pytest.raises(PlanningError, match="not a node: 99"):
+        g.remove_nodes([1, 99])
+    assert g == before and g.nodes == (1, 2, 3) and g.edges == before.edges
+    assert g.leaves() == (1,)
+
+
 # ---------------------------------------------------------------------------
 # Mutex pairs
 # ---------------------------------------------------------------------------

@@ -2,22 +2,26 @@
 
 For such a goal, ``extract_relaxed_plan`` grows each relaxed layer at once:
 the goal's relevant actions that fire are those no missing fact consumes
-(``Task._layering``'s consumer index, ``Task._layered``'s relevant-action
-mask).  Every such evaluation must equal extraction from the reference
-fixpoint graph, which grows every layer over all actions one at a time, on
-random tasks, ``with_init`` tasks and compiled sub-tasks.  A task derived
-without actions shares its parent's consumer index and relevance records; a
-task derived with actions builds its own, so that it never reads an index
-that lacks its actions.
+(``rpg._layering``'s consumer index, the relevant-action mask of the goal's
+``rpg._relevance`` entry).  Every such evaluation must equal extraction from
+the reference fixpoint graph, which grows every layer over all actions one
+at a time, on random tasks, ``with_init`` tasks and compiled sub-tasks.
+Every task, derived or not, builds its own consumer index and relevance
+records, kept while the task lives; derived tasks share only the relevance
+cones.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
 from lmplan.bench import generate_task
 from lmplan.control import _compile, compile_disjunctive_goal, with_init
 from lmplan.core import Action, Fact, bits
+from lmplan import rpg
 from lmplan.rpg import FIXPOINT, INF, build_rpg, extract_relaxed_plan
 
 from test_pipeline_differential import (
@@ -53,12 +57,8 @@ def check(task, state, goal):
         assert value == expected and type(value) is int
     if goal & (goal - 1):
         # the goal's growth took the whole-layer path, over this task's index
-        waiting, _, consumers, adds = task._layered[goal]
-        # a task derived with more facts and no actions shares the index:
-        # the facts one of them lacks have no consumers
-        n = task.num_facts
-        assert (consumers[:n] + (0,) * (n - len(consumers)), adds) == reference_layering(task)
-        assert not any(consumers[n:])
+        waiting, _, consumers, adds = rpg._relevance(task, goal)[2]
+        assert (consumers, adds) == reference_layering(task)
         assert waiting >> len(task.ops) == 0
     return value
 
@@ -78,7 +78,7 @@ def test_full_goal_evaluations_match_the_fully_read_graph(task, raw, data):
     for state in states:
         for goal in multi_fact_goals(task, raw):
             check(task, state, goal)
-    # with_init shares the index built above
+    # with_init builds an index of its own
     moved = with_init(task, data.draw(st.sampled_from(states)))
     for state in states[:4]:
         for goal in multi_fact_goals(moved)[:8]:
@@ -98,7 +98,7 @@ def test_full_goal_evaluations_match_the_fully_read_graph_on_generated_tasks():
     seen = set()
     for task in GENERATED:
         states = _reachable_states(task, 6)
-        # one more fact, which nothing adds: the index is shared, one short
+        # one more fact, which nothing adds: an index of its own, one longer
         n = task.num_facts
         extra = task.derive(task.init, task.goal, task.name, facts=[Fact(n, "unreached", ())])
         for state in states:
@@ -116,19 +116,22 @@ def test_derived_tasks_do_not_read_their_parents_index():
     for task in GENERATED[::3]:
         state = _reachable_states(task, 4)[-1]
         check(task, task.init, task.goal)
-        index = task._layering()
-        # same actions, another initial state: the index and the relevance
-        # records are the parent's, and still right for the child
+        index = rpg._layering(task)
+        # same actions, another initial state: an index and relevance
+        # records of its own, built from the shared cones
         moved = with_init(task, state)
-        assert moved._layering() is index
-        assert moved._relevance is task._relevance and moved._layered is task._layered
         check(moved, moved.init, moved.goal)
-        # more actions: an index and relevance records of its own
+        assert rpg._RECORDS[moved] is not rpg._RECORDS[task]
+        assert rpg._RECORDS[moved][task.goal] is not rpg._RECORDS[task][task.goal]
+        assert rpg._layering(moved) is not index and rpg._layering(moved) == index
+        assert moved._cones is task._cones
+        # more actions: the same
         sub = _compile(task, state, [(0,), (task.num_facts - 1,)], task.goal).task
-        assert sub._relevance is not task._relevance and sub._layered is not task._layered
         check(sub, sub.init, sub.goal)
-        assert sub._layering() is not index
-        assert task._layering() is index and index[1] == reference_layering(task)[1]
+        assert rpg._RECORDS[sub] is not rpg._RECORDS[task]
+        assert rpg._layering(sub) is not index
+        assert sub._cones is task._cones
+        assert rpg._layering(task) is index and index == reference_layering(task)
         # an action without preconditions, which the parent's index does not
         # hold, adding a new goal fact
         n = task.num_facts
@@ -136,12 +139,27 @@ def test_derived_tasks_do_not_read_their_parents_index():
                                facts=[Fact(n, "shortcut-goal", ())],
                                actions=[Action(len(task.actions), "(shortcut)", 0, 1 << n, 0)])
         check(shortcut, state, shortcut.goal)
-        assert shortcut._layering() is not index
+        assert rpg._layering(shortcut) is not index
 
 
-def test_a_child_derived_before_the_index_is_built_shares_it():
+def test_a_child_builds_its_own_index_equal_to_the_reference():
     task = generate_task("logistics", (2, 2, 1, 2), 1)  # no evaluation has run on it
-    assert not task._layer_index
+    assert task not in rpg._RECORDS
     child = with_init(task, _reachable_states(task, 3)[-1])
     check(child, child.init, child.goal)
-    assert task._layering() is child._layering()
+    assert task not in rpg._RECORDS
+    assert rpg._layering(child) == reference_layering(child) == reference_layering(task)
+
+
+def test_a_tasks_records_die_with_the_task():
+    task = generate_task("logistics", (2, 2, 1, 2), 1)
+    check(task, task.init, task.goal)
+    record = rpg._RECORDS[task]
+    assert record and record.layering
+    alive = weakref.ref(task)
+    gc.collect()
+    before = len(rpg._RECORDS)
+    del task, record
+    gc.collect()
+    assert alive() is None
+    assert len(rpg._RECORDS) == before - 1

@@ -90,7 +90,7 @@ def test_one_fact_growth_stops_short_of_the_rest_two_layers_ahead():
     ], init=["s"], goal=["g"])
     make_x = t.action_named("(make-x)").id
     layers, act_layers = [t.init], []
-    assert rpg._grow(layers, act_layers, t.goal, *t.relevance(t.goal))
+    assert rpg._grow(layers, act_layers, t.goal, *rpg._relevance(t, t.goal)[0])
     # layer 1 sees (b-from-a) fire, and looking two layers ahead over the
     # goal's achiever and feeder reaches g: the rest of layer 1 is left out
     assert len(layers) == 5 and not act_layers[1] >> make_x & 1
@@ -101,7 +101,7 @@ def test_one_fact_growth_stops_short_of_the_rest_two_layers_ahead():
     # (a-from-s) is left out of layer 0
     with_b = t.mask(["s", "b"])
     layers, act_layers = [with_b], []
-    assert rpg._grow(layers, act_layers, t.goal, *t.relevance(t.goal))
+    assert rpg._grow(layers, act_layers, t.goal, *rpg._relevance(t, t.goal)[0])
     assert len(layers) == 3 and not act_layers[0] >> t.action_named("(a-from-s)").id & 1
     assert extract_relaxed_plan(build_rpg(t, FIXPOINT, with_b), t.goal) == 2
 

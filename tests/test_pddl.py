@@ -105,6 +105,17 @@ def test_goal_with_unknown_object_rejected():
     assert "unknown object" in str(err.value)
 
 
+def test_problem_for_another_domain_rejected():
+    d = parse_domain(BLOCKSWORLD_ARM_DOMAIN)
+    text = "(define (problem e)\n  (:domain blocksworld-no-arm) (:objects) (:init) (:goal (and)))"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, d)
+    assert str(err.value) == "2:4: problem is for domain 'blocksworld-no-arm', not 'blocksworld-arm'"
+    assert (err.value.line, err.value.column) == (2, 4)
+    # no :domain section: nothing to compare
+    assert parse_problem("(define (problem e) (:objects) (:init) (:goal (and)))", d).domain == ""
+
+
 def test_two_block_grounding_yields_eight_actions():
     # hand enumeration over distinct bindings: 2 pick-up, 2 put-down,
     # 2 stack, 2 unstack

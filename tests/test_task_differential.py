@@ -2,14 +2,15 @@
 loop read.
 
 The references below are the implementations the fast paths replaced, kept
-unchanged: ``Task.relevance`` as one backward pass per goal, and the task
-indexes (``_adder_mask``, ``_adder_pre``, ``ops``) rebuilt from
+unchanged: ``rpg._relevance``'s relevant ops as one backward pass per goal,
+and the task indexes (``_adder_mask``, ``_adder_pre``, ``ops``) rebuilt from
 the whole action list, which is what ``Task._append`` did for every derived
 task.  The relevance cones that derived tasks share with the task they come
 from must give the same relevant actions as the one-pass reference, on
 compiled sub-tasks, on ``with_init`` tasks and on a derived task whose new
-action reads facts whose cones are kept.  A derived task's new action may
-not add a fact that was there before.
+action reads facts whose cones are kept.  A sub-task keeps its leaves'
+cones for the sub-tasks that follow.  A derived task's new action may not
+add a fact that was there before.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from lmplan.bench import generate_task
 from lmplan.control import _compile, compile_disjunctive_goal, with_init
 from lmplan.core import Action, Fact, PlanningError, Task, bits
 from lmplan.pipeline import build_landmark_graph
+from lmplan.rpg import _relevance
 
 from test_pipeline_differential import GENERATED, _reachable_states
 
@@ -67,7 +69,7 @@ def reference_indexes(task: Task) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _same_relevance(task: Task, goal: int) -> None:
-    achievers, feeders, deeper, others = task.relevance(goal)
+    achievers, feeders, deeper, others = _relevance(task, goal)[0]
     ref_achievers, ref_others = reference_relevance(task, goal)
     assert achievers == ref_achievers
     # the feeders are the rest's adders of the achievers' preconditions, and
@@ -117,9 +119,19 @@ def test_relevance_and_indexes_match_reference_on_compiled_subtasks():
         assert subtasks[0]._cones is task._cones
 
 
+def test_a_subtask_keeps_its_leaves_cones_for_the_next():
+    for disjuncts, carried in (([(3,), (7,)], 0), ([(3, 7), (11,)], None)):
+        task = generate_task("logistics", (2, 2, 1, 2), 2)  # no cone kept yet
+        carried = task.goal if carried is None else carried
+        sub = _compile(task, task.init, disjuncts, carried).task
+        _same_relevance(sub, sub.goal)
+        assert {f for d in disjuncts for f in d} <= task._cones.keys()
+        assert sub.num_facts - 1 not in task._cones
+
+
 def test_relevance_matches_reference_on_with_init_tasks():
     for task in GENERATED:
-        task.relevance(task.goal)
+        _relevance(task, task.goal)  # keeps the goal facts' cones
         for state in _reachable_states(task, 4):
             moved = with_init(task, state)
             _same_indexes(moved)
@@ -131,7 +143,7 @@ def test_derive_refuses_an_action_adding_an_old_fact():
     task = generate_task("logistics", (2, 2, 1, 2), 0)
     # memoise every original fact's cone first, so that a stale one would show
     for f in range(task.num_facts):
-        task.relevance(1 << f)
+        _relevance(task, 1 << f)
     target = next(f for f in range(task.num_facts) if task._adder_mask[f] and not task.init >> f & 1)
     n, m = task.num_facts, len(task.actions)
     extra = Fact(n, "extra", ())
@@ -146,7 +158,22 @@ def test_derive_refuses_an_action_adding_an_old_fact():
     assert derived._cones is task._cones
     for goal in _goals(derived):
         _same_relevance(derived, goal)
-    assert [op[0] for op in derived.relevance(1 << n)[0]] == [m]
+    assert [op[0] for op in _relevance(derived, 1 << n)[0][0]] == [m]
+
+
+def test_new_facts_adding_each_other_get_the_reference_relevance():
+    task = generate_task("logistics", (2, 2, 1, 2), 0)
+    target = next(f for f in range(task.num_facts) if task._adder_mask[f] and not task.init >> f & 1)
+    n, m = task.num_facts, len(task.actions)
+    # a needs b and the target, b needs a: a cycle through new facts only
+    derived = task.derive(task.init, 1 << n, "derived",
+                          facts=[Fact(n, "a", ()), Fact(n + 1, "b", ())],
+                          actions=[Action(m, "(to-a)", 1 << (n + 1) | 1 << target, 1 << n, 0),
+                                   Action(m + 1, "(to-b)", 1 << n, 1 << (n + 1), 0)])
+    for goal in _goals(derived) + [1 << n | 1 << (n + 1)]:
+        _same_relevance(derived, goal)
+    assert derived._cone_of(n) == derived._cone(n)
+    assert target in task._cones and n not in task._cones
 
 
 def test_derived_tasks_keep_the_indexes_of_a_constructed_task():
