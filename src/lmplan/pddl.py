@@ -23,19 +23,24 @@ only, with ground atoms interned as tuples.  The names of the pruned actions
 are not built while grounding; the Task builds them from the domain, the
 problem and the kept actions on first read.
 
-The reader tokenizes with one regular expression; a symbol's line and
-column are worked out from its token index only when an error names it.
+The reader makes nested lists of plain strings: it cuts comments, splits
+at blanks and parentheses, and lowercases each symbol.  No token keeps its
+place.  When an error names one, the text is read again with one regular
+expression into tokens that know their offsets, and parsed again to raise
+the error with its line and column.  The parser refuses a repeated
+section or action clause (only :requirements, :predicates, :action and
+:domain may repeat), a second action of one name and a predicate declared
+twice.  Atoms and schemas are named tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import BLANKS, Action, Fact, PlanningError, Task, format_atom, relaxed_closure, split_blanks
 
@@ -52,26 +57,28 @@ class GroundingError(PlanningError):
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader with source positions
+# S-expression reader
 # ---------------------------------------------------------------------------
 
+_COMMENT = re.compile(";[^\n]*")
 _TOKEN = re.compile(f"[()]|;[^\n]*|[^{BLANKS}();]+")  # parens, comments, symbols
 
 
-class Symbol:
-    """A symbol of PDDL text, lowercased.  It keeps the index of its token
-    and the text, so its line and column are worked out only for an error."""
+class _Placed(str):
+    """A token that knows where it starts in its text.  The reader makes
+    these only when it reads a text again to place an error."""
 
-    __slots__ = ("text", "index", "source")
-
-    def __init__(self, text: str, index: int, source: str):
-        self.text = text
-        self.index = index
-        self.source = source
+    def __new__(cls, text: str, source: str, offset: int):
+        token = super().__new__(cls, text)
+        token.source, token.offset = source, offset
+        return token
 
     def position(self) -> tuple[int, int]:
-        match = next(itertools.islice(_TOKEN.finditer(self.source), self.index, None))
-        return _line_col(self.source, match.start())
+        return _line_col(self.source, self.offset)
+
+
+class _Unplaced(Exception):
+    """An error named a token read without its place (see ``_parse``)."""
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -86,44 +93,71 @@ def _end_position(text: str) -> tuple[int, int]:
     return text.count("\n") + 1, (comment if comment >= 0 else len(last)) + 1
 
 
-def _read_sexprs(text: str) -> list:
-    """Parse into nested lists of Symbols; raises ParseError on bad nesting."""
+def _tokens(text: str, placed: bool):
+    """The parentheses and lowercased symbols of ``text``: plain strings
+    split at blanks and parentheses once comments are cut, or, ``placed``,
+    ``_Placed`` tokens found with ``_TOKEN``."""
+    if placed:
+        return [_Placed(m.group().lower(), text, m.start())
+                for m in _TOKEN.finditer(text) if m.group()[0] != ";"]
+    text = _COMMENT.sub("", text) if ";" in text else text
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    # lowered whole, as if token by token: only a capital sigma lowers by
+    # its neighbours, and a blank or a parenthesis bounds them as a token's
+    # end does
+    return filter(None, text.replace("(", " ( ").replace(")", " ) ").lower().split(" "))
+
+
+def _read_sexprs(text: str, placed: bool = False) -> list:
+    """Parse into nested lists of symbols (see ``_tokens``); raises
+    ParseError on bad nesting, or ``_Unplaced`` at an unbalanced ')' read
+    without places."""
     stack: list[list] = [[]]
     top = stack[0]
-    for index, tok in enumerate(_TOKEN.findall(text)):
+    for tok in _tokens(text, placed):
         if tok == "(":
             top = []
             stack.append(top)
         elif tok == ")":
             if len(stack) == 1:
-                raise ParseError("unbalanced ')'", *Symbol(tok, index, text).position())
+                raise _err(tok, "unbalanced ')'")
             done = stack.pop()
             top = stack[-1]
             top.append(done)
-        elif tok[0] != ";":
-            top.append(Symbol(tok.lower(), index, text))
+        else:
+            top.append(tok)
     if len(stack) != 1:
         raise ParseError("unbalanced '('", *_end_position(text))
     return stack[0]
 
 
+def _parse(parse, text: str, *args):
+    """``parse`` run on the trees of ``text``.  An error that names a token
+    reads the text again with places, so that the same error raises as a
+    ParseError with its line and column."""
+    try:
+        return parse(_read_sexprs(text), *args)
+    except _Unplaced:
+        return parse(_read_sexprs(text, placed=True), *args)
+
+
 def _head(expr) -> str:
-    if isinstance(expr, list) and expr and isinstance(expr[0], Symbol):
-        return expr[0].text
+    if isinstance(expr, list) and expr and isinstance(expr[0], str):
+        return expr[0]
     return ""
 
 
-def _pos(expr) -> tuple[int, int]:
+def _err(expr, message: str) -> Exception:
+    """The ParseError at ``expr``, a token or a list placed at its first
+    token (line 0, column 0 if it has none); ``_Unplaced`` for a token read
+    without its place."""
     while isinstance(expr, list) and expr:
         expr = expr[0]
-    if isinstance(expr, Symbol):
-        return expr.position()
-    return 0, 0
-
-
-def _err(expr, message: str) -> ParseError:
-    line, col = _pos(expr)
-    return ParseError(message, line, col)
+    if isinstance(expr, list):
+        return ParseError(message, 0, 0)
+    if type(expr) is str:
+        return _Unplaced()
+    return ParseError(message, *expr.position())
 
 
 def _typed_list(items: Sequence, what: str) -> list[tuple[str, Optional[str]]]:
@@ -132,31 +166,24 @@ def _typed_list(items: Sequence, what: str) -> list[tuple[str, Optional[str]]]:
     Entries must be uniformly typed or uniformly untyped.
     """
     out: list[tuple[str, Optional[str]]] = []
-    pending: list[Symbol] = []
-    saw_typed = saw_untyped = False
-    i = 0
-    while i < len(items):
-        it = items[i]
-        if not isinstance(it, Symbol):
+    pending: list[str] = []
+    rest = iter(items)
+    for it in rest:
+        if isinstance(it, list):
             raise _err(it, f"unexpected list in {what}")
-        if it.text == "-":
+        if it == "-":
             if not pending:
                 raise _err(it, f"dangling '-' in {what}")
-            if i + 1 >= len(items) or not isinstance(items[i + 1], Symbol):
+            tname = next(rest, None)
+            if tname is None or isinstance(tname, list):
                 raise _err(it, f"missing type after '-' in {what}")
-            tname = items[i + 1].text
-            out.extend((p.text, tname) for p in pending)
+            out.extend((p, tname) for p in pending)
             pending = []
-            saw_typed = True
-            i += 2
-            continue
-        pending.append(it)
-        i += 1
-    if pending:
-        out.extend((p.text, None) for p in pending)
-        saw_untyped = True
-    if saw_typed and saw_untyped:
+        else:
+            pending.append(it)
+    if pending and out:
         raise _err(items[0], f"mixed typed and untyped entries in {what}")
+    out.extend((p, None) for p in pending)
     return out
 
 
@@ -164,14 +191,12 @@ def _typed_list(items: Sequence, what: str) -> list[tuple[str, Optional[str]]]:
 # ASTs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomAst:
+class AtomAst(NamedTuple):
     predicate: str
     args: tuple[str, ...]  # "?x" variables or constant names
 
 
-@dataclass(frozen=True)
-class SchemaAst:
+class SchemaAst(NamedTuple):
     name: str
     params: tuple[tuple[str, Optional[str]], ...]  # (?var, type-or-None)
     pre: tuple[AtomAst, ...]
@@ -197,17 +222,27 @@ class ProblemAst:
 
 
 _SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
+# sections and action clauses that may appear once
+_ONCE = {":types", ":objects", ":init", ":goal", ":parameters", ":precondition", ":effect"}
+
+
+def _once(key: str, seen: set, expr, where: str) -> None:
+    """Refuse ``key``, at ``expr``, if ``seen`` holds it; note it there if
+    it may appear only once."""
+    if key in seen:
+        raise _err(expr, f"repeated {key} in {where}")
+    if key in _ONCE:
+        seen.add(key)
 
 
 def _parse_atom(expr, predicates: dict[str, int], where: str) -> AtomAst:
-    if not isinstance(expr, list) or not expr or not isinstance(expr[0], Symbol):
+    if not isinstance(expr, list) or not expr or isinstance(expr[0], list):
         raise _err(expr, f"expected an atom in {where}")
-    name = expr[0].text
-    args = []
-    for a in expr[1:]:
-        if not isinstance(a, Symbol):
+    name = expr[0]
+    args = expr[1:]
+    for a in args:
+        if isinstance(a, list):
             raise _err(a, f"nested expression inside atom in {where}")
-        args.append(a.text)
     if name not in predicates:
         raise _err(expr, f"undeclared predicate {name!r} in {where}")
     if predicates[name] != len(args):
@@ -236,46 +271,54 @@ def _parse_conjunction(expr, predicates, where: str, allow_not: bool):
     return tuple(pos), tuple(neg)
 
 
-def _is_named(body: list, keyword: str) -> bool:
-    """Whether ``body`` starts with ``(keyword NAME)``."""
-    return (bool(body) and _head(body[0]) == keyword and len(body[0]) == 2
-            and isinstance(body[0][1], Symbol))
+def _define(top: list, kind: str) -> tuple[str, list]:
+    """The name and the sections of ``(define (KIND NAME) ...)``."""
+    if len(top) != 1 or _head(top[0]) != "define":
+        raise ParseError(f"expected a single (define ({kind} ...))", 1, 1)
+    body = top[0][1:]
+    if not (body and _head(body[0]) == kind and len(body[0]) == 2
+            and isinstance(body[0][1], str)):
+        raise _err(top[0], f"missing ({kind} NAME)")
+    return body[0][1], body[1:]
 
 
 def parse_domain(text: str) -> DomainAst:
-    top = _read_sexprs(text)
-    if len(top) != 1 or _head(top[0]) != "define":
-        raise ParseError("expected a single (define (domain ...))", 1, 1)
-    body = top[0][1:]
-    if not _is_named(body, "domain"):
-        raise _err(top[0], "missing (domain NAME)")
-    name = body[0][1].text
+    return _parse(_parse_domain, text)
 
+
+def _parse_domain(top: list) -> DomainAst:
+    name, sections = _define(top, "domain")
     types: tuple[str, ...] = ()
     predicates: dict[str, int] = {}
     schemas: list[SchemaAst] = []
-
-    for section in body[1:]:
+    seen: set[str] = set()
+    for section in sections:
         head = _head(section)
+        _once(head, seen, section, "domain")
         if head == ":requirements":
             for req in section[1:]:
-                if not isinstance(req, Symbol):
+                if isinstance(req, list):
                     raise _err(req, "malformed requirement")
-                if req.text not in _SUPPORTED_REQUIREMENTS:
-                    raise _err(req, f"unknown requirement {req.text!r}")
+                if req not in _SUPPORTED_REQUIREMENTS:
+                    raise _err(req, f"unknown requirement {req!r}")
         elif head == ":types":
             for t in section[1:]:
-                if not isinstance(t, Symbol) or t.text == "-":
+                if isinstance(t, list) or t == "-":
                     raise _err(t, "only a flat type list is supported")
-            types = tuple(t.text for t in section[1:])
+            types = tuple(section[1:])
         elif head == ":predicates":
             for p in section[1:]:
-                if not isinstance(p, list) or not p or not isinstance(p[0], Symbol):
+                if not isinstance(p, list) or not p or isinstance(p[0], list):
                     raise _err(p, "malformed predicate declaration")
-                params = _typed_list(p[1:], f"predicate {p[0].text}")
-                predicates[p[0].text] = len(params)
+                params = _typed_list(p[1:], f"predicate {p[0]}")
+                if p[0] in predicates:
+                    raise _err(p, f"predicate {p[0]!r} declared twice")
+                predicates[p[0]] = len(params)
         elif head == ":action":
-            schemas.append(_parse_schema(section, predicates, types))
+            schema = _parse_schema(section, predicates, types)
+            if any(s.name == schema.name for s in schemas):
+                raise _err(section[1], f"action {schema.name!r} declared twice")
+            schemas.append(schema)
         elif head == "":
             raise _err(section, "malformed domain section")
         else:
@@ -284,20 +327,21 @@ def parse_domain(text: str) -> DomainAst:
 
 
 def _parse_schema(section, predicates, types) -> SchemaAst:
-    if len(section) < 2 or not isinstance(section[1], Symbol):
+    if len(section) < 2 or isinstance(section[1], list):
         raise _err(section, "missing action name")
-    name = section[1].text
+    name = section[1]
     params: tuple[tuple[str, Optional[str]], ...] = ()
     pre: tuple[AtomAst, ...] = ()
     add: tuple[AtomAst, ...] = ()
     delete: tuple[AtomAst, ...] = ()
-    i = 2
-    while i < len(section):
+    seen: set[str] = set()
+    for i in range(2, len(section), 2):
         key = section[i]
-        if not isinstance(key, Symbol) or i + 1 >= len(section):
+        if isinstance(key, list) or i + 1 >= len(section):
             raise _err(key, f"malformed clause in action {name}")
         value = section[i + 1]
-        if key.text == ":parameters":
+        _once(key, seen, key, f"action {name}")
+        if key == ":parameters":
             if not isinstance(value, list):
                 raise _err(value, f"parameters of action {name} must be a list")
             entries = _typed_list(value, f"action {name} parameters")
@@ -307,14 +351,12 @@ def _parse_schema(section, predicates, types) -> SchemaAst:
                 if t is not None and t not in types:
                     raise _err(value, f"unknown type {t!r} in action {name}")
             params = tuple(entries)
-        elif key.text == ":precondition":
-            pre, neg = _parse_conjunction(value, predicates, f"action {name} precondition", False)
-            del neg
-        elif key.text == ":effect":
+        elif key == ":precondition":
+            pre = _parse_conjunction(value, predicates, f"action {name} precondition", False)[0]
+        elif key == ":effect":
             add, delete = _parse_conjunction(value, predicates, f"action {name} effect", True)
         else:
-            raise _err(key, f"unsupported clause {key.text!r} in action {name}")
-        i += 2
+            raise _err(key, f"unsupported clause {key!r} in action {name}")
     declared = {v for v, _ in params}
     for atom in (*pre, *add, *delete):
         for arg in atom.args:
@@ -324,25 +366,23 @@ def _parse_schema(section, predicates, types) -> SchemaAst:
 
 
 def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
-    top = _read_sexprs(text)
-    if len(top) != 1 or _head(top[0]) != "define":
-        raise ParseError("expected a single (define (problem ...))", 1, 1)
-    body = top[0][1:]
-    if not _is_named(body, "problem"):
-        raise _err(top[0], "missing (problem NAME)")
-    name = body[0][1].text
+    return _parse(_parse_problem, text, domain)
 
+
+def _parse_problem(top: list, domain: DomainAst) -> ProblemAst:
+    name, sections = _define(top, "problem")
     domain_name = ""
     objects: tuple[tuple[str, Optional[str]], ...] = ()
     init: list[AtomAst] = []
     goal: tuple[AtomAst, ...] = ()
-
-    for section in body[1:]:
+    seen: set[str] = set()
+    for section in sections:
         head = _head(section)
+        _once(head, seen, section, "problem")
         if head == ":domain":
-            if len(section) != 2 or not isinstance(section[1], Symbol):
+            if len(section) != 2 or isinstance(section[1], list):
                 raise _err(section, "(:domain NAME) takes one name")
-            domain_name = section[1].text
+            domain_name = section[1]
             if domain_name != domain.name:
                 raise _err(section, f"problem is for domain {domain_name!r}, not {domain.name!r}")
         elif head == ":objects":
@@ -355,8 +395,7 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
         elif head == ":goal":
             if len(section) != 2:
                 raise _err(section, ":goal takes one formula")
-            goal, neg = _parse_conjunction(section[1], domain.predicates, ":goal", False)
-            del neg
+            goal = _parse_conjunction(section[1], domain.predicates, ":goal", False)[0]
         else:
             raise _err(section, f"unsupported problem section {head!r}")
 

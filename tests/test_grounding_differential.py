@@ -226,11 +226,11 @@ def join_problem(is_open: bool) -> str:
             + ") (:goal (and (painted n2 blue) (seen n3))))")
 
 
-# two schemas of one name, and duplicated objects: pruned actions are then
-# counted by enumeration, not from the pools
+# duplicated objects: pruned actions are then counted by enumeration, not
+# from the pools
 REPEATS_DOMAIN = """(define (domain repeats) (:predicates (p ?x) (q ?x ?y))
   (:action a :parameters (?x ?y) :precondition (and (p ?x)) :effect (and (q ?x ?y)))
-  (:action a :parameters (?y ?z) :precondition (and (q ?z ?y)) :effect (and (not (p ?y))))
+  (:action c :parameters (?y ?z) :precondition (and (q ?z ?y)) :effect (and (not (p ?y))))
   (:action b :parameters (?x ?y) :precondition (and (q ?x ?y)) :effect (and (not (q ?y ?x)))))"""
 
 

@@ -267,6 +267,76 @@ def test_mixed_typed_and_untyped_objects_rejected():
 
 
 # ---------------------------------------------------------------------------
+# Declarations made twice
+# ---------------------------------------------------------------------------
+
+def bw_problem_with(sections):
+    return ("(define (problem p) (:domain blocksworld-arm)\n"
+            + "\n".join(f"  {s}" for s in sections) + ")")
+
+
+OBJECTS, INIT, GOAL = "(:objects a b - block)", "(:init (on-table a) (clear a))", "(:goal (and))"
+
+
+@pytest.mark.parametrize("sections,message", [
+    ([OBJECTS, "(:objects c - block)", INIT, GOAL], "3:4: repeated :objects in problem"),
+    ([OBJECTS, INIT, "(:init (on-table b) (clear b) (arm-empty))", GOAL],
+     "4:4: repeated :init in problem"),
+    ([OBJECTS, INIT, GOAL, "(:goal (clear a))"], "5:4: repeated :goal in problem"),
+], ids=[":objects", ":init", ":goal"])
+def test_repeated_problem_section_rejected(sections, message):
+    # a second section would otherwise replace the first
+    d = parse_domain(BLOCKSWORLD_ARM_DOMAIN)
+    with pytest.raises(ParseError) as err:
+        parse_problem(bw_problem_with(sections), d)
+    assert str(err.value) == message
+
+
+def schema_text(clauses):
+    return ("(define (domain d) (:requirements :typing) (:types t)\n"
+            "  (:predicates (p ?x) (q ?x))\n"
+            "  (:action go\n" + "\n".join(f"    {c}" for c in clauses) + "))")
+
+
+PARAMETERS, PRECONDITION, EFFECT = ":parameters (?x)", ":precondition (p ?x)", ":effect (q ?x)"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(define (domain d) (:types t)\n  (:predicates (p ?x))\n  (:types u))",
+     "3:4: repeated :types in domain"),
+    (schema_text([PARAMETERS, ":parameters (?x - t)", PRECONDITION, EFFECT]),
+     "5:5: repeated :parameters in action go"),
+    (schema_text([PARAMETERS, PRECONDITION, ":precondition (q ?x)", EFFECT]),
+     "6:5: repeated :precondition in action go"),
+    (schema_text([PARAMETERS, PRECONDITION, EFFECT, ":effect (not (p ?x))"]),
+     "7:5: repeated :effect in action go"),
+], ids=[":types", ":parameters", ":precondition", ":effect"])
+def test_repeated_domain_section_or_action_clause_rejected(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert str(err.value) == message
+
+
+def test_second_action_of_one_name_rejected():
+    # two pick-up schemas would ground to actions sharing names, and a
+    # lookup by name would find only the later one
+    with pytest.raises(ParseError) as err:
+        parse_domain(BLOCKSWORLD_ARM_DOMAIN.replace("(:action put-down", "(:action PICK-UP"))
+    assert str(err.value) == "14:12: action 'pick-up' declared twice"
+
+
+def test_predicate_declared_twice_rejected():
+    # the later arity would otherwise win, and a use of the first would
+    # fail as an arity mismatch
+    text = """(define (domain d) (:predicates (p ?x) (q)
+      (P ?x ?y))
+      (:action a :parameters (?x) :precondition (p ?x) :effect (q)))"""
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert str(err.value) == "2:8: predicate 'p' declared twice"
+
+
+# ---------------------------------------------------------------------------
 # Unknown constants: raised whenever the schema has a binding
 # ---------------------------------------------------------------------------
 

@@ -1,16 +1,15 @@
 """Differential tests for the PDDL reader.
 
-The reference below is the reader ``lmplan.pddl`` replaced, kept unchanged:
-a per-character tokenizer and frozen-dataclass symbols carrying their line
-and column.  The new reader tokenizes with one regular expression and works
-out a symbol's line and column from its token index only when asked.  Both
-must give the same trees, and the parser over either reader the same ASTs
-and the same ``ParseError`` text, line and column included.
+The reference below is a per-character tokenizer whose symbols carry their
+line and column.  ``lmplan.pddl`` reads plain strings, and reads a text
+again into tokens that know their offsets only when an error names one.
+The reference's trees must equal both: its texts the plain read's, its
+lines and columns the placed read's.  The parser over either reader must
+give the same ASTs and the same ``ParseError`` text, line and column
+included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +32,15 @@ from test_pddl import mutated_pairs
 # Reference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Symbol:
-    text: str
-    line: int
-    column: int
+class Symbol(str):
+    """A symbol's lowercased text, with its line and column."""
 
-    def position(self) -> tuple[int, int]:  # what the parser asks a symbol
+    def __new__(cls, text: str, line: int, column: int):
+        symbol = super().__new__(cls, text)
+        symbol.line, symbol.column = line, column
+        return symbol
+
+    def position(self) -> tuple[int, int]:  # what the parser asks a placed token
         return self.line, self.column
 
 
@@ -102,11 +103,36 @@ def tree(read, text):
     """The nested (text, line, column) tree ``read`` makes of ``text``, or
     the ParseError text it raised."""
     def walk(x):
-        return [walk(y) for y in x] if isinstance(x, list) else (x.text, *x.position())
+        return [walk(y) for y in x] if isinstance(x, list) else (str(x), *x.position())
     try:
         return walk(read(text))
     except ParseError as e:
         return str(e)
+
+
+def placed_read(text):
+    """``lmplan.pddl``'s placed read of ``text``, once its plain read is
+    checked against it: the same texts, as plain strings, or the same
+    failure (at an unbalanced ')' the plain read asks for the placed one)."""
+    try:
+        placed = pddl._read_sexprs(text, placed=True)
+    except ParseError as e:
+        with pytest.raises((pddl._Unplaced, ParseError)) as plain:
+            pddl._read_sexprs(text)
+        assert plain.type is pddl._Unplaced or str(plain.value) == str(e)
+        raise
+    plain = pddl._read_sexprs(text)
+    assert plain == placed  # lists compare their tokens as strings
+    assert all(type(x) is str for x in leaves(plain))
+    return placed
+
+
+def leaves(x):
+    if isinstance(x, list):
+        for y in x:
+            yield from leaves(y)
+    else:
+        yield x
 
 
 def parsed(domain_text, problem_text):
@@ -126,9 +152,10 @@ def parsed(domain_text, problem_text):
 
 
 def parsed_by_reference(domain_text, problem_text):
+    """``parsed`` with the reference reader, whose symbols all know their
+    place, so no error makes the parser read a text again."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pddl, "_read_sexprs", _read_sexprs)
-        mp.setattr(pddl, "Symbol", Symbol)
         return parsed(domain_text, problem_text)
 
 
@@ -136,14 +163,16 @@ TEXTS = [
     *DOMAIN_TEXTS.values(), BLOCKSWORLD_DEMO_PROBLEM, ROADMAP_DOMAIN, ROADMAP_PROBLEM,
     LOGISTICS_TWO_PLANES_PROBLEM, gen_blocksworld(5, "arm", 1), gen_logistics(2, 3, 2, 4, seed=1),
     # positions around comments, tabs, carriage returns and case folding
-    "(a ; open\n", "(a\n  (b) ; no newline at the end", "\t(x\r\n y)) ; c\n", ")",
+    "(a ; open\n", "(a\n  (b) ; no newline at the end", "\t(x\r\n y)) ; c\n", "(x\r\n y\rz\t(w))", ")",
     "; only a comment", "", "(A İx ΑΣ (Σ)\x0bb)", "(p ;(\n q;)\n)", "((a) (b)\n\n(",
+    # a capital sigma lowers by its neighbours, which a token's end cuts off
+    "(ΑΣ ΣΑ\taΣ(Σa)Σ'\nΑΣ;Α\n'Σ)",
 ]
 
 
 @pytest.mark.parametrize("text", TEXTS)
 def test_reader_matches_reference(text):
-    assert tree(pddl._read_sexprs, text) == tree(_read_sexprs, text)
+    assert tree(placed_read, text) == tree(_read_sexprs, text)
 
 
 BUILT_IN_PAIRS = [
@@ -162,5 +191,5 @@ def test_parser_matches_reference_reader_on_built_in_texts(texts):
 @settings(max_examples=400)
 @given(mutated_pairs())
 def test_parser_matches_reference_reader_on_mutated_texts(texts):
-    assert [tree(pddl._read_sexprs, t) for t in texts] == [tree(_read_sexprs, t) for t in texts]
+    assert [tree(placed_read, t) for t in texts] == [tree(_read_sexprs, t) for t in texts]
     assert parsed(*texts) == parsed_by_reference(*texts)
