@@ -148,10 +148,8 @@ class Task:
         self._cone_limit = len(self.facts)
         self._pose(init, goal, name)
         # the names, or a function building them on first read (len() counts
-        # them without building them); either way kept as one string: as a
-        # tuple, tens of thousands of names would be traversed by the next
-        # cyclic garbage collection, wherever it lands
-        self._pruned = pruned_actions if callable(pruned_actions) else "\n".join(pruned_actions)
+        # them without building them)
+        self._pruned = pruned_actions if callable(pruned_actions) else tuple(pruned_actions)
         self.provably_unsolvable = provably_unsolvable
 
     def _append(self, facts: Sequence[Fact], actions: Sequence[Action]) -> None:
@@ -219,7 +217,7 @@ class Task:
             t._append(facts, actions)
         t._cones, t._cone_limit = self._cones, self._cone_limit
         t._pose(init, goal, name)
-        t._pruned = ""
+        t._pruned = ()
         t.provably_unsolvable = False
         return t
 
@@ -227,15 +225,13 @@ class Task:
     def pruned_actions(self) -> tuple[str, ...]:
         """Names of the grounded actions the grounder dropped as unreachable."""
         if callable(self._pruned):
-            self._pruned = "\n".join(self._pruned())
-        return tuple(self._pruned.split("\n")) if self._pruned else ()
+            self._pruned = tuple(self._pruned())
+        return self._pruned
 
     @property
     def num_pruned(self) -> int:
         """``len(pruned_actions)``, without building the names first."""
-        if callable(self._pruned):
-            return len(self._pruned)
-        return self._pruned.count("\n") + 1 if self._pruned else 0
+        return len(self._pruned)
 
     @functools.cached_property
     def _fact_index(self) -> dict[str, int]:
@@ -306,10 +302,10 @@ class Task:
         return format_atom(pred, args) in self._fact_index
 
     def action_named(self, name: str) -> Action:
-        name = name.strip().lower()
-        if name not in self._action_index:
-            raise PlanningError(f"unknown action {name}")
-        return self.actions[self._action_index[name]]
+        key = format_atom(*parse_fact_name(name))
+        if key not in self._action_index:
+            raise PlanningError(f"unknown action {key}")
+        return self.actions[self._action_index[key]]
 
     def mask(self, names: Iterable[str]) -> int:
         return mask_of(self.fact_named(n).id for n in names)

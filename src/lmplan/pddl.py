@@ -29,8 +29,10 @@ place.  When an error names one, the text is read again with one regular
 expression into tokens that know their offsets, and parsed again to raise
 the error with its line and column.  The parser refuses a repeated
 section or action clause (only :requirements, :predicates, :action and
-:domain may repeat), a second action of one name and a predicate declared
-twice.  Atoms and schemas are named tuples.
+:domain may repeat), a second action of one name, a predicate declared
+twice, an object declared twice and a parameter named twice, so every
+binding of distinct objects names a distinct action.  Atoms and schemas
+are named tuples.
 """
 
 from __future__ import annotations
@@ -226,6 +228,16 @@ _SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
 _ONCE = {":types", ":objects", ":init", ":goal", ":parameters", ":precondition", ":effect"}
 
 
+def _distinct(entries, what: str, where: str = "") -> None:
+    """Refuse a name that the (name, type) ``entries`` hold twice, at its
+    second place."""
+    seen: set[str] = set()
+    for name, _ in entries:
+        if name in seen:
+            raise _err(name, f"{what} {name!r} declared twice{where}")
+        seen.add(name)
+
+
 def _once(key: str, seen: set, expr, where: str) -> None:
     """Refuse ``key``, at ``expr``, if ``seen`` holds it; note it there if
     it may appear only once."""
@@ -345,6 +357,7 @@ def _parse_schema(section, predicates, types) -> SchemaAst:
             if not isinstance(value, list):
                 raise _err(value, f"parameters of action {name} must be a list")
             entries = _typed_list(value, f"action {name} parameters")
+            _distinct(entries, "parameter", f" in action {name}")
             for v, t in entries:
                 if not v.startswith("?"):
                     raise _err(value, f"parameter {v!r} must start with '?'")
@@ -387,6 +400,7 @@ def _parse_problem(top: list, domain: DomainAst) -> ProblemAst:
                 raise _err(section, f"problem is for domain {domain_name!r}, not {domain.name!r}")
         elif head == ":objects":
             objects = tuple(_typed_list(section[1:], "objects"))
+            _distinct(objects, "object")
             for _, t in objects:
                 if t is not None and t not in domain.types:
                     raise _err(section, f"unknown object type {t!r}")
@@ -485,26 +499,19 @@ def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
     pools = [by_type.get(t, []) for _, t in schema.params]
     if not all(pools):
         return iter(())
-    # a repeated parameter name takes the object at its last position, so
-    # every position of that name reads it (as a dict from names would)
     slot = {v: i for i, (v, _) in enumerate(schema.params)}
     atoms = [(static[atom.predicate], tuple(slot[a] if a.startswith("?") else a for a in atom.args))
              for atom in (schema.pre if static is not None else ()) if atom.predicate in static]
     order = _join_order(len(pools), [refs for _, refs in atoms])
-    identity = list(range(len(pools)))
-    if order == identity:
-        combos = _bind(pools, atoms)
-    else:
-        # slot order[k] is bound k-th
-        at = {j: k for k, j in enumerate(order)}
-        combos = _bind([pools[j] for j in order],
-                       [(true, tuple(at[r] if type(r) is int else r for r in refs))
-                        for true, refs in atoms])
-        combos = iter(sorted(tuple(combo[at[j]] for j in identity) for combo in combos))
-    args = [slot[v] for v, _ in schema.params]
-    if args == identity:
-        return combos
-    return (tuple(combo[i] for i in args) for combo in combos)
+    identity = range(len(pools))
+    if order == list(identity):
+        return _bind(pools, atoms)
+    # slot order[k] is bound k-th
+    at = {j: k for k, j in enumerate(order)}
+    combos = _bind([pools[j] for j in order],
+                   [(true, tuple(at[r] if type(r) is int else r for r in refs))
+                    for true, refs in atoms])
+    return iter(sorted(tuple(combo[at[j]] for j in identity) for combo in combos))
 
 
 def _bind(pools: list[list[str]], atoms: list[tuple[set, tuple]]):
@@ -613,24 +620,13 @@ class _PrunedActions:
         return _pruned_names(self.domain, self.problem, self.kept)
 
     def __len__(self) -> int:
+        # objects are distinct, and a schema's parameters are all untyped
+        # (one pool) or all typed (disjoint pools), so its bindings number a
+        # product of falling factorials over its types' pools; less the kept
         by_type = _pools(self.problem)
-        objects = [o for o, _ in self.problem.objects]
-        unique = len(set(objects)) == len(objects)
-        count = 0
-        for schema, kept in zip(self.domain.schemas, self.kept):
-            if unique:
-                # a product of falling factorials over the types' pools, less
-                # the kept bindings; with a repeated parameter name, bindings
-                # differing at its earlier positions are equal once resolved,
-                # and share every test, so they are kept or pruned together
-                per_type = Counter(t for _, t in schema.params)
-                count += math.prod(math.perm(len(by_type.get(t, [])), k)
-                                   for t, k in per_type.items()) - len(kept)
-            else:
-                # a duplicated object repeats bindings the product counts apart
-                kept_set = set(kept)
-                count += sum(combo not in kept_set for combo in _bindings(schema, by_type))
-        return count
+        return sum(math.prod(math.perm(len(by_type.get(t, [])), k)
+                             for t, k in Counter(t for _, t in schema.params).items()) - len(kept)
+                   for schema, kept in zip(self.domain.schemas, self.kept))
 
 
 def _pruned_names(domain: DomainAst, problem: ProblemAst,
@@ -646,13 +642,13 @@ def _pruned_names(domain: DomainAst, problem: ProblemAst,
                 yield format_atom(schema.name, combo)
 
 
-def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
+def ground(domain: DomainAst, problem: ProblemAst) -> Task:
     """Instantiate schemas over the problem objects and build a Task.
 
-    With ``prune`` on, actions unreachable in the delete-relaxed fixpoint are
-    dropped and the fact universe is the relaxed-reachable facts plus init
-    and goal.  A goal fact outside the fixpoint does not fail the grounding;
-    the returned task is flagged provably unsolvable instead.
+    Actions unreachable in the delete-relaxed fixpoint are dropped and the
+    fact universe is the relaxed-reachable facts plus init and goal.  A goal
+    fact outside the fixpoint does not fail the grounding; the returned task
+    is flagged provably unsolvable instead.
 
     Pruning starts while bindings are enumerated: a predicate no schema adds
     is static, its true atoms are exactly its ``:init`` atoms, so a binding
@@ -668,21 +664,18 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
     """
     by_type = _pools(problem)
     object_set = {o for o, _ in problem.objects}
-    static = None
-    if prune:
-        added = {a.predicate for s in domain.schemas for a in s.add}
-        static = {a.predicate: set() for s in domain.schemas for a in s.pre
-                  if a.predicate not in added}
-        for atom in problem.init:
-            if atom.predicate in static:
-                static[atom.predicate].add(atom.args)
+    added = {a.predicate for s in domain.schemas for a in s.add}
+    static = {a.predicate: set() for s in domain.schemas for a in s.pre
+              if a.predicate not in added}
+    for atom in problem.init:
+        if atom.predicate in static:
+            static[atom.predicate].add(atom.args)
 
     getters = [_atom_getters(schema) for schema in domain.schemas]
-    atoms = _AtomBits()  # with prune: the atoms the fixpoint may reach
-    # per surviving binding: schema index and row; with prune, the
-    # fixpoint's (pre, add) pair over local bits, where static
-    # preconditions are left out: they hold in init, or the binding would
-    # not have survived
+    atoms = _AtomBits()  # the atoms the fixpoint may reach
+    # per surviving binding: schema index and row, and the fixpoint's (pre,
+    # add) pair over local bits, where static preconditions are left out:
+    # they hold in init, or the binding would not have survived
     rows: list[tuple[int, tuple]] = []
     pairs: list[tuple[int, int]] = []
     for s, schema in enumerate(domain.schemas):
@@ -694,34 +687,28 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
                 raise
             continue
         names, pre_get, add_get, _ = getters[s]
-        fluent = [get for get, atom in zip(pre_get, schema.pre)
-                  if prune and atom.predicate not in static]
+        fluent = [get for get, atom in zip(pre_get, schema.pre) if atom.predicate not in static]
         for combo in _bindings(schema, by_type, static):
             row = combo + names
             rows.append((s, row))
-            if prune:
-                pre = add = 0
-                for get in fluent:
-                    pre |= atoms[get(row)]
-                for get in add_get:
-                    add |= atoms[get(row)]
-                pairs.append((pre, add))
+            pre = add = 0
+            for get in fluent:
+                pre |= atoms[get(row)]
+            for get in add_get:
+                add |= atoms[get(row)]
+            pairs.append((pre, add))
     _check_constants((*problem.init, *problem.goal), object_set)
     init_atoms = [(a.predicate, *a.args) for a in problem.init]
     goal_atoms = [(a.predicate, *a.args) for a in problem.goal]
 
-    if prune:
-        init = goal = 0
-        for atom in init_atoms:
-            init |= atoms[atom]
-        for atom in goal_atoms:
-            goal |= atoms[atom]
-        reached = relaxed_closure(pairs, init)
-        rows = [r for r, (pre, _) in zip(rows, pairs) if reached & pre == pre]
-        universe = {atom for atom, bit in atoms.items() if bit & (reached | goal)}
-    else:
-        universe = {get(row) for s, row in rows for part in getters[s][1:] for get in part}
-        universe.update(init_atoms, goal_atoms)
+    init = goal = 0
+    for atom in init_atoms:
+        init |= atoms[atom]
+    for atom in goal_atoms:
+        goal |= atoms[atom]
+    reached = relaxed_closure(pairs, init)
+    rows = [r for r, (pre, _) in zip(rows, pairs) if reached & pre == pre]
+    universe = {atom for atom, bit in atoms.items() if bit & (reached | goal)}
 
     fact_bit: dict[tuple, int] = {}
     facts = []
@@ -744,22 +731,21 @@ def ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
         _, pre_get, add_get, del_get = getters[s]
         actions.append(Action(aid, format_atom(schema.name, combo),
                               mask(pre_get, row), mask(add_get, row), mask(del_get, row)))
-    pruned = _PrunedActions(domain, problem, tuple(map(tuple, kept))) if prune else ()
     return Task(
         facts,
         actions,
         sum(fact_bit[atom] for atom in set(init_atoms)),
         sum(fact_bit[atom] for atom in set(goal_atoms)),
         name=problem.name,
-        pruned_actions=pruned,
-        provably_unsolvable=prune and goal & ~reached != 0,
+        pruned_actions=_PrunedActions(domain, problem, tuple(map(tuple, kept))),
+        provably_unsolvable=goal & ~reached != 0,
     )
 
 
-def ground_files(domain_text: str, problem_text: str, prune: bool = True) -> Task:
+def ground_files(domain_text: str, problem_text: str) -> Task:
     d = parse_domain(domain_text)
     p = parse_problem(problem_text, d)
-    return ground(d, p, prune=prune)
+    return ground(d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +757,14 @@ def mangle_action_name(name: str) -> str:
     return name.strip("()").replace(" ", "_")
 
 
-def grounded_domain_pddl(task: Task, domain_name: str = "subtask") -> str:
+_DOMAIN_NAME, _PROBLEM_NAME = "subtask", "subtask-instance"
+
+
+def grounded_domain_pddl(task: Task) -> str:
     preds: dict[str, int] = {}
     for f in task.facts:
         preds.setdefault(f.predicate, len(f.args))
-    lines = [f"(define (domain {domain_name})", "  (:requirements :strips)", "  (:predicates"]
+    lines = [f"(define (domain {_DOMAIN_NAME})", "  (:requirements :strips)", "  (:predicates"]
     for p, arity in sorted(preds.items()):
         args = " ".join(f"?x{i}" for i in range(arity))
         lines.append(f"    ({p}{' ' + args if args else ''})")
@@ -792,12 +781,11 @@ def grounded_domain_pddl(task: Task, domain_name: str = "subtask") -> str:
     return "\n".join(lines) + "\n"
 
 
-def grounded_problem_pddl(task: Task, problem_name: str = "subtask-instance",
-                          domain_name: str = "subtask") -> str:
+def grounded_problem_pddl(task: Task) -> str:
     objects = sorted({arg for f in task.facts for arg in f.args})
     lines = [
-        f"(define (problem {problem_name})",
-        f"  (:domain {domain_name})",
+        f"(define (problem {_PROBLEM_NAME})",
+        f"  (:domain {_DOMAIN_NAME})",
         f"  (:objects {' '.join(objects)})" if objects else "  (:objects)",
         "  (:init",
     ]
@@ -830,5 +818,5 @@ def parse_plan_text(task: Task, text: str) -> list[int]:
         if len(parts) == 1 and parts[0] in by_mangled:
             plan.append(by_mangled[parts[0]])
         else:
-            plan.append(task.action_named("(" + " ".join(parts) + ")").id)
+            plan.append(task.action_named(line).id)
     return plan

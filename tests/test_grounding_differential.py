@@ -8,7 +8,9 @@ builds every pruned action's name eagerly.  The new grounder tests static
 preconditions while it binds (joining them through indexes of the ``:init``
 relations), gives atoms integer ids, runs the fixpoint over bitmasks of the
 survivors only and builds the pruned names on first read; the Task must be
-the same, and ``Task.num_pruned`` must count the pruned names.
+the same, and ``Task.num_pruned`` must count the pruned names.  The
+grounder has no unpruned mode: the reference's (``prune=False``) grounds
+every binding, and the grounder's kept and pruned actions must be those.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from lmplan.pddl import (
     AtomAst,
     DomainAst,
     GroundingError,
+    ParseError,
     ProblemAst,
     SchemaAst,
     ground,
@@ -164,10 +167,10 @@ def reference_ground(domain: DomainAst, problem: ProblemAst, prune: bool = True)
 # Differential tests
 # ---------------------------------------------------------------------------
 
-def grounded(fn, domain: DomainAst, problem: ProblemAst, prune: bool):
+def grounded(fn, domain: DomainAst, problem: ProblemAst):
     """Everything a grounding produces, or the GroundingError it raised."""
     try:
-        t = fn(domain, problem, prune)
+        t = fn(domain, problem)
     except GroundingError as e:
         return ("GroundingError", str(e))
     count = t.num_pruned  # before the names are built
@@ -226,8 +229,6 @@ def join_problem(is_open: bool) -> str:
             + ") (:goal (and (painted n2 blue) (seen n3))))")
 
 
-# duplicated objects: pruned actions are then counted by enumeration, not
-# from the pools
 REPEATS_DOMAIN = """(define (domain repeats) (:predicates (p ?x) (q ?x ?y))
   (:action a :parameters (?x ?y) :precondition (and (p ?x)) :effect (and (q ?x ?y)))
   (:action c :parameters (?y ?z) :precondition (and (q ?z ?y)) :effect (and (not (p ?y))))
@@ -243,25 +244,58 @@ BUILT_IN.update({
     "joins-open": (JOIN_DOMAIN, join_problem(True)),
     "joins-closed": (JOIN_DOMAIN, join_problem(False)),
     "repeats": (REPEATS_DOMAIN, repeats_problem("o1 o2 o3")),
-    "repeats-duplicate-objects": (REPEATS_DOMAIN, repeats_problem("o1 o2 o1 o3")),
 })
 
 
-# prune=False on 3-3-1-6 builds 221,760 actions on each side (16 s, 750 MB);
-# its enumeration is held against the reference's in the next test instead
+def against_unpruned(domain: DomainAst, problem: ProblemAst):
+    """The grounding and the reference's unpruned one, side by side: the
+    kept actions in order, each with its pre, add and delete fact names; all
+    action names (kept and pruned on the grounding's side), sorted; and the
+    initial and goal fact names.  The unpruned side's deletes are cut to
+    the grounding's facts, since the others are never true."""
+    t, full = ground(domain, problem), reference_ground(domain, problem, prune=False)
+    kept = {a.name for a in t.actions}
+    universe = {f.name for f in t.facts}
+
+    def view(task, names):
+        return ([(a.name, task.fact_names(a.pre), task.fact_names(a.add),
+                  [f for f in task.fact_names(a.delete) if f in universe])
+                 for a in task.actions if a.name in kept], names,
+                task.fact_names(task.init), task.fact_names(task.goal))
+
+    assert t.num_pruned == len(t.pruned_actions)
+    return (view(t, sorted([*kept, *t.pruned_actions])),
+            view(full, sorted(a.name for a in full.actions)))
+
+
+# the reference's unpruned grounding of 3-3-1-6 builds 221,760 actions (16 s,
+# 750 MB); its enumeration is held against the reference's in
+# test_unfiltered_bindings_match_reference instead
 GROUNDINGS = [(case, True) for case in BUILT_IN] + \
     [(case, False) for case in BUILT_IN if case != "log-3-3-1-6"]
 
 
 @pytest.mark.parametrize("case,prune", GROUNDINGS)
 def test_ground_matches_reference_on_built_in_tasks(case, prune):
+    # True: the reference's pruned grounding; False: its unpruned one
     d, p = pair(*BUILT_IN[case])
-    assert grounded(ground, d, p, prune) == grounded(reference_ground, d, p, prune)
+    if prune:
+        assert grounded(ground, d, p) == grounded(reference_ground, d, p)
+    else:
+        ours, reference = against_unpruned(d, p)
+        assert ours == reference
+
+
+def test_repeated_objects_are_refused():
+    # once grounded as o1 o1 o2 o3's bindings, with actions named twice
+    with pytest.raises(ParseError) as err:
+        pair(REPEATS_DOMAIN, repeats_problem("o1 o2 o1 o3"))
+    assert str(err.value) == "1:63: object 'o1' declared twice"
 
 
 @pytest.mark.parametrize("case", sorted(BUILT_IN))
 def test_unfiltered_bindings_match_reference(case):
-    # what prune=False and the pruned names enumerate: every binding, in order
+    # what the pruned names enumerate: every binding, in order
     d, p = pair(*BUILT_IN[case])
     by_type = pddl._pools(p)
     for schema in d.schemas:
@@ -273,12 +307,15 @@ def test_unfiltered_bindings_match_reference(case):
 def pddl_pairs(draw):
     """A random typed or untyped STRIPS domain and problem, as text: static
     and fluent predicates, zero-arity predicates and schemas, constants
-    (rarely an unknown one) in schema atoms, repeated parameter names,
-    predicates that are only deleted and empty type pools."""
+    (rarely an unknown one) in schema atoms, predicates that are only
+    deleted and empty type pools; and whether the text repeats a parameter
+    name in a schema or (rarely) an object."""
     typed = draw(st.booleans())
     types = ["ta", "tb", "tc"][:draw(st.integers(1, 3))] if typed else [None]
     objects = [(f"{t or 'o'}{i}", t) for t in types for i in range(draw(st.integers(0, 3)))]
     names = [o for o, _ in objects]
+    objects += objects[:draw(st.sampled_from([0, 0, 0, 0, 0, 1]))]
+    repeats = len(objects) != len(names)
     arity = {f"p{i}": draw(st.integers(0, 2)) for i in range(draw(st.integers(1, 4)))}
 
     def typed_list(entries):
@@ -297,6 +334,7 @@ def pddl_pairs(draw):
     for i in range(draw(st.integers(0, 4))):
         params = [(draw(st.sampled_from(["?a", "?b", "?c"])), draw(st.sampled_from(types)))
                   for _ in range(draw(st.integers(0, 3)))]
+        repeats = repeats or len({v for v, _ in params}) != len(params)
         pool = [v for v, _ in params] + names + ["zz"] * draw(st.sampled_from([0, 0, 0, 1]))
         pool = pool or ["zz"]
         pre = atoms(pool, 3)
@@ -312,11 +350,21 @@ def pddl_pairs(draw):
     goal = draw(st.sets(st.sampled_from(facts), max_size=2)) if facts else set()
     problem = (f"(define (problem gen-p) (:domain gen) (:objects {typed_list(objects)})"
                f" (:init {' '.join(sorted(init))}) (:goal (and {' '.join(sorted(goal))})))")
-    return domain, problem
+    return domain, problem, repeats
 
 
-@settings(max_examples=300)
-@given(pddl_pairs(), st.booleans())
-def test_ground_matches_reference_on_random_domains(texts, prune):
+# about half the drawn texts repeat a name, so 600 give about 300 groundings
+@settings(max_examples=600)
+@given(pddl_pairs())
+def test_ground_matches_reference_on_random_domains(drawn):
+    *texts, repeats = drawn
+    if repeats:
+        with pytest.raises(ParseError, match="declared twice"):
+            pair(*texts)
+        return
     d, p = pair(*texts)
-    assert grounded(ground, d, p, prune) == grounded(reference_ground, d, p, prune)
+    got = grounded(ground, d, p)
+    assert got == grounded(reference_ground, d, p)
+    if got[0] != "GroundingError":
+        names = [a.name for a in got[1]] + list(got[5])  # kept and pruned
+        assert len(set(names)) == len(names)

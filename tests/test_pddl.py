@@ -211,8 +211,10 @@ def test_pruning_is_sound_on_micro_instances(size, seed):
 
     d = parse_domain(DOMAIN_TEXTS["blocksworld-arm"])
     p = parse_problem(gen_blocksworld(size, "arm", seed), d)
-    pruned_task = ground(d, p, prune=True)
-    full_task = ground(d, p, prune=False)
+    from test_grounding_differential import reference_ground
+
+    pruned_task = ground(d, p)
+    full_task = reference_ground(d, p, prune=False)
     space = enumerate_states(full_task)
     used = {full_task.actions[aid].name for _, aid, _ in space.transitions}
     assert used <= {a.name for a in pruned_task.actions}
@@ -232,6 +234,15 @@ def test_plan_text_accepts_both_spellings(demo_bw):
     plan = parse_plan_text(demo_bw, "(unstack d c)\n; comment\n(put-down_d)\n(pick-up_c)\n")
     names = [demo_bw.actions[a].name for a in plan]
     assert names == ["(unstack d c)", "(put-down d)", "(pick-up c)"]
+
+
+@pytest.mark.parametrize("spelling", ["(unstack  d c)", "(unstack\td c)", " ( UNSTACK d\r\nc ) "],
+                         ids=["two-spaces", "tab", "blanks-and-case"])
+def test_action_names_are_found_however_blanks_are_spelled(demo_bw, spelling):
+    # as fact names are: split on the reader's blanks, lowercased
+    unstack = demo_bw.action_named("(unstack d c)")
+    assert demo_bw.action_named(spelling) == unstack
+    assert parse_plan_text(demo_bw, spelling.replace("\n", " ")) == [unstack.id]
 
 
 def test_constants_in_action_atoms_resolve(roadmap):
@@ -325,6 +336,29 @@ def test_second_action_of_one_name_rejected():
     assert str(err.value) == "14:12: action 'pick-up' declared twice"
 
 
+@pytest.mark.parametrize("objects,message", [
+    ("(:objects a a b)", "2:15: object 'a' declared twice"),
+    ("(:objects a - block b a - block)", "2:25: object 'a' declared twice"),
+], ids=["untyped", "typed"])
+def test_object_declared_twice_rejected(objects, message):
+    # (:objects a a b - block) grounded to 14 actions with only 8 names
+    d = parse_domain(BLOCKSWORLD_ARM_DOMAIN)
+    with pytest.raises(ParseError) as err:
+        parse_problem(bw_problem_with([objects, INIT, GOAL]), d)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parameters,message", [
+    (":parameters (?x ?x)", "4:21: parameter '?x' declared twice in action go"),
+    (":parameters (?x - t ?x - t)", "4:25: parameter '?x' declared twice in action go"),
+], ids=["untyped", "typed"])
+def test_parameter_named_twice_rejected(parameters, message):
+    # (go a a) was grounded twice, and a lookup by name found the later one
+    with pytest.raises(ParseError) as err:
+        parse_domain(schema_text([parameters, PRECONDITION, EFFECT]))
+    assert str(err.value) == message
+
+
 def test_predicate_declared_twice_rejected():
     # the later arity would otherwise win, and a use of the first would
     # fail as an arity mismatch
@@ -353,15 +387,12 @@ def test_unknown_constant_raises_even_when_every_binding_fails_a_static_test():
     # (s ?x) is static and false for o1, so no binding survives the filter
     with pytest.raises(GroundingError, match="unknown constant 'zz' in f"):
         ground_files(STATIC_GUARDED, guarded_problem("o1 - t"))
-    with pytest.raises(GroundingError, match="unknown constant 'zz' in f"):
-        ground_files(STATIC_GUARDED, guarded_problem("o1 - t"), prune=False)
 
 
 @pytest.mark.parametrize("objects", ["", "o1 - u"])
 def test_unknown_constant_without_bindings_raises_nothing(objects):
     # the pool of type t is empty, so the schema has no binding to ground
-    for prune in (True, False):
-        assert ground_files(STATIC_GUARDED, guarded_problem(objects), prune=prune).actions == ()
+    assert ground_files(STATIC_GUARDED, guarded_problem(objects)).actions == ()
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +432,8 @@ def test_pruned_names_are_built_once(monkeypatch, two_planes):
     monkeypatch.setattr(pddl, "_bindings", lambda *a: calls.append(1) or real(*a))
     first = t.pruned_actions
     assert len(calls) == len(d.schemas)
-    assert t.pruned_actions == first == two_planes.pruned_actions
+    assert t.pruned_actions is first  # kept as built, not rebuilt per read
+    assert first == two_planes.pruned_actions
     assert len(calls) == len(d.schemas)
     assert "(drive-truck la-truck la-po boston-po la)" in first
 
