@@ -237,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=list(ORACLES))
     _add_task_args(p)
     p.add_argument("facts", nargs="+", help='facts like "(clear c)"')
-    p.add_argument("--cap", type=_count, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_STATE_CAP,
+                   help="most states any one search may keep; past it, prints "
+                        "'cap exceeded' and exits 1 (default %(default)s)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random instance")

@@ -36,10 +36,12 @@ def split_blanks(text: str) -> list[str]:
     return _SYMBOL.findall(text)
 
 
-def parse_fact_name(text: str) -> tuple[str, tuple[str, ...]]:
+def parse_fact_name(text: str, kind: str = "fact") -> tuple[str, tuple[str, ...]]:
     """Parse a fact display name "(predicate arg1 arg2)" into its parts.
 
     A bare symbol (no parentheses) is accepted as a zero-argument predicate.
+    Action names read alike; ``kind`` names what the text names in the
+    error a malformed name raises.
     """
     text = text.strip(BLANKS).lower()
     if text.startswith("(") and text.endswith(")"):
@@ -47,7 +49,7 @@ def parse_fact_name(text: str) -> tuple[str, tuple[str, ...]]:
     else:
         parts = split_blanks(text)
     if not parts or any(("(" in p or ")" in p) for p in parts):
-        raise PlanningError(f"malformed fact name: {text!r}")
+        raise PlanningError(f"malformed {kind} name: {text!r}")
     return parts[0], tuple(parts[1:])
 
 
@@ -302,7 +304,7 @@ class Task:
         return format_atom(pred, args) in self._fact_index
 
     def action_named(self, name: str) -> Action:
-        key = format_atom(*parse_fact_name(name))
+        key = format_atom(*parse_fact_name(name, "action"))
         if key not in self._action_index:
             raise PlanningError(f"unknown action {key}")
         return self.actions[self._action_index[key]]

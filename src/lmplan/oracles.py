@@ -16,11 +16,13 @@ one or two monotone flags.  The reductions:
   the first-achievement prefixes).
 * reasonable order: the achieved-before set S is found inside the l-free
   subspace as targets of lp-adding transitions; the aftermath is refuted by
-  a goal-reaching path from some s in S carrying flags (l seen at step >= 1,
-  lp seen at-or-after the first l); the deletion requirement is refuted by
-  reaching l from some s in S using only actions that never delete lp.
-  Each refutation search runs once, from all of S together: a path from
-  some s in S is exactly a path from the set S.
+  a goal-reaching path from some s in S on which lp never follows an l seen
+  at step >= 1; the deletion requirement is refuted by reaching l from some
+  s in S using only actions that never delete lp.  Each refutation search
+  runs once, from all of S together: a path from some s in S is exactly a
+  path from the set S.  The aftermath search keeps each state once, with
+  whether l has been seen on the way, and drops paths that lp followed l
+  on; an arrival with l unseen replaces an entry with l seen.
 * inconsistency: no enumerated state contains both facts.
 
 Every search reads successors through ``_TaskMemo.successors``, the one
@@ -44,13 +46,16 @@ Table and closures live as long as their task (a derived task keeps its
 own, even with its parent's ops) and hold at most ``MEMO_BUDGET`` entries: a
 kept closure counts its states, a table entry its state and transitions.
 Past the budget a closure is searched, or a state expanded, anew each time.
-Each search keeps, counts and caps its own states whatever is kept, so a
-kept closure of N states answers cap c as a fresh search would: it is
-returned if N <= max(c, 1) (a closure of the start alone fits any cap), else
-CapExceeded(c) is raised.  A search that raises CapExceeded may leave table
-entries behind: they are facts about the task.
 
-Caps are hard: exceeding one raises CapExceeded rather than truncating.
+Caps: every search, the aftermath search included, counts the states it
+keeps and raises CapExceeded(cap) rather than keep one more than ``cap``;
+its start states are kept whatever the cap, and a goal state that refutes
+an order ends the aftermath search unkept.  A search caps its own states
+whatever the memo keeps, so a kept closure of N states answers cap c as a
+fresh search would: it is returned if N <= max(c, 1) (a closure of the
+start alone fits any cap), else CapExceeded(c) is raised.  A search that
+raises CapExceeded may leave table entries behind: they are facts about
+the task.
 """
 
 from __future__ import annotations
@@ -283,26 +288,29 @@ def _aftermath_violated_from(task: Task, starts: list[int], l: int, lp: int,
     goal = task.goal
     if any(s & goal == goal for s in starts):
         return True  # empty solution plan: nothing achieves l at i >= 1
-    # flags: l seen at step >= 1; lp seen at-or-after the first such l.  A
-    # state is reached with up to three flag combinations.
+    # A path is satisfied once lp follows an l seen at step >= 1; the flag
+    # never clears, so such a path refutes nothing and is dropped.  Each
+    # state is kept once, with whether l has been seen: a refutation from it
+    # with l seen is one with l unseen too, so an arrival with l unseen
+    # replaces an l-seen entry and is searched again.
     expand = _memo(task).successors
-    frontier = [(s, False, False) for s in starts]
-    seen = set(frontier)
+    frontier = dict.fromkeys(starts, False)  # state -> l seen, per depth
+    kept = dict(frontier)
     while frontier:
-        nxt = []
-        for s, seen_l, satisfied in frontier:
+        nxt: dict[int, bool] = {}
+        for s, seen_l in frontier.items():
             for _, t in expand(s):
-                n_l = seen_l or bool(t & lbit)
-                n_sat = satisfied or (bool(t & lpbit) and n_l)
-                node = (t, n_l, n_sat)
-                if node in seen:
+                n_l = seen_l or t & lbit != 0
+                if n_l and t & lpbit:
                     continue
-                if len(seen) >= 3 * cap:
-                    raise CapExceeded(cap)
-                if t & goal == goal and not n_sat:
-                    return True
-                seen.add(node)
-                nxt.append(node)
+                if t not in kept:
+                    if t & goal == goal:
+                        return True
+                    if len(kept) >= cap:
+                        raise CapExceeded(cap)
+                elif n_l or not kept[t]:
+                    continue
+                kept[t] = nxt[t] = n_l
         frontier = nxt
     return False
 

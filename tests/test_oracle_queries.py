@@ -1,4 +1,7 @@
-"""tools/oracle_queries.py: one round of oracle-micro's oracle calls."""
+"""tools/oracle_queries.py: two rounds of oracle-micro's oracle calls.
+
+The seed-1 answer counts are pinned: they are the exact oracles' verdicts
+on the prefix's 3,631 landmarks, 3,369 gn edges and 1,117 r edges."""
 
 import re
 import subprocess
@@ -9,6 +12,8 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "oracle_queries.py"
 TIMES = r"median (\d+\.\d) us/call, (\d+\.\d) ms/round, (\d+) successor sets"
 ENUMERATE = re.compile(r"enumerate: (\d+) calls, (\d+) states, " + TIMES)
 DECIDER = re.compile(r"(landmark|gn|r): (\d+) calls, (\d+) true, (\d+) false, " + TIMES)
+SEARCH = re.compile(r"r (achieved-before|aftermath|deletion): (\d+) calls, "
+                    r"median (\d+\.\d) us/call, (\d+\.\d) ms/round, (\d+) states kept")
 TOTAL = re.compile(r"successor sets: (\d+) per round")
 
 
@@ -27,15 +32,25 @@ def test_two_rounds_report_each_kind():
     calls, states = map(int, enumerate_.group(1, 2))
     assert calls == 400 and states >= calls
     assert float(enumerate_.group(3)) > 0 and float(enumerate_.group(4)) > 0
-    parsed = [DECIDER.fullmatch(line) for line in lines]
+    parsed = [DECIDER.fullmatch(line) for line in lines[:3]]
     assert all(parsed), lines
     assert [m.group(1) for m in parsed] == ["landmark", "gn", "r"]
     for m in parsed:
-        calls, true, false = map(int, m.group(2, 3, 4))
-        assert calls > 0 and true + false == calls
         assert float(m.group(5)) > 0 and float(m.group(6)) > 0
     # every verified landmark of the prefix is a true landmark
-    assert parsed[0].group(4) == "0"
+    assert [tuple(map(int, m.group(2, 3, 4))) for m in parsed] == [
+        (3631, 3631, 0), (3369, 3045, 324), (1117, 1084, 33)]
+    # the r decider's searches: the scan runs on every query, the
+    # aftermath search on the 382 with achieved-before states, and on this
+    # prefix no aftermath search refutes an order, so each is followed by
+    # a deletion search.  A search that refutes nothing keeps the same
+    # states in any search order, so what each keeps is fixed by the tasks
+    searches = [SEARCH.fullmatch(line) for line in lines[3:]]
+    assert all(searches), lines
+    assert [(m.group(1), int(m.group(2)), int(m.group(5))) for m in searches] == [
+        ("achieved-before", 1117, 965), ("aftermath", 382, 26146), ("deletion", 382, 2264)]
+    for m in searches:
+        assert float(m.group(3)) > 0 and float(m.group(4)) > 0
     # enumeration generates each reachable state's successors once; the
     # deciders read them from the task's table and generate none
     assert int(enumerate_.group(5)) == states

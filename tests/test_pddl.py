@@ -245,6 +245,21 @@ def test_action_names_are_found_however_blanks_are_spelled(demo_bw, spelling):
     assert parse_plan_text(demo_bw, spelling.replace("\n", " ")) == [unstack.id]
 
 
+@pytest.mark.parametrize("name", ["", "((unstack d c))", "(unstack (d) c)"],
+                         ids=["empty", "doubled-parentheses", "nested"])
+def test_malformed_action_name_is_reported_as_one(demo_bw, name):
+    with pytest.raises(PlanningError, match=r"^malformed action name: "):
+        demo_bw.action_named(name)
+    with pytest.raises(PlanningError, match=r"^malformed fact name: "):
+        demo_bw.fact_named(name)
+
+
+def test_malformed_plan_line_is_reported_as_an_action_name(demo_bw):
+    with pytest.raises(PlanningError) as err:
+        parse_plan_text(demo_bw, "(unstack d c)\n((unstack d c))\n")
+    assert str(err.value) == "malformed action name: '((unstack d c))'"
+
+
 def test_constants_in_action_atoms_resolve(roadmap):
     assert roadmap.fact_named("(at a)").id in range(roadmap.num_facts)
     with pytest.raises(PlanningError):

@@ -3,27 +3,34 @@
 ``enumerate_states`` used to run the closure and then generate every state's
 successors a second time for the transitions; ``first_achiever_pre_mask``
 generated them a second time to find the states with an lp-adding
-successor; the aftermath search generated a state's successors once per flag
-combination it was reached with.  The references below are those versions,
-with their own copy of the closure, so that a fault in ``oracles._closure``
-cannot hide in both sides.  Values must be equal, and around each space's
-size n, caps n - 1, n and n + 1 must give the same value or both raise
-``CapExceeded``.  ``count_solutions_of_length``, which reads the successor
-table too, is held against its table-free version under several limits.
+successor.  The references below are those versions, with their own copy of
+the closure, so that a fault in ``oracles._closure`` cannot hide in both
+sides.  Values must be equal, and around each space's size n, caps n - 1, n
+and n + 1 must give the same value or both raise ``CapExceeded``.
+``count_solutions_of_length``, which reads the successor table too, is held
+against its table-free version under several limits.
+
+The aftermath search's reference searches (state, l seen, lp seen after l)
+nodes, expands satisfied ones too and counts nodes against 3 * cap.  The
+search keeps one entry per state, drops satisfied nodes and counts kept
+states against the cap, as every oracle search does.  Its verdict must be
+the reference's, and its cap outcome and the states it expands follow from
+the states of the reference's unsatisfied nodes (``aftermath_outcomes``).
 
 Every search reads successors from a table kept per task, so over all the
 searches a test makes on one task, each state's successors are generated at
-most once, and exactly for the states the references expand.
+most once, and for the states the references expand, or bound.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmplan import oracles
 from lmplan.bench import gen_blocksworld
-from lmplan.core import PlanningError, successors
+from lmplan.core import PlanningError, make_task, successors
 from lmplan.oracles import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -35,6 +42,7 @@ from lmplan.oracles import (
 )
 from lmplan.pddl import ground_files
 
+from conftest import fid
 from test_core import micro_tasks
 from test_kernel import DOMAINS, three_block_tasks
 from test_pipeline_properties import solvable_tasks
@@ -80,9 +88,9 @@ def reference_first_achiever_pre_mask(task, lp, cap=DEFAULT_STATE_CAP):
     return acc
 
 
-def reference_aftermath_violated_from(task, starts, l, lp, cap, expanded=None):
-    """With an ``expanded`` set, adds each state whose successors it
-    generates."""
+def reference_aftermath_violated_from(task, starts, l, lp, cap, unsatisfied=None):
+    """With an ``unsatisfied`` list, appends the states of each frontier's
+    unsatisfied nodes, as one set, before it expands the frontier."""
     lbit, lpbit = 1 << l, 1 << lp
     goal = task.goal
     if any(s & goal == goal for s in starts):
@@ -91,9 +99,9 @@ def reference_aftermath_violated_from(task, starts, l, lp, cap, expanded=None):
     seen = set(frontier)
     while frontier:
         nxt = []
+        if unsatisfied is not None:
+            unsatisfied.append({s for s, _, satisfied in frontier if not satisfied})
         for s, seen_l, satisfied in frontier:
-            if expanded is not None:
-                expanded.add(s)
             for _, t in successors(task.ops, s):
                 n_l = seen_l or bool(t & lbit)
                 n_sat = satisfied or (bool(t & lpbit) and n_l)
@@ -126,6 +134,49 @@ def reference_count_solutions_of_length(task, length, limit=10_000_000):
             continue
         stack.extend((t, depth + 1) for _, t in successors(task.ops, s))
     return count
+
+
+def aftermath_outcomes(task, starts, l, lp):
+    """What the reference's unsatisfied nodes tell of the aftermath search
+    from ``starts``: (the states it surely expands, the states it may
+    expand, a function from a cap to the outcomes it may give, the caps
+    around which those outcomes change).
+
+    The search keeps the states of the reference's unsatisfied nodes, each
+    once, and adds a state only while it keeps fewer than the cap (its
+    starts are kept whatever the cap).  When the reference refutes nothing,
+    the search keeps and expands all of them, and raises ``CapExceeded``
+    exactly when they outnumber both the cap and the starts.  When it
+    refutes, the search refutes at the same depth d.  It keeps every state
+    of the frontiers before d, and expands those before d - 1.  How many
+    states of frontier d - 1 it expands, and of frontier d it keeps, before
+    it meets the refutation depends on its order: it must raise if the
+    frontiers before d outnumber the cap, and must refute if the cap holds
+    them and frontier d's states."""
+    levels = []
+    verdict = reference_aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP,
+                                                levels)
+    every = set().union(*levels)
+    surely = set().union(*levels[:-1]) if verdict else every
+    met = every
+    if verdict and levels:
+        # frontier d, from the reference on a goal no state holds; without
+        # its goal states, which the search returns at and never keeps
+        blind = []
+        reference_aftermath_violated_from(
+            SimpleNamespace(ops=task.ops, goal=1 << task.num_facts), starts, l, lp,
+            DEFAULT_STATE_CAP, blind)
+        met = every | {t for t in blind[len(levels)] if t & task.goal != task.goal}
+    n_starts = len(set(starts))
+
+    def at(cap):
+        if len(every) > max(cap, n_starts):
+            return {CapExceeded}
+        if len(met) <= max(cap, n_starts):
+            return {verdict}
+        return {True, CapExceeded}
+
+    return surely, every, at, {*around(len(every)), len(met)}
 
 
 def outcome(fn, *args):
@@ -166,6 +217,7 @@ def assert_first_achievers_match(task):
 
 
 def assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP,)):
+    """At ``caps`` and where the outcome changes."""
     for l in range(task.num_facts):
         for lp in range(task.num_facts):
             if l == lp:
@@ -173,10 +225,10 @@ def assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP,)):
             starts = _achieved_before_states(task, l, lp, DEFAULT_STATE_CAP)
             if not starts:
                 continue
-            for cap in caps:
+            _, _, at, edges = aftermath_outcomes(task, starts, l, lp)
+            for cap in (*caps, *edges):
                 assert (outcome(oracles._aftermath_violated_from, task, starts, l, lp, cap)
-                        == outcome(reference_aftermath_violated_from, task, starts, l, lp,
-                                   cap)), (l, lp, cap)
+                        in at(cap)), (l, lp, cap)
 
 
 def assert_solution_counts_match(task, lengths=range(4), limits=(1, 2, 5, 50, 10_000_000)):
@@ -205,7 +257,6 @@ def test_first_achievers_match_two_pass_reference(task):
 @pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
 def test_aftermath_matches_reference(task):
     n = len(enumerate_states(task))
-    # the search counts flagged nodes against 3 * cap
     assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, n // 3, n // 2, n))
 
 
@@ -297,10 +348,36 @@ def test_aftermath_search_expands_each_state_once(variant, seed, expansions):
                 continue
             before = len(expanded)
             oracles._aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP)
-            reference_aftermath_violated_from(task, starts, l, lp, DEFAULT_STATE_CAP,
-                                              expanded)
-            # the scan and the search expand exactly the states the
-            # references expand, those expanded before excepted
-            assert expansions == once_each(expanded), (l, lp)
+            surely, every, _, _ = aftermath_outcomes(task, starts, l, lp)
+            # the scan expands the closure the reference expands; the
+            # search, the states of the reference's unsatisfied nodes it
+            # must, and none it may not; those expanded before excepted
+            assert set(expansions.values()) <= {1}, (l, lp)
+            assert expanded | surely <= set(expansions) <= expanded | every, (l, lp)
+            expanded = set(expansions)
             searched += len(expanded) > before
     assert searched
+
+
+U_TO_M = {"later": [("(v)", ["u"], ["v"], ["u"]), ("(w)", ["v"], ["m"], ["v"])],
+          "same-depth": [("(w)", ["u"], ["m"], ["u"])]}
+
+
+@pytest.mark.parametrize("u_to_m", U_TO_M.values(), ids=U_TO_M)
+def test_an_arrival_with_l_unseen_is_searched_again(u_to_m):
+    # {m} is reached with l seen at depth 2, through x, and then with l
+    # unseen through u, at depth 3 or at depth 2 too.  From {m} with l seen,
+    # a adds lp after l and satisfies the order.  From {m} with l unseen,
+    # a b c reaches g with lp deleted when l comes: a solution refuting it.
+    t = make_task(actions=[
+        ("(x)", ["s1"], ["l", "x"], ["s1"]),
+        ("(y)", ["x"], ["m"], ["x", "l"]),
+        ("(u)", ["s1"], ["u"], ["s1"]),
+        *u_to_m,
+        ("(a)", ["m"], ["lp", "q"], ["m"]),
+        ("(b)", ["q"], ["l", "r"], ["q", "lp"]),
+        ("(c)", ["r"], ["g"], ["r", "l"]),
+    ], init=["s1"], goal=["g"])
+    l, lp = fid(t, "l"), fid(t, "lp")
+    assert reference_aftermath_violated_from(t, [t.init], l, lp, DEFAULT_STATE_CAP)
+    assert oracles._aftermath_violated_from(t, [t.init], l, lp, DEFAULT_STATE_CAP)

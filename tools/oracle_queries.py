@@ -17,9 +17,17 @@ Prints one line per kind (enumerate, landmark, gn, r): calls, then for
 enumerate the states enumerated and for a decider its true and false
 answers, per round; the median microseconds per call over all timed rounds;
 the mean milliseconds per round; and the successor sets the kind generated
-in the counting round.  A last line gives the round's total of successor
-sets.  Exits 1 if two rounds answer differently.  Runs lmplan from this
-checkout's ``src``.
+in the counting round.  Three lines split the r decider into its searches:
+the achieved-before scan, the aftermath search and the deletion search.
+Each gives its calls per round, its median microseconds per call, its mean
+milliseconds per round and the states it kept in the counting round, summed
+over its calls.  The scan keeps the achieved-before states it returns.  A
+search keeps the states its cap counts: the least cap at which it does not
+raise ``CapExceeded``, or its number of start states if larger (starts are
+kept whatever the cap).  The r line's time includes the split's timing of
+its searches.  A last line gives the round's total of successor sets.
+Exits 1 if two rounds answer differently.  Runs lmplan from this checkout's
+``src``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from lmplan import bench, oracles  # noqa: E402
 from lmplan.landmarks import GN, R  # noqa: E402
-from lmplan.oracles import enumerate_states, oracle_gn, oracle_landmark, oracle_reasonable  # noqa: E402
+from lmplan.oracles import (  # noqa: E402
+    DEFAULT_STATE_CAP, CapExceeded, enumerate_states, oracle_gn, oracle_landmark,
+    oracle_reasonable)
 from lmplan.orders import compute_mutexes  # noqa: E402
 from lmplan.pddl import ground_files  # noqa: E402
 from lmplan.pipeline import build_landmark_graph  # noqa: E402
@@ -45,18 +55,38 @@ from workloads import ORDER_ORACLE_MAX_STATES, WORKLOADS, generate_items  # noqa
 
 WORKLOAD = WORKLOADS["oracle-micro"]
 KINDS = ("enumerate", "landmark", "gn", "r")
+# the r decider's searches, by the name the split prints
+SEARCHES = {"achieved-before": "_achieved_before_states",
+            "aftermath": "_aftermath_violated_from",
+            "deletion": "_deletion_violated_from"}
 SEED = 1
+
+
+def states_kept(search, task, starts, l, lp) -> int:
+    """The states ``search`` keeps from ``starts``: the least cap at which
+    it does not raise ``CapExceeded``, or the number of starts if larger."""
+    lo, hi = 0, DEFAULT_STATE_CAP  # raises below lo; does not at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            search(task, starts, l, lp, mid)
+        except CapExceeded:
+            lo = mid + 1
+        else:
+            hi = mid
+    return max(lo, len(set(starts)))
 
 
 class Round:
     """One round's oracle calls: their answers in order, the seconds each
-    call took per kind and, when counting, the successor sets each kind
-    generated."""
+    call took per kind and per r search and, when counting, the successor
+    sets each kind generated and the states each r search kept."""
 
     def __init__(self, counting: bool):
         self.answers: list[tuple[str, int]] = []
-        self.seconds: dict[str, list[float]] = {k: [] for k in KINDS}
+        self.seconds: dict[str, list[float]] = {k: [] for k in (*KINDS, *SEARCHES)}
         self.generated = dict.fromkeys(KINDS, 0)
+        self.kept = dict.fromkeys(SEARCHES, 0)
         self.counting = counting
         self._kernel = oracles.successors
         self._sets = 0
@@ -74,14 +104,32 @@ class Round:
         self.answers.append((kind, len(answer) if kind == "enumerate" else answer))
         return answer
 
+    def timing(self, name: str, search):
+        """``search``, timed as the r search ``name``; when counting, its
+        kept states are counted too."""
+        def timed(task, *args):
+            t0 = time.perf_counter()
+            answer = search(task, *args)
+            self.seconds[name].append(time.perf_counter() - t0)
+            if self.counting:
+                self.kept[name] += (len(answer) if name == "achieved-before"
+                                    else states_kept(search, task, *args[:3]))
+            return answer
+        return timed
+
     def run(self, items) -> "Round":
+        searches = {attr: getattr(oracles, attr) for attr in SEARCHES.values()}
         if self.counting:
             oracles.successors = self.successors
+        for name, attr in SEARCHES.items():
+            setattr(oracles, attr, self.timing(name, searches[attr]))
         try:
             for item in items:
                 self.run_item(item)
         finally:
             oracles.successors = self._kernel
+            for attr, search in searches.items():
+                setattr(oracles, attr, search)
         return self
 
     def run_item(self, item) -> None:
@@ -126,6 +174,12 @@ def main(argv: list[str]) -> int:
         total = sum(seconds) * 1e3 / args.rounds
         print(f"{kind}: {len(answers)} calls, {told}, median {median:.1f} us/call, "
               f"{total:.1f} ms/round, {counted.generated[kind]} successor sets")
+    for name in SEARCHES:
+        seconds = [s for r in timed for s in r.seconds[name]]
+        median = statistics.median(seconds) * 1e6 if seconds else 0.0
+        total = sum(seconds) * 1e3 / args.rounds
+        print(f"r {name}: {len(counted.seconds[name])} calls, median {median:.1f} us/call, "
+              f"{total:.1f} ms/round, {counted.kept[name]} states kept")
     print(f"successor sets: {sum(counted.generated.values())} per round")
     return 0
 
