@@ -43,7 +43,6 @@ from .orders import (
 )
 from .oracles import (
     CapExceeded,
-    StateSpace,
     enumerate_states,
     oracle_gn,
     oracle_inconsistent,

@@ -7,10 +7,9 @@ one or two monotone flags.  The reductions:
 * landmark: L is a landmark iff the goal is unreachable inside the subspace
   of states not containing L (a goal-reaching path in that subspace is
   exactly a solution on which L is never true).
-* necessary order: holds iff lp is not initial and every reachable
-  transition into a state containing lp starts from a state containing l
-  (prefixes of sequences are sequences, so per-transition checking covers
-  every quantified sequence).
+* necessary order: holds iff lp is not initial and no reachable state
+  without l has a successor containing lp (prefixes of sequences are
+  sequences, so per-transition checking covers every quantified sequence).
 * greedy necessary order: same check restricted to transitions leaving the
   "lp never true yet" subspace (paths with lp false everywhere are exactly
   the first-achievement prefixes).
@@ -20,10 +19,11 @@ one or two monotone flags.  The reductions:
   at step >= 1; the deletion requirement is refuted by reaching l from some
   s in S using only actions that never delete lp.  Each refutation search
   runs once, from all of S together: a path from some s in S is exactly a
-  path from the set S.  The aftermath search keeps each state once, with
-  whether l has been seen on the way, and drops paths that lp followed l
-  on; an arrival with l unseen replaces an entry with l seen.
-* inconsistency: no enumerated state contains both facts.
+  path from the set S, and the deletion search runs first.  The aftermath
+  search keeps each state once, with whether l has been seen on the way,
+  and drops paths that lp followed l on; an arrival with l unseen replaces
+  an entry with l seen.
+* inconsistency: no reachable state contains both facts.
 
 Every search reads successors through ``_TaskMemo.successors``, the one
 caller of ``core.successors`` here.  It keeps a successor table per task: a
@@ -33,14 +33,15 @@ state is expanded once per task.  The achieved-before scan keeps the pairs
 of lp's adders; the deletion search drops those of actions deleting lp.
 ``_closure``, the breadth-first search over plain states, maps each state it
 keeps to whether one of its successors contains the forbidden fact (the
-state has an exit from the subspace, which the greedy-necessary test reads)
-and can record the transitions it reads for ``enumerate_states``.
+state has an exit from the subspace, which the greedy-necessary test reads).
 
 The closure of the initial state that never enters a given fact (0 for the
 whole space) is kept per task and fact: the landmark, greedy-necessary and
 reasonable deciders search it for the fact tested, the order's target and
-the order's source, as do ``task_solvable`` and ``oracle_inconsistent``
-without a space.  Callers must not change the mapping they get.
+the order's source.  The whole space's closure is the one state source of
+``enumerate_states``, the necessary-order test, ``oracle_inconsistent`` and
+``task_solvable`` without a space.  Callers must not change the mapping
+they get.
 
 Table and closures live as long as their task (a derived task keeps its
 own, even with its parent's ops) and hold at most ``MEMO_BUDGET`` entries: a
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import PlanningError, Task, bits, successors
@@ -80,18 +80,6 @@ class CapExceeded(PlanningError):
     def __init__(self, cap: int):
         super().__init__(f"state cap of {cap} exceeded")
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Reachable states (deduplicated) plus every transition among them."""
-
-    states: tuple[int, ...]
-    transitions: tuple[tuple[int, int, int], ...]  # (state, action id, state)
-    cap: int
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 class _TaskMemo:
@@ -134,26 +122,21 @@ def _memo(task: Task) -> _TaskMemo:
 
 
 def _closure(expand: Callable[[int], Successors], starts: Iterable[int],
-             cap: int, forbid_bit: int = 0,
-             transitions: Optional[list[tuple[int, int, int]]] = None) -> dict[int, bool]:
+             cap: int, forbid_bit: int = 0) -> dict[int, bool]:
     """BFS closure of the states ``starts`` under ``expand`` (a state's
     successors, such as ``_TaskMemo.successors``, possibly filtered); states
     containing ``forbid_bit`` are never entered (no start may contain it).
     Returns states in discovery order, each mapped to whether one of its
     successors contains ``forbid_bit`` (it has an exit from the subspace).
-    Each kept state is expanded once; with a ``transitions`` list, every
-    (state, action id, successor) read is appended to it, exits included."""
+    Each kept state is expanded once."""
     seen: dict[int, bool] = dict.fromkeys(starts, False)
     if any(s & forbid_bit for s in seen):
         raise PlanningError("start state violates the subspace restriction")
-    record = transitions.append if transitions is not None else None
     frontier = list(seen)
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for aid, t in expand(s):
-                if record:
-                    record((s, aid, t))
+            for _, t in expand(s):
                 if t & forbid_bit:
                     seen[s] = True
                     continue
@@ -182,28 +165,26 @@ def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
     return seen
 
 
-def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    """Full reachable state space with transitions."""
-    transitions: list[tuple[int, int, int]] = []
-    seen = _closure(_memo(task).successors, (task.init,), cap, transitions=transitions)
-    return StateSpace(tuple(seen), tuple(transitions), cap)
+def enumerate_states(task: Task, cap: int = DEFAULT_STATE_CAP) -> tuple[int, ...]:
+    """The reachable states, in discovery order."""
+    return tuple(_init_closure(task, cap))
 
 
-def co_occurrence(space: StateSpace, num_facts: int) -> list[int]:
+def co_occurrence(space: Iterable[int], num_facts: int) -> list[int]:
     """per-fact mask of facts that co-occur with it in some state."""
     co = [0] * num_facts
-    for s in space.states:
+    for s in space:
         for f in bits(s):
             co[f] |= s
     return co
 
 
 def task_solvable(task: Task, cap: int = DEFAULT_STATE_CAP,
-                  space: Optional[StateSpace] = None) -> bool:
+                  space: Optional[Sequence[int]] = None) -> bool:
     goal = task.goal
-    if space is not None:
-        return any(s & goal == goal for s in space.states)
-    return any(s & goal == goal for s in _init_closure(task, cap))
+    if space is None:
+        space = _init_closure(task, cap)
+    return any(s & goal == goal for s in space)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +192,7 @@ def task_solvable(task: Task, cap: int = DEFAULT_STATE_CAP,
 # ---------------------------------------------------------------------------
 
 def oracle_landmark(task: Task, fact_id: int, cap: int = DEFAULT_STATE_CAP,
-                    space: Optional[StateSpace] = None) -> bool:
+                    space: Optional[Sequence[int]] = None) -> bool:
     """Exact landmark test; on an unsolvable task every fact qualifies (the
     quantification is over no solutions), reported with a warning."""
     if not task_solvable(task, cap, space):
@@ -224,14 +205,13 @@ def oracle_landmark(task: Task, fact_id: int, cap: int = DEFAULT_STATE_CAP,
     return not any(s & goal == goal for s in _init_closure(task, cap, fbit))
 
 
-def oracle_n(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP,
-             space: Optional[StateSpace] = None) -> bool:
+def oracle_n(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     if task.init >> lp & 1:
         return False
-    if space is None:
-        space = enumerate_states(task, cap)
     lbit, lpbit = 1 << l, 1 << lp
-    return all(s & lbit for s, _, t in space.transitions if t & lpbit)
+    expand = _memo(task).successors
+    return not any(t & lpbit for s in _init_closure(task, cap) if not s & lbit
+                   for _, t in expand(s))
 
 
 def first_achiever_pre_mask(task: Task, lp: int, cap: int = DEFAULT_STATE_CAP) -> int:
@@ -334,8 +314,10 @@ def oracle_reasonable_report(task: Task, l: int, lp: int,
     starts = _achieved_before_states(task, l, lp, cap)
     if not starts:
         return ReasonableReport(holds=True, vacuous=True)
-    refuted = (_aftermath_violated_from(task, starts, l, lp, cap)
-               or _deletion_violated_from(task, starts, l, lp, cap))
+    # the deletion search first: it keeps far fewer states, so an order it
+    # refutes costs no aftermath search
+    refuted = (_deletion_violated_from(task, starts, l, lp, cap)
+               or _aftermath_violated_from(task, starts, l, lp, cap))
     return ReasonableReport(not refuted, False)
 
 
@@ -347,13 +329,10 @@ def oracle_reasonable(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP)
 # Inconsistency
 # ---------------------------------------------------------------------------
 
-def oracle_inconsistent(task: Task, x: int, y: int, cap: int = DEFAULT_STATE_CAP,
-                        space: Optional[StateSpace] = None) -> bool:
+def oracle_inconsistent(task: Task, x: int, y: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     both = (1 << x) | (1 << y)
     if x == y:
         return False
-    if space is not None:
-        return not any(s & both == both for s in space.states)
     return not any(s & both == both for s in _init_closure(task, cap))
 
 

@@ -31,8 +31,9 @@ the error with its line and column.  The parser refuses a repeated
 section or action clause (only :requirements, :predicates, :action and
 :domain may repeat), a second action of one name, a predicate declared
 twice, an object declared twice and a parameter named twice, so every
-binding of distinct objects names a distinct action.  Atoms and schemas
-are named tuples.
+binding of distinct objects names a distinct action.  It also refuses a
+predicate or action parameter of a type that :types does not declare.
+Atoms and schemas are named tuples.
 """
 
 from __future__ import annotations
@@ -238,6 +239,14 @@ def _distinct(entries, what: str, where: str = "") -> None:
         seen.add(name)
 
 
+def _known_types(entries, types: tuple[str, ...], expr, where: str) -> None:
+    """Refuse, at ``expr``, a type of the (name, type) ``entries`` that
+    ``types`` does not declare."""
+    for _, t in entries:
+        if t is not None and t not in types:
+            raise _err(expr, f"unknown type {t!r} in {where}")
+
+
 def _once(key: str, seen: set, expr, where: str) -> None:
     """Refuse ``key``, at ``expr``, if ``seen`` holds it; note it there if
     it may appear only once."""
@@ -323,6 +332,7 @@ def _parse_domain(top: list) -> DomainAst:
                 if not isinstance(p, list) or not p or isinstance(p[0], list):
                     raise _err(p, "malformed predicate declaration")
                 params = _typed_list(p[1:], f"predicate {p[0]}")
+                _known_types(params, types, p, f"predicate {p[0]}")
                 if p[0] in predicates:
                     raise _err(p, f"predicate {p[0]!r} declared twice")
                 predicates[p[0]] = len(params)
@@ -358,11 +368,10 @@ def _parse_schema(section, predicates, types) -> SchemaAst:
                 raise _err(value, f"parameters of action {name} must be a list")
             entries = _typed_list(value, f"action {name} parameters")
             _distinct(entries, "parameter", f" in action {name}")
-            for v, t in entries:
+            for v, _ in entries:
                 if not v.startswith("?"):
                     raise _err(value, f"parameter {v!r} must start with '?'")
-                if t is not None and t not in types:
-                    raise _err(value, f"unknown type {t!r} in action {name}")
+            _known_types(entries, types, value, f"action {name}")
             params = tuple(entries)
         elif key == ":precondition":
             pre = _parse_conjunction(value, predicates, f"action {name} precondition", False)[0]
@@ -760,6 +769,20 @@ def mangle_action_name(name: str) -> str:
 _DOMAIN_NAME, _PROBLEM_NAME = "subtask", "subtask-instance"
 
 
+def _mangled_ids(task: Task) -> dict[str, int]:
+    """Each action's mangled name to its id.  Two actions whose names mangle
+    to one (``(move x y_z)`` and ``(move x_y z)``) are refused: the
+    hand-off could not tell them apart."""
+    ids: dict[str, int] = {}
+    for a in task.actions:
+        mangled = mangle_action_name(a.name)
+        other = ids.setdefault(mangled, a.id)
+        if other != a.id:
+            raise PlanningError(f"actions {task.actions[other].name} and {a.name} "
+                                f"both mangle to {mangled!r}")
+    return ids
+
+
 def grounded_domain_pddl(task: Task) -> str:
     preds: dict[str, int] = {}
     for f in task.facts:
@@ -769,8 +792,9 @@ def grounded_domain_pddl(task: Task) -> str:
         args = " ".join(f"?x{i}" for i in range(arity))
         lines.append(f"    ({p}{' ' + args if args else ''})")
     lines.append("  )")
-    for a in task.actions:
-        lines.append(f"  (:action {mangle_action_name(a.name)}")
+    for mangled, aid in _mangled_ids(task).items():
+        a = task.actions[aid]
+        lines.append(f"  (:action {mangled}")
         lines.append("    :parameters ()")
         pre = " ".join(task.fact_names(a.pre))
         lines.append(f"    :precondition (and {pre})")
@@ -804,7 +828,7 @@ def parse_plan_text(task: Task, text: str) -> list[int]:
     Accepts both the "(op arg ...)" spelling and the mangled parameterless
     spelling "(op_arg_...)" that external planners echo back.
     """
-    by_mangled = {mangle_action_name(a.name): a.id for a in task.actions}
+    by_mangled = _mangled_ids(task)
     plan = []
     # lines end at LF (CR is a blank): str.splitlines would also end one
     # at a \x0b that a symbol may hold

@@ -151,7 +151,8 @@ class ExternalPlanner:
     into the working directory, runs the command there, and on exit code 0
     reads ``plan.txt`` (one grounded action name per line).  A timeout, a
     nonzero exit or a missing ``plan.txt`` is reported as resource
-    exhaustion.
+    exhaustion.  A task with two actions whose names mangle to one
+    parameterless name raises ``PlanningError`` before anything is written.
     """
 
     def __init__(self, command: list[str], workdir: str):

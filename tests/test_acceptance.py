@@ -340,7 +340,7 @@ def test_criterion_8_goal_compilation_correctness():
 
         from lmplan.control import with_init
 
-        reach = enumerate_states(with_init(task, state)).states
+        reach = enumerate_states(with_init(task, state))
         reachable = any(any(s >> f & 1 for s in reach) for f in disj)
         compiled = compile_disjunctive_goal(task, state, disj)
         res = bfs_plan(compiled.task)

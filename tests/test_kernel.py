@@ -1,8 +1,9 @@
 """Differential tests for the successor kernel and the multi-source
 reasonable-order searches.
 
-``core.successors`` is held against ``apply_action`` on every reachable
-state; ``oracle_reasonable_report`` is held against the per-start reference
+``core.successors`` is held against ``apply_action`` on every enumerated
+state, and the enumerated states must be exactly those that ``apply_action``
+reaches; ``oracle_reasonable_report`` is held against the per-start reference
 deciders below, which run one aftermath search and one deletion search per
 achieved-before state.
 """
@@ -117,14 +118,14 @@ def reference_reasonable_report(task, l, lp, cap=DEFAULT_STATE_CAP):
 # ---------------------------------------------------------------------------
 
 def assert_kernel_matches_apply_action(task):
-    space = enumerate_states(task, cap=5000)
-    expected = []
-    for s in space.states:
+    states = enumerate_states(task, cap=5000)
+    reached = {task.init}
+    for s in states:
         ref = [(a.id, apply_action(s, a)) for a in task.actions
                if apply_action(s, a) is not None]
         assert list(successors(task.ops, s)) == ref
-        expected += [(s, aid, t) for aid, t in ref]
-    assert space.transitions == tuple(expected)
+        reached.update(t for _, t in ref)
+    assert reached == set(states) and len(states) == len(reached)
 
 
 @pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)

@@ -34,6 +34,7 @@ from lmplan.oracles import (
     oracle_gn,
     oracle_inconsistent,
     oracle_landmark,
+    oracle_n,
     oracle_reasonable_report,
     task_solvable,
 )
@@ -54,6 +55,8 @@ from test_single_pass import (  # noqa: F401  (expansions is a fixture)
     reference_count_solutions_of_length,
     reference_enumerate_states,
     reference_first_achiever_pre_mask,
+    reference_n,
+    reference_states,
     three_block_task,
 )
 
@@ -87,6 +90,10 @@ def reference_gn(task, l, lp, cap):
     return bool(reference_first_achiever_pre_mask(task, lp, cap) >> l & 1)
 
 
+def reference_necessary(task, l, lp, cap):
+    return reference_n(task, outcome(reference_enumerate_states, task, cap), l, lp)
+
+
 def reference_inconsistent(task, x, y, cap):
     both = (1 << x) | (1 << y)
     return x != y and not any(s & both == both for s in closure_of(task, cap))
@@ -105,13 +112,14 @@ def queries(task):
     out += [(oracle_landmark, (n,), reference_landmark, (0, 1 << n)) for n in facts]
     out += [(first_achiever_pre_mask, (lp,), reference_first_achiever_pre_mask, (1 << lp,))
             for lp in facts if not task.init >> lp & 1]
+    out += [(oracle_n, (l, lp), reference_necessary, (0,)) for l, lp in pairs]
     out += [(oracle_gn, (l, lp), reference_gn, (1 << lp,)) for l, lp in pairs]
     # the per-start reference runs at the default cap only: it searches from
     # each start alone, so a cap need not stop it where it stops the
     # multi-source search
     out += [(oracle_reasonable_report, (l, lp), None, (1 << l,)) for l, lp in pairs]
     out += [(oracle_inconsistent, (x, y), reference_inconsistent, (0,)) for x, y in pairs]
-    out += [(enumerate_states, (), reference_enumerate_states, (0,))]
+    out += [(enumerate_states, (), reference_states, (0,))]
     # the limit counts explored sequences; caps around the space are limits too
     out += [(count_solutions_of_length, (3,), reference_count_solutions_of_length, (0,))]
     return out
@@ -240,16 +248,19 @@ def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
     # table entries are kept in the order states are first expanded, each
     # while its state and transitions fit: here the first half of them fill
     # the budget exactly
-    kept = space.states[:len(space) // 2]
+    kept = space.states[:len(space.states) // 2]
     budget = sum(1 + out[s] for s in kept)
     monkeypatch.setattr(oracles, "MEMO_BUDGET", budget)
-    assert enumerate_states(task) == space
+    assert enumerate_states(task) == space.states
     memo = oracles._MEMOS[task]
     assert tuple(memo.table) == kept and memo.stored == budget == entries(memo)
-    # a state past the budget is expanded anew on each read
+    # enumeration keeps the whole space's closure only if it fits what the
+    # table left: nothing here, so it is searched anew on each enumeration,
+    # and a state past the budget is expanded anew on each read
+    assert not memo.closures
     for _ in range(2):
         expansions.clear()
-        assert enumerate_states(task) == space
+        assert enumerate_states(task) == space.states
         assert expansions == once_each(s for s in space.states if s not in memo.table)
     # a closure is kept only if it fits what is left; one not kept is
     # searched anew on each query, past-budget states expanded anew
@@ -268,14 +279,32 @@ def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
     assert tuple(memo.table) == kept and not memo.closures
 
 
+@pytest.mark.parametrize("room", [0, -1], ids=["fits", "one-short"])
+def test_enumeration_keeps_its_closure_if_it_fits(monkeypatch, expansions, room):
+    task = ground_files(DOMAINS["arm"], gen_blocksworld(3, "arm", 0))
+    space = reference_enumerate_states(task)
+    # every table entry, then the closure's states if ``room`` allows
+    table = len(space.states) + len(space.transitions)
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", table + len(space.states) + room)
+    assert enumerate_states(task) == space.states
+    memo = oracles._MEMOS[task]
+    assert tuple(memo.table) == space.states
+    kept = 0 in memo.closures
+    assert kept == (room == 0)
+    assert memo.stored == entries(memo) == table + kept * len(space.states)
+    # kept or not, a second enumeration generates no successors
+    expansions.clear()
+    assert enumerate_states(task) == space.states and not expansions
+
+
 # ---------------------------------------------------------------------------
 # Successor generation: once per reachable state and task
 # ---------------------------------------------------------------------------
 
 def reasonable_reads(task, l, lp, cap=DEFAULT_STATE_CAP):
     """The states whose successors ``oracle_reasonable_report`` reads, found
-    by the memo-free references: the closure without l, then the aftermath
-    search and, if that does not refute the order, the deletion search.
+    by the memo-free references: the closure without l, then the deletion
+    search and, if that does not refute the order, the aftermath search.
     As bounds: the states it surely reads and those it may read, which
     differ only where the aftermath search refutes (``aftermath_outcomes``)."""
     lbit, lpbit = 1 << l, 1 << lp
@@ -287,12 +316,13 @@ def reasonable_reads(task, l, lp, cap=DEFAULT_STATE_CAP):
                                 if task._adder_mask[lp] >> aid & 1 and not t & lbit))
     if not starts:
         return read, read
-    surely, every, at, _ = aftermath_outcomes(task, starts, l, lp)
-    if at(cap) == {True}:  # the aftermath search refutes the order
-        return read | surely, read | every
     keeps_lp = [op for op in task.ops if not op[3] & lpbit]
-    read |= every | set(reference_closure(keeps_lp, starts, cap))
-    return read, read
+    deletion = reference_closure(keeps_lp, starts, cap)
+    read |= set(deletion)
+    if any(s & lbit for s in deletion):  # the deletion search refutes the order
+        return read, read
+    surely, every, _, _ = aftermath_outcomes(task, starts, l, lp)
+    return read | surely, read | every
 
 
 @pytest.mark.parametrize("variant", ["arm", "no-arm"])
@@ -308,11 +338,12 @@ def test_repeated_queries_generate_no_successors(variant, expansions):
         if not task.init >> lp & 1:
             first_achiever_pre_mask(task, lp)
         oracle_gn(task, other, lp)
+        oracle_n(task, other, lp)
         oracle_reasonable_report(task, other, lp)
         task_solvable(task)
         oracle_inconsistent(task, lp, other)
         assert expansions == whole, lp
-    assert enumerate_states(task) == reference_enumerate_states(task)
+    assert enumerate_states(task) == reference_states(task)
     assert count_solutions_of_length(task, 4) == reference_count_solutions_of_length(task, 4)
     assert expansions == whole
 

@@ -26,7 +26,7 @@ def test_twin_goal_space_has_six_states(twin):
     # hand enumeration: {p1}, {l,p2}, {lp,p2p}, {lp,p3p}, {l,p3}, {l,lp}
     space = enumerate_states(twin)
     assert len(space) == 6
-    assert twin.mask(["l", "lp"]) in space.states
+    assert twin.mask(["l", "lp"]) in space
 
 
 def test_twin_goal_has_exactly_two_short_solutions(twin):
@@ -104,12 +104,11 @@ def test_detour_order_is_unsound(roadmap):
 
 def test_plain_order_implies_greedy_order(twin, shared_add):
     for task in (twin, shared_add):
-        space = enumerate_states(task)
         for l in range(task.num_facts):
             for lp in range(task.num_facts):
                 if l == lp:
                     continue
-                if oracle_n(task, l, lp, space=space):
+                if oracle_n(task, l, lp):
                     assert oracle_gn(task, l, lp)
 
 

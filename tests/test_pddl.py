@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmplan.bench import gen_blocksworld, gen_logistics
-from lmplan.core import PlanningError
+from lmplan.core import PlanningError, successors
 from lmplan.instances import (
     BLOCKSWORLD_ARM_DOMAIN,
     BLOCKSWORLD_DEMO_PROBLEM,
@@ -215,8 +215,8 @@ def test_pruning_is_sound_on_micro_instances(size, seed):
 
     pruned_task = ground(d, p)
     full_task = reference_ground(d, p, prune=False)
-    space = enumerate_states(full_task)
-    used = {full_task.actions[aid].name for _, aid, _ in space.transitions}
+    used = {full_task.actions[aid].name for s in enumerate_states(full_task)
+            for aid, _ in successors(full_task.ops, s)}
     assert used <= {a.name for a in pruned_task.actions}
 
 
@@ -252,6 +252,31 @@ def test_malformed_action_name_is_reported_as_one(demo_bw, name):
         demo_bw.action_named(name)
     with pytest.raises(PlanningError, match=r"^malformed fact name: "):
         demo_bw.fact_named(name)
+
+
+# (move x y_z) and (move x_y z) both mangle to move_x_y_z
+COLLIDING_DOMAIN = """(define (domain d) (:predicates (p ?a ?b) (q ?a ?b))
+  (:action move :parameters (?a ?b) :precondition (p ?a ?b) :effect (q ?a ?b)))"""
+COLLIDING_PROBLEM = """(define (problem c) (:domain d) (:objects x x_y y_z z)
+  (:init (p x y_z) (p x_y z)) (:goal (and (q x y_z))))"""
+COLLISION = "actions (move x y_z) and (move x_y z) both mangle to 'move_x_y_z'"
+
+
+def test_hand_off_refuses_actions_whose_names_mangle_alike():
+    # the domain held the action twice, and lmplan's own parser refused it
+    task = ground_files(COLLIDING_DOMAIN, COLLIDING_PROBLEM)
+    assert [a.name for a in task.actions] == ["(move x y_z)", "(move x_y z)"]
+    with pytest.raises(PlanningError) as err:
+        grounded_domain_pddl(task)
+    assert str(err.value) == COLLISION
+
+
+def test_plan_text_refuses_actions_whose_names_mangle_alike():
+    # the mangled spelling silently read as the later action
+    task = ground_files(COLLIDING_DOMAIN, COLLIDING_PROBLEM)
+    with pytest.raises(PlanningError) as err:
+        parse_plan_text(task, "(move_x_y_z)\n")
+    assert str(err.value) == COLLISION
 
 
 def test_malformed_plan_line_is_reported_as_an_action_name(demo_bw):
@@ -383,6 +408,19 @@ def test_predicate_declared_twice_rejected():
     with pytest.raises(ParseError) as err:
         parse_domain(text)
     assert str(err.value) == "2:8: predicate 'p' declared twice"
+
+
+@pytest.mark.parametrize("types,message", [
+    ("(:types block)", "2:25: unknown type 'blokc' in predicate p"),
+    ("", "2:25: unknown type 'blokc' in predicate p"),
+], ids=["misspelt", "no-types"])
+def test_predicate_of_unknown_type_rejected(types, message):
+    # as an action parameter of an unknown type is
+    text = f"""(define (domain d) (:requirements :typing) {types}
+      (:predicates (q) (p ?a - blokc)))"""
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ successors a second time for the transitions; ``first_achiever_pre_mask``
 generated them a second time to find the states with an lp-adding
 successor.  The references below are those versions, with their own copy of
 the closure, so that a fault in ``oracles._closure`` cannot hide in both
-sides.  Values must be equal, and around each space's size n, caps n - 1, n
-and n + 1 must give the same value or both raise ``CapExceeded``.
+sides.  ``enumerate_states`` now returns the states of the whole space's
+kept closure: they must be the reference's, in discovery order.
+``oracle_n``, which reads each state's successors, is held against the
+reference's transition list.  Values must be equal, and around each
+space's size n, caps n - 1, n and n + 1 must give the same value or both
+raise ``CapExceeded``.
 ``count_solutions_of_length``, which reads the successor table too, is held
 against its table-free version under several limits.
 
@@ -24,6 +28,7 @@ most once, and for the states the references expand, or bound.
 
 from collections import Counter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,11 +39,11 @@ from lmplan.core import PlanningError, make_task, successors
 from lmplan.oracles import (
     DEFAULT_STATE_CAP,
     CapExceeded,
-    StateSpace,
     _achieved_before_states,
     count_solutions_of_length,
     enumerate_states,
     first_achiever_pre_mask,
+    oracle_n,
 )
 from lmplan.pddl import ground_files
 
@@ -71,10 +76,29 @@ def reference_closure(ops, starts, cap, forbid_bit=0):
     return seen
 
 
+class ReferenceSpace(NamedTuple):
+    states: tuple  # in discovery order
+    transitions: tuple  # (state, action id, successor), each state's in ops order
+
+
 def reference_enumerate_states(task, cap=DEFAULT_STATE_CAP):
     seen = reference_closure(task.ops, (task.init,), cap)
     transitions = tuple((s, aid, t) for s in seen for aid, t in successors(task.ops, s))
-    return StateSpace(tuple(seen), transitions, cap)
+    return ReferenceSpace(tuple(seen), transitions)
+
+
+def reference_states(task, cap=DEFAULT_STATE_CAP):
+    return reference_enumerate_states(task, cap).states
+
+
+def reference_n(task, space, l, lp):
+    """The necessary-order test on a ``ReferenceSpace``'s transitions, or
+    ``CapExceeded`` where enumeration raised it."""
+    if task.init >> lp & 1:
+        return False
+    if space is CapExceeded:
+        return CapExceeded
+    return all(s >> l & 1 for s, _, t in space.transitions if t >> lp & 1)
 
 
 def reference_first_achiever_pre_mask(task, lp, cap=DEFAULT_STATE_CAP):
@@ -199,8 +223,19 @@ def assert_enumeration_matches(task):
     n = len(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP))
     for cap in (DEFAULT_STATE_CAP, *around(n)):
         assert (outcome(enumerate_states, task, cap)
-                == outcome(reference_enumerate_states, task, cap)), cap
+                == outcome(reference_states, task, cap)), cap
     assert outcome(enumerate_states, task, n - 1) is CapExceeded or n == 1
+
+
+def assert_necessary_orders_match(task):
+    n = len(reference_closure(task.ops, (task.init,), DEFAULT_STATE_CAP))
+    for cap in (DEFAULT_STATE_CAP, *around(n)):
+        space = outcome(reference_enumerate_states, task, cap)
+        for l in range(task.num_facts):
+            for lp in range(task.num_facts):
+                if l != lp:
+                    assert (outcome(oracle_n, task, l, lp, cap)
+                            == reference_n(task, space, l, lp)), (l, lp, cap)
 
 
 def assert_first_achievers_match(task):
@@ -249,6 +284,11 @@ def test_enumeration_matches_two_pass_reference(task):
     assert_enumeration_matches(task)
 
 
+@pytest.mark.parametrize("task", three_block_tasks(), ids=lambda t: t.name)
+def test_necessary_orders_match_transition_reference(task):
+    assert_necessary_orders_match(task)
+
+
 @pytest.mark.parametrize("task", small_tasks(), ids=lambda t: t.name)
 def test_first_achievers_match_two_pass_reference(task):
     assert_first_achievers_match(task)
@@ -269,6 +309,7 @@ def test_solution_counts_match_reference(task):
 @given(st.one_of(solvable_tasks(), micro_tasks()))
 def test_single_pass_searches_on_random_tasks(task):
     assert_enumeration_matches(task)
+    assert_necessary_orders_match(task)
     assert_first_achievers_match(task)
     assert_aftermath_matches(task, caps=(DEFAULT_STATE_CAP, 1, 2, 3))
     assert_solution_counts_match(task)
@@ -310,10 +351,10 @@ def three_block_task(variant, seed):
 def test_enumeration_expands_each_state_once(variant, seed, expansions):
     task = three_block_task(variant, seed)
     space = enumerate_states(task)
-    assert expansions == once_each(space.states)
-    # a second enumeration reads every state's successors from the table
-    assert enumerate_states(task) == space == reference_enumerate_states(task)
-    assert expansions == once_each(space.states)
+    assert expansions == once_each(space)
+    # a second enumeration reads the kept closure
+    assert enumerate_states(task) == space == reference_states(task)
+    assert expansions == once_each(space)
 
 
 @pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)

@@ -17,22 +17,27 @@ Prints one line per kind (enumerate, landmark, gn, r): calls, then for
 enumerate the states enumerated and for a decider its true and false
 answers, per round; the median microseconds per call over all timed rounds;
 the mean milliseconds per round; and the successor sets the kind generated
-in the counting round.  Three lines split the r decider into its searches:
-the achieved-before scan, the aftermath search and the deletion search.
+in the counting round.  Three lines split the r decider into its searches,
+in the order it runs them: the achieved-before scan, the deletion search
+and, where that does not refute the order, the aftermath search.
 Each gives its calls per round, its median microseconds per call, its mean
 milliseconds per round and the states it kept in the counting round, summed
 over its calls.  The scan keeps the achieved-before states it returns.  A
 search keeps the states its cap counts: the least cap at which it does not
 raise ``CapExceeded``, or its number of start states if larger (starts are
 kept whatever the cap).  The r line's time includes the split's timing of
-its searches.  A last line gives the round's total of successor sets.
-Exits 1 if two rounds answer differently.  Runs lmplan from this checkout's
+its searches.  Then come the round's total of successor sets and a digest
+of its answers: the first 16 hex digits of the SHA-256 of the ordered
+(kind, answer) list, where enumerate's answer is its number of states, so
+that two checkouts can be compared answer by answer.  Exits 1 if two rounds
+answer differently.  Runs lmplan from this checkout's
 ``src``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import statistics
 import sys
 import time
@@ -57,8 +62,8 @@ WORKLOAD = WORKLOADS["oracle-micro"]
 KINDS = ("enumerate", "landmark", "gn", "r")
 # the r decider's searches, by the name the split prints
 SEARCHES = {"achieved-before": "_achieved_before_states",
-            "aftermath": "_aftermath_violated_from",
-            "deletion": "_deletion_violated_from"}
+            "deletion": "_deletion_violated_from",
+            "aftermath": "_aftermath_violated_from"}
 SEED = 1
 
 
@@ -75,6 +80,12 @@ def states_kept(search, task, starts, l, lp) -> int:
         else:
             hi = mid
     return max(lo, len(set(starts)))
+
+
+def digest(answers: list[tuple[str, int]]) -> str:
+    """A short hash of the ordered (kind, answer) list."""
+    text = "\n".join(f"{kind} {int(answer)}" for kind, answer in answers)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class Round:
@@ -181,6 +192,7 @@ def main(argv: list[str]) -> int:
         print(f"r {name}: {len(counted.seconds[name])} calls, median {median:.1f} us/call, "
               f"{total:.1f} ms/round, {counted.kept[name]} states kept")
     print(f"successor sets: {sum(counted.generated.values())} per round")
+    print(f"answers digest: {digest(first)}")
     return 0
 
 
