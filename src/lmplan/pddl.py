@@ -23,6 +23,17 @@ only, with ground atoms interned as tuples.  The names of the pruned actions
 are not built while grounding; the Task builds them from the domain, the
 problem and the kept actions on first read.
 
+Work that needs only the domain is done once per domain text.
+``parse_domain`` keeps the parses of the last eight texts it read, keyed by
+the exact text, and hands the one ``DomainAst`` to every caller of a text; a
+text that fails is not kept, so it raises the same error on every call.  A
+shared AST is read-only: its fields are tuples, ``predicates`` a read-only
+mapping.  It carries its grounding plan, built on first grounding: the
+static predicates and, per schema, the atom getters, the fluent
+preconditions' getters, the constants to look up among the objects and the
+order to bind parameters in.  ``ground`` reads the plan and derives only
+the problem's share.
+
 The reader makes nested lists of plain strings: it cuts comments, splits
 at blanks and parentheses, and lowercases each symbol.  No token keeps its
 place.  When an error names one, the text is read again with one regular
@@ -38,12 +49,14 @@ Atoms and schemas are named tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import BLANKS, Action, Fact, PlanningError, Task, format_atom, relaxed_closure, split_blanks
 
@@ -209,10 +222,28 @@ class SchemaAst(NamedTuple):
 
 @dataclass(frozen=True)
 class DomainAst:
+    """A domain, read-only: ``parse_domain`` hands one out to every caller
+    of its text."""
+
     name: str
     types: tuple[str, ...]
-    predicates: dict[str, int]  # predicate -> arity
+    predicates: Mapping[str, int]  # predicate -> arity, read-only
     schemas: tuple[SchemaAst, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "predicates", MappingProxyType(dict(self.predicates)))
+
+    def __reduce__(self):  # a read-only mapping does not pickle
+        return DomainAst, (self.name, self.types, dict(self.predicates), self.schemas)
+
+    @functools.cached_property
+    def plan(self) -> _DomainPlan:
+        """What ``ground`` derives from the domain alone, built on first
+        read."""
+        added = {a.predicate for s in self.schemas for a in s.add}
+        static = frozenset(a.predicate for s in self.schemas for a in s.pre
+                           if a.predicate not in added)
+        return _DomainPlan(static, tuple(_schema_plan(s, static) for s in self.schemas))
 
 
 @dataclass(frozen=True)
@@ -303,7 +334,16 @@ def _define(top: list, kind: str) -> tuple[str, list]:
     return body[0][1], body[1:]
 
 
+# the most domain texts whose parses ``parse_domain`` keeps
+_MEMO_TEXTS = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_TEXTS)
 def parse_domain(text: str) -> DomainAst:
+    """The domain ``text`` defines.  The parses of the last ``_MEMO_TEXTS``
+    texts read are kept, keyed by the exact text, and handed out again; a
+    text that fails is not kept.  ``parse_domain.cache_clear()`` empties
+    the memo."""
     return _parse(_parse_domain, text)
 
 
@@ -496,31 +536,26 @@ def _join_order(n: int, refs_list: list[tuple]) -> list[int]:
 
 
 def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
-              static: Optional[dict[str, set]] = None) -> Iterator[tuple[str, ...]]:
+              plan: Optional[_SchemaPlan] = None,
+              true: Optional[dict[str, set]] = None) -> Iterator[tuple[str, ...]]:
     """Type-consistent bindings with pairwise-distinct objects, as object
     tuples in parameter order, in lexicographic order.
 
-    ``static`` maps each static predicate to the argument tuples of its
-    ``:init`` atoms; the schema's preconditions on them are applied while
-    parameters are bound (``_bind``), in ``_join_order``.  Bindings found
-    out of parameter order are sorted.
+    Given the schema's ``plan`` and ``true``, which maps each static
+    predicate to the argument tuples of its ``:init`` atoms, the schema's
+    preconditions on them are applied while parameters are bound
+    (``_bind``), in the plan's order.  Bindings found out of parameter
+    order are sorted.
     """
     pools = [by_type.get(t, []) for _, t in schema.params]
     if not all(pools):
         return iter(())
-    slot = {v: i for i, (v, _) in enumerate(schema.params)}
-    atoms = [(static[atom.predicate], tuple(slot[a] if a.startswith("?") else a for a in atom.args))
-             for atom in (schema.pre if static is not None else ()) if atom.predicate in static]
-    order = _join_order(len(pools), [refs for _, refs in atoms])
-    identity = range(len(pools))
-    if order == list(identity):
+    if plan is None:
+        return _bind(pools, [])
+    atoms = [(true[predicate], refs) for predicate, refs in plan.statics]
+    if plan.order is None:
         return _bind(pools, atoms)
-    # slot order[k] is bound k-th
-    at = {j: k for k, j in enumerate(order)}
-    combos = _bind([pools[j] for j in order],
-                   [(true, tuple(at[r] if type(r) is int else r for r in refs))
-                    for true, refs in atoms])
-    return iter(sorted(tuple(combo[at[j]] for j in identity) for combo in combos))
+    return iter(sorted(map(plan.unorder, _bind([pools[j] for j in plan.order], atoms))))
 
 
 def _bind(pools: list[list[str]], atoms: list[tuple[set, tuple]]):
@@ -587,24 +622,67 @@ def _check_constants(atoms: Sequence[AtomAst], objects: set[str]) -> None:
                 raise GroundingError(f"unknown constant {a!r} in {atom.predicate}")
 
 
-def _atom_getters(schema: SchemaAst) -> tuple[tuple[str, ...], list, list, list]:
-    """Names to append to a binding, making a row, and for each atom of the
-    schema's pre, add and delete lists a function from a row to the ground
-    atom as a ``(predicate, *args)`` tuple."""
+class _SchemaPlan(NamedTuple):
+    """What ``ground`` reads of one schema, derived from the domain alone.
+    A row is a binding with the schema's constant and predicate names
+    appended; a getter maps a row to a ground atom as a ``(predicate,
+    *args)`` tuple."""
+
+    names: tuple[str, ...]  # appended to a binding, making a row
+    pre: tuple  # a getter per atom of each list
+    add: tuple
+    delete: tuple
+    fluent: tuple  # the pre getters of atoms on fluent predicates
+    constants: tuple[AtomAst, ...]  # the atoms holding a constant
+    statics: tuple[tuple[str, tuple], ...]  # static pre atoms: predicate, refs in binding order
+    order: Optional[tuple[int, ...]]  # slots in binding order (see ``_join_order``); None: as declared
+    unorder: Optional[operator.itemgetter]  # a binding made in ``order`` to parameter order
+
+
+class _DomainPlan(NamedTuple):
+    static: frozenset[str]  # predicates of preconditions, added by no schema
+    schemas: tuple[_SchemaPlan, ...]
+
+
+def _schema_plan(schema: SchemaAst, static: frozenset[str]) -> _SchemaPlan:
+    # comprehensions, not generators, over arguments: this runs for every
+    # domain read afresh
     slot = {v: i for i, (v, _) in enumerate(schema.params)}
     names: dict[str, int] = {}
+    constants: list[AtomAst] = []
 
     def name_at(name: str) -> int:
-        return len(schema.params) + names.setdefault(name, len(names))
+        return len(slot) + names.setdefault(name, len(names))
 
     def getter(atom: AtomAst):
         if not atom.args:
             return lambda row, key=(atom.predicate,): key
-        return operator.itemgetter(name_at(atom.predicate), *(
-            slot[a] if a.startswith("?") else name_at(a) for a in atom.args))
+        refs = [slot[a] if a.startswith("?") else name_at(a) for a in atom.args]
+        if max(refs) >= len(slot):
+            constants.append(atom)
+        return operator.itemgetter(name_at(atom.predicate), *refs)
 
-    lists = [[getter(atom) for atom in part] for part in (schema.pre, schema.add, schema.delete)]
-    return (tuple(names), *lists)
+    # one getter per distinct atom: an atom is often both required and deleted
+    made = {atom: getter(atom) for atom in dict.fromkeys((*schema.pre, *schema.add, *schema.delete))}
+    pre, add, delete = (tuple(map(made.__getitem__, part))
+                        for part in (schema.pre, schema.add, schema.delete))
+    statics = [(atom.predicate, tuple([slot[a] if a.startswith("?") else a for a in atom.args]))
+               for atom in schema.pre if atom.predicate in static]
+    order = unorder = None
+    fluent = pre
+    if statics:
+        fluent = tuple([get for get, atom in zip(pre, schema.pre) if atom.predicate not in static])
+        order = _join_order(len(slot), [refs for _, refs in statics])
+        if order == list(range(len(slot))):
+            order = None
+        else:
+            # slot order[k] is bound k-th
+            at = {j: k for k, j in enumerate(order)}
+            statics = [(p, tuple([at[r] if type(r) is int else r for r in refs]))
+                       for p, refs in statics]
+            order, unorder = tuple(order), operator.itemgetter(*[at[j] for j in range(len(slot))])
+    return _SchemaPlan(tuple(names), pre, add, delete, fluent, tuple(constants), tuple(statics),
+                       order, unorder)
 
 
 class _AtomBits(dict):
@@ -669,35 +747,33 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
     only for the facts and actions the Task keeps.  The pruned actions'
     names, most of the bindings on untyped domains, are built when
     ``Task.pruned_actions`` is first read; ``Task.num_pruned`` counts them
-    without building them.
+    without building them.  What depends on the domain alone is read from
+    ``domain.plan``, built on the domain's first grounding.
     """
+    plan = domain.plan
     by_type = _pools(problem)
     object_set = {o for o, _ in problem.objects}
-    added = {a.predicate for s in domain.schemas for a in s.add}
-    static = {a.predicate: set() for s in domain.schemas for a in s.pre
-              if a.predicate not in added}
+    true: dict[str, set] = {p: set() for p in plan.static}
     for atom in problem.init:
-        if atom.predicate in static:
-            static[atom.predicate].add(atom.args)
+        if atom.predicate in true:
+            true[atom.predicate].add(atom.args)
 
-    getters = [_atom_getters(schema) for schema in domain.schemas]
     atoms = _AtomBits()  # the atoms the fixpoint may reach
     # per surviving binding: schema index and row, and the fixpoint's (pre,
     # add) pair over local bits, where static preconditions are left out:
     # they hold in init, or the binding would not have survived
     rows: list[tuple[int, tuple]] = []
     pairs: list[tuple[int, int]] = []
-    for s, schema in enumerate(domain.schemas):
+    for s, (schema, sp) in enumerate(zip(domain.schemas, plan.schemas)):
         try:
-            _check_constants((*schema.pre, *schema.add, *schema.delete), object_set)
+            _check_constants(sp.constants, object_set)
         except GroundingError:
             # raised whether or not a static test would reject the binding
             if next(_bindings(schema, by_type), None) is not None:
                 raise
             continue
-        names, pre_get, add_get, _ = getters[s]
-        fluent = [get for get, atom in zip(pre_get, schema.pre) if atom.predicate not in static]
-        for combo in _bindings(schema, by_type, static):
+        names, fluent, add_get = sp.names, sp.fluent, sp.add
+        for combo in _bindings(schema, by_type, sp, true):
             row = combo + names
             rows.append((s, row))
             pre = add = 0
@@ -737,9 +813,9 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
         schema = domain.schemas[s]
         combo = row[:len(schema.params)]
         kept[s].append(combo)
-        _, pre_get, add_get, del_get = getters[s]
+        sp = plan.schemas[s]
         actions.append(Action(aid, format_atom(schema.name, combo),
-                              mask(pre_get, row), mask(add_get, row), mask(del_get, row)))
+                              mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
     return Task(
         facts,
         actions,

@@ -510,7 +510,9 @@ def test_drive_truck_binds_its_city_before_its_destination():
     by_type = pddl._pools(p)
     static = {"truck", "location", "city", "in-city"}
     static = {name: {a.args for a in p.init if a.predicate == name} for name in static}
-    kept = list(pddl._bindings(drive, by_type, static))
+    plan = d.plan.schemas[d.schemas.index(drive)]
+    assert plan.order == (0, 1, 3, 2)
+    kept = list(pddl._bindings(drive, by_type, plan, static))
     # parameter order, lexicographic, and exactly the unfiltered bindings
     # passing every static precondition
     expected = [c for c in pddl._bindings(drive, by_type)
@@ -535,7 +537,8 @@ def test_bindings_found_out_of_order_come_back_sorted():
     by_type = pddl._pools(p)
     static = {"link": {a.args for a in p.init if a.predicate == "link"},
               "p": {a.args for a in p.init if a.predicate == "p"}}
-    kept = list(pddl._bindings(go, by_type, static))
+    assert d.plan.schemas[0].order == (0, 2, 1)
+    kept = list(pddl._bindings(go, by_type, d.plan.schemas[0], static))
     expected = [c for c in pddl._bindings(go, by_type)
                 if (c[0], c[2]) in static["link"] and (c[1],) in static["p"]]
     assert kept == expected == sorted(kept)

@@ -153,10 +153,17 @@ def parsed(domain_text, problem_text):
 
 def parsed_by_reference(domain_text, problem_text):
     """``parsed`` with the reference reader, whose symbols all know their
-    place, so no error makes the parser read a text again."""
+    place, so no error makes the parser read a text again.  The domain
+    memo is emptied before, so that the reference reader reads every text
+    rather than the memo handing back ``parsed``'s domain, and after, so
+    that its trees are not handed out later."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pddl, "_read_sexprs", _read_sexprs)
-        return parsed(domain_text, problem_text)
+        pddl.parse_domain.cache_clear()
+        try:
+            return parsed(domain_text, problem_text)
+        finally:
+            pddl.parse_domain.cache_clear()
 
 
 TEXTS = [
