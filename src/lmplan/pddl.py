@@ -635,7 +635,7 @@ class _SchemaPlan(NamedTuple):
     fluent: tuple  # the pre getters of atoms on fluent predicates
     constants: tuple[AtomAst, ...]  # the atoms holding a constant
     statics: tuple[tuple[str, tuple], ...]  # static pre atoms: predicate, refs in binding order
-    order: Optional[tuple[int, ...]]  # slots in binding order (see ``_join_order``); None: as declared
+    order: Optional[tuple[int, ...]]  # slots in binding order (``_join_order``); None: as declared
     unorder: Optional[operator.itemgetter]  # a binding made in ``order`` to parameter order
 
 
@@ -663,9 +663,9 @@ def _schema_plan(schema: SchemaAst, static: frozenset[str]) -> _SchemaPlan:
         return operator.itemgetter(name_at(atom.predicate), *refs)
 
     # one getter per distinct atom: an atom is often both required and deleted
-    made = {atom: getter(atom) for atom in dict.fromkeys((*schema.pre, *schema.add, *schema.delete))}
-    pre, add, delete = (tuple(map(made.__getitem__, part))
-                        for part in (schema.pre, schema.add, schema.delete))
+    parts = schema.pre, schema.add, schema.delete
+    made = {atom: getter(atom) for atom in dict.fromkeys(schema.pre + schema.add + schema.delete)}
+    pre, add, delete = (tuple(map(made.__getitem__, part)) for part in parts)
     statics = [(atom.predicate, tuple([slot[a] if a.startswith("?") else a for a in atom.args]))
                for atom in schema.pre if atom.predicate in static]
     order = unorder = None

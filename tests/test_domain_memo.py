@@ -76,7 +76,8 @@ def test_grounding_derives_nothing_from_the_domain_once_planned(monkeypatch):
     assert summary(ground_files(LOGISTICS_DOMAIN, problem), False) == first
 
 
-BAD_DOMAIN = "(define (domain bad)\n  (:predicates (p ?x))\n  (:action a :parameters (?x)\n    :precondition (q ?x)))"
+BAD_DOMAIN = ("(define (domain bad)\n  (:predicates (p ?x))\n  (:action a :parameters (?x)\n"
+              "    :precondition (q ?x)))")
 
 
 def test_a_failing_text_is_not_kept():
@@ -92,12 +93,15 @@ def test_a_failing_text_is_not_kept():
 
 def test_memo_holds_at_most_its_bound():
     assert parse_domain.cache_info().maxsize == pddl._MEMO_TEXTS
+    def renamed(k):
+        return BLOCKSWORLD_ARM_DOMAIN.replace("(domain blocksworld-arm)", f"(domain bw{k})", 1)
+
     for k in range(2 * pddl._MEMO_TEXTS + 3):
-        d = parse_domain(BLOCKSWORLD_ARM_DOMAIN.replace("(domain blocksworld-arm)", f"(domain bw{k})", 1))
+        d = parse_domain(renamed(k))
         assert d.name == f"bw{k}"
         assert parse_domain.cache_info().currsize == min(k + 1, pddl._MEMO_TEXTS)
     # the oldest texts went first
-    parse_domain(BLOCKSWORLD_ARM_DOMAIN.replace("(domain blocksworld-arm)", "(domain bw0)", 1))
+    parse_domain(renamed(0))
     assert parse_domain.cache_info().hits == 0
 
 

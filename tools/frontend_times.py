@@ -111,7 +111,8 @@ def main(argv: list[str]) -> int:
                     other_task.facts, other_task.actions, other_task.init, other_task.goal):
                 print(f"{domain} {label}: {args.against} grounds another task", file=sys.stderr)
                 return 1
-            both = slice_seconds([c for pair in zip(calls, other_calls) for c in pair], args.repeats)
+            turns = [c for pair in zip(calls, other_calls) for c in pair]
+            both = slice_seconds(turns, args.repeats)
             times = list(map(min, both[::2]))
             ratios = [statistics.median(t / o for t, o in zip(ours, theirs))
                       for ours, theirs in zip(both[::2], both[1::2])]
