@@ -204,13 +204,16 @@ class Task:
         self.name = name
 
     def derive(self, init: int, goal: int, name: str,
-               facts: Sequence[Fact] = (), actions: Sequence[Action] = ()) -> "Task":
+               facts: Sequence[Fact] = (), actions: Sequence[Action] = (),
+               pruned_actions: Iterable[str] | Callable[[], Iterable[str]] = (),
+               provably_unsolvable: bool = False) -> "Task":
         """This task's facts and actions plus ``facts`` and ``actions`` (ids
         continuing), posed from ``init`` to ``goal``.  The same task as the
         constructor would build, without re-indexing what is shared.  It
         shares the relevance cones, since a new action may add only new
         facts (PlanningError otherwise); a new fact's cone is not shared (a
-        sibling's differs)."""
+        sibling's differs).  The grounder poses each problem on a shared
+        task this way, with the problem's pruned actions and verdict."""
         t = Task.__new__(Task)
         t.facts, t.actions, t.ops = self.facts, self.actions, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
@@ -219,8 +222,8 @@ class Task:
             t._append(facts, actions)
         t._cones, t._cone_limit = self._cones, self._cone_limit
         t._pose(init, goal, name)
-        t._pruned = ()
-        t.provably_unsolvable = False
+        t._pruned = pruned_actions if callable(pruned_actions) else tuple(pruned_actions)
+        t.provably_unsolvable = provably_unsolvable
         return t
 
     @property

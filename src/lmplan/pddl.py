@@ -34,6 +34,23 @@ preconditions' getters, the constants to look up among the objects and the
 order to bind parameters in.  ``ground`` reads the plan and derives only
 the problem's share.
 
+Work that needs only the domain and a problem's objects and static
+``:init`` atoms is done once per object set.  The plan holds a memo of
+it (``object_sets``), keyed by the typed objects, as a set, and the static
+``:init`` atoms: the bindings that pass the static tests, their rows, the
+fixpoint's (pre, add) pairs over local atom bits and the atom table.
+Within an entry, keyed also by the relaxed-reachable atoms and the goal
+atoms outside them (with any init or goal atom the table lacks, on a bit
+past it), are the sorted facts, the kept actions and a task holding them.
+Per problem, ``ground`` checks the init and goal constants, sets their
+bits, runs the relaxed fixpoint and derives a task of its own from the
+kept one: it shares the facts, actions, indexes and relevance cones, and
+has its own init, goal, name, pruned actions and verdict, so no search
+state crosses problems.  The memo holds at most ``_MEMO_ACTIONS`` actions
+(bindings plus kept actions), dropping the least recently used object
+sets; it dies with its domain.  A problem that fails keeps nothing, so it
+raises the same error on every call.
+
 The reader makes nested lists of plain strings: it cuts comments, splits
 at blanks and parentheses, and lowercases each symbol.  No token keeps its
 place.  When an error names one, the text is read again with one regular
@@ -50,6 +67,7 @@ Atoms and schemas are named tuples.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -243,7 +261,8 @@ class DomainAst:
         added = {a.predicate for s in self.schemas for a in s.add}
         static = frozenset(a.predicate for s in self.schemas for a in s.pre
                            if a.predicate not in added)
-        return _DomainPlan(static, tuple(_schema_plan(s, static) for s in self.schemas))
+        return _DomainPlan(static, tuple(_schema_plan(s, static) for s in self.schemas),
+                           _ObjectSets())
 
 
 @dataclass(frozen=True)
@@ -336,6 +355,10 @@ def _define(top: list, kind: str) -> tuple[str, list]:
 
 # the most domain texts whose parses ``parse_domain`` keeps
 _MEMO_TEXTS = 8
+# the most grounded actions a domain's object-set memo holds: each object
+# set's surviving bindings plus the kept actions of each of its reachable
+# sets (see ``ground``)
+_MEMO_ACTIONS = 4096
 
 
 @functools.lru_cache(maxsize=_MEMO_TEXTS)
@@ -642,6 +665,7 @@ class _SchemaPlan(NamedTuple):
 class _DomainPlan(NamedTuple):
     static: frozenset[str]  # predicates of preconditions, added by no schema
     schemas: tuple[_SchemaPlan, ...]
+    object_sets: _ObjectSets  # what ``ground`` keeps per object set
 
 
 def _schema_plan(schema: SchemaAst, static: frozenset[str]) -> _SchemaPlan:
@@ -729,39 +753,65 @@ def _pruned_names(domain: DomainAst, problem: ProblemAst,
                 yield format_atom(schema.name, combo)
 
 
-def ground(domain: DomainAst, problem: ProblemAst) -> Task:
-    """Instantiate schemas over the problem objects and build a Task.
+class _ObjectSet:
+    """What ``ground`` derives from a problem's typed objects and static
+    ``:init`` atoms: per binding that passes the static tests, its schema
+    index and row and the fixpoint's (pre, add) pair over local bits, where
+    static preconditions are left out (they hold in init, or the binding
+    would not have passed); the local bit of each atom the bindings hold
+    and of each static ``:init`` atom; and, per reachable set, what
+    ``ground`` built for it."""
 
-    Actions unreachable in the delete-relaxed fixpoint are dropped and the
-    fact universe is the relaxed-reachable facts plus init and goal.  A goal
-    fact outside the fixpoint does not fail the grounding; the returned task
-    is flagged provably unsolvable instead.
+    __slots__ = ("rows", "pairs", "atoms", "reached", "size")
 
-    Pruning starts while bindings are enumerated: a predicate no schema adds
-    is static, its true atoms are exactly its ``:init`` atoms, so a binding
-    failing a static precondition is never reached.  Such a precondition
-    supplies its last variable's candidates from an index of its relation,
-    or filters as soon as its variables are bound (``_bindings``).  Ground
-    atoms are interned as ``(predicate, *args)`` tuples with local bits,
-    and the fixpoint runs over the survivors' bitmasks; names are built
-    only for the facts and actions the Task keeps.  The pruned actions'
-    names, most of the bindings on untyped domains, are built when
-    ``Task.pruned_actions`` is first read; ``Task.num_pruned`` counts them
-    without building them.  What depends on the domain alone is read from
-    ``domain.plan``, built on the domain's first grounding.
-    """
+    def __init__(self, rows: list[tuple[int, tuple]], pairs: list[tuple[int, int]],
+                 atoms: dict[tuple, int]):
+        self.rows, self.pairs, self.atoms = rows, pairs, atoms
+        self.reached: dict[tuple, _Reached] = {}
+        self.size = len(rows)  # plus the kept actions of each reachable set
+
+
+class _Reached(NamedTuple):
+    fact_bit: dict[tuple, int]  # each fact's atom to its bit
+    kept: tuple[tuple[tuple[str, ...], ...], ...]  # per schema, its kept bindings
+    task: Task  # the facts and kept actions, posed from nothing to nothing
+
+
+class _ObjectSets(dict):
+    """A domain's object-set keys to their ``_ObjectSet``s, least recently
+    used first, whose sizes sum to at most ``_MEMO_ACTIONS``."""
+
+    size = 0
+
+    def keep(self, key: tuple, entry: _ObjectSet, grown: int) -> None:
+        """Hold ``entry``, ``grown`` larger than when last held (all of its
+        size if it is new), as the most recently used; then drop the least
+        recently used entries while the sizes pass the bound.  An entry
+        alone past the bound is not held."""
+        self.pop(key, None)
+        self.size += grown
+        if entry.size > _MEMO_ACTIONS:
+            self.size -= entry.size
+            return
+        self[key] = entry
+        while self.size > _MEMO_ACTIONS:
+            self.size -= self.pop(next(iter(self))).size
+
+    def clear(self) -> None:
+        super().clear()
+        self.size = 0
+
+
+def _object_set(domain: DomainAst, problem: ProblemAst, static: list[AtomAst]) -> _ObjectSet:
+    """The ``_ObjectSet`` of ``problem``'s objects and its ``static``
+    ``:init`` atoms."""
     plan = domain.plan
     by_type = _pools(problem)
     object_set = {o for o, _ in problem.objects}
     true: dict[str, set] = {p: set() for p in plan.static}
-    for atom in problem.init:
-        if atom.predicate in true:
-            true[atom.predicate].add(atom.args)
-
-    atoms = _AtomBits()  # the atoms the fixpoint may reach
-    # per surviving binding: schema index and row, and the fixpoint's (pre,
-    # add) pair over local bits, where static preconditions are left out:
-    # they hold in init, or the binding would not have survived
+    for atom in static:
+        true[atom.predicate].add(atom.args)
+    atoms = _AtomBits()
     rows: list[tuple[int, tuple]] = []
     pairs: list[tuple[int, int]] = []
     for s, (schema, sp) in enumerate(zip(domain.schemas, plan.schemas)):
@@ -782,19 +832,19 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
             for get in add_get:
                 add |= atoms[get(row)]
             pairs.append((pre, add))
-    _check_constants((*problem.init, *problem.goal), object_set)
-    init_atoms = [(a.predicate, *a.args) for a in problem.init]
-    goal_atoms = [(a.predicate, *a.args) for a in problem.goal]
+    for atom in static:  # a bit each, so that only odd atoms go past the table
+        atoms[(atom.predicate, *atom.args)]
+    return _ObjectSet(rows, pairs, atoms)
 
-    init = goal = 0
-    for atom in init_atoms:
-        init |= atoms[atom]
-    for atom in goal_atoms:
-        goal |= atoms[atom]
-    reached = relaxed_closure(pairs, init)
-    rows = [r for r, (pre, _) in zip(rows, pairs) if reached & pre == pre]
-    universe = {atom for atom, bit in atoms.items() if bit & (reached | goal)}
 
+def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, goal: int,
+             extra: dict[tuple, int]) -> _Reached:
+    """The facts and kept actions of ``entry`` when ``reached`` holds the
+    relaxed-reachable local bits and ``goal`` the goal's; ``extra`` holds
+    the problem's atoms past ``entry``'s, with their bits."""
+    keep = reached | goal
+    universe = [atom for atom, bit in itertools.chain(entry.atoms.items(), extra.items())
+                if bit & keep]
     fact_bit: dict[tuple, int] = {}
     facts = []
     for fid, (_, atom) in enumerate(sorted(("(" + " ".join(a) + ")", a) for a in universe)):
@@ -807,23 +857,87 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
             m |= fact_bit.get(get(row), 0)  # 0: deletes of never-true facts are inert
         return m
 
+    schemas, plans = domain.schemas, domain.plan.schemas
     actions = []
-    kept: list[list[tuple]] = [[] for _ in domain.schemas]  # bindings, per schema
-    for aid, (s, row) in enumerate(rows):
-        schema = domain.schemas[s]
-        combo = row[:len(schema.params)]
-        kept[s].append(combo)
-        sp = plan.schemas[s]
-        actions.append(Action(aid, format_atom(schema.name, combo),
-                              mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
-    return Task(
-        facts,
-        actions,
+    kept: list[list[tuple]] = [[] for _ in schemas]  # bindings, per schema
+    for (s, row), (pre, _) in zip(entry.rows, entry.pairs):
+        if reached & pre == pre:
+            schema, sp = schemas[s], plans[s]
+            combo = row[:len(schema.params)]
+            kept[s].append(combo)
+            actions.append(Action(len(actions), format_atom(schema.name, combo),
+                                  mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
+    return _Reached(fact_bit, tuple(map(tuple, kept)), Task(facts, actions, 0, 0))
+
+
+def ground(domain: DomainAst, problem: ProblemAst) -> Task:
+    """Instantiate schemas over the problem objects and build a Task.
+
+    Actions unreachable in the delete-relaxed fixpoint are dropped and the
+    fact universe is the relaxed-reachable facts plus init and goal.  A goal
+    fact outside the fixpoint does not fail the grounding; the returned task
+    is flagged provably unsolvable instead.
+
+    Pruning starts while bindings are enumerated: a predicate no schema adds
+    is static, its true atoms are exactly its ``:init`` atoms, so a binding
+    failing a static precondition is never reached.  Such a precondition
+    supplies its last variable's candidates from an index of its relation,
+    or filters as soon as its variables are bound (``_bindings``).  Ground
+    atoms are interned as ``(predicate, *args)`` tuples with local bits,
+    and the fixpoint runs over the survivors' bitmasks; names are built
+    only for the facts and actions the Task keeps.  The pruned actions'
+    names, most of the bindings on untyped domains, are built when
+    ``Task.pruned_actions`` is first read; ``Task.num_pruned`` counts them
+    without building them.  What depends on the domain alone is read from
+    ``domain.plan``, built on the domain's first grounding.
+
+    What depends on the object set (``_ObjectSet``) and, within it, on the
+    reachable set (``_Reached``) is built once and kept in
+    ``domain.plan.object_sets`` (see the module docstring); each problem
+    gets a task of its own, derived from the kept one.
+    """
+    plan = domain.plan
+    static = [a for a in problem.init if a.predicate in plan.static]
+    key = frozenset(problem.objects), frozenset(static)
+    entry = plan.object_sets.get(key)
+    grown = 0
+    if entry is None:
+        entry = _object_set(domain, problem, static)
+        grown = entry.size
+    _check_constants((*problem.init, *problem.goal), {o for o, _ in problem.objects})
+    init_atoms = [(a.predicate, *a.args) for a in problem.init]
+    goal_atoms = [(a.predicate, *a.args) for a in problem.goal]
+
+    table = entry.atoms
+    extra: dict[tuple, int] = {}  # atoms past the table, to bits past its own
+
+    def bit(atom: tuple) -> int:
+        b = table.get(atom) or extra.get(atom)
+        if b is None:
+            b = extra[atom] = 1 << (len(table) + len(extra))
+        return b
+
+    init = goal = 0
+    for atom in init_atoms:
+        init |= bit(atom)
+    for atom in goal_atoms:
+        goal |= bit(atom)
+    reached = relaxed_closure(entry.pairs, init)
+    unreached = goal & ~reached
+    reach_key = reached, unreached, tuple(extra)
+    found = entry.reached.get(reach_key)
+    if found is None:
+        found = entry.reached[reach_key] = _reached(domain, entry, reached, goal, extra)
+        entry.size += len(found.task.actions)
+        grown += len(found.task.actions)
+    plan.object_sets.keep(key, entry, grown)
+    fact_bit = found.fact_bit
+    return found.task.derive(
         sum(fact_bit[atom] for atom in set(init_atoms)),
         sum(fact_bit[atom] for atom in set(goal_atoms)),
-        name=problem.name,
-        pruned_actions=_PrunedActions(domain, problem, tuple(map(tuple, kept))),
-        provably_unsolvable=goal & ~reached != 0,
+        problem.name,
+        pruned_actions=_PrunedActions(domain, problem, found.kept),
+        provably_unsolvable=unreached != 0,
     )
 
 

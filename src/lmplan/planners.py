@@ -8,7 +8,6 @@ from __future__ import annotations
 import enum
 import heapq
 import os
-import subprocess
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,7 +40,9 @@ class PlannerResult:
         return self.outcome is Outcome.PLAN
 
 
-BasePlanner = Callable[[Task, SearchLimits], PlannerResult]
+# names, not classes: typing keeps each alias it builds, and with it the
+# classes it names, the modules of a later import of the package included
+BasePlanner = Callable[["Task", "SearchLimits"], "PlannerResult"]
 
 
 def _reconstruct(parents: dict, state: int) -> tuple[int, ...]:
@@ -160,6 +161,10 @@ class ExternalPlanner:
         self.workdir = workdir
 
     def __call__(self, task: Task, limits: SearchLimits = SearchLimits()) -> PlannerResult:
+        # imported here: subprocess and what it loads add about 0.6 MB to
+        # every process that imports lmplan
+        import subprocess
+
         from .pddl import grounded_domain_pddl, grounded_problem_pddl, parse_plan_text
 
         os.makedirs(self.workdir, exist_ok=True)

@@ -10,10 +10,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "frontend_times.py"
-LINE = re.compile(r"(\S+) (\S+): parse_domain (\S+) s, parse_problem (\S+) s, ground (\S+) s, "
+LINE = re.compile(r"(\S+) (\S+): parse_domain (\S+) s, parse_problem (\S+) s, "
+                  r"ground warm (\S+) s, ground cold (\S+) s, "
                   r"ground_files warm (\S+) s, cold (\S+) s \((\d+) actions, (\d+) facts\)")
 RATIOS = re.compile(r"(\S+) (\S+) against: parse_domain (\S+)x, parse_problem (\S+)x, "
-                    r"ground (\S+)x, ground_files warm (\S+)x, cold (\S+)x")
+                    r"ground warm (\S+)x, ground cold (\S+)x, ground_files warm (\S+)x, "
+                    r"cold (\S+)x")
 
 
 def run(*args):
@@ -30,10 +32,10 @@ def test_one_repetition_reports_each_case():
         ("blocksworld-arm", "4"), ("blocksworld-arm", "9"), ("blocksworld-no-arm", "4"),
         ("logistics", "2-3-2-4"), ("logistics", "3-3-1-6")]
     for m in parsed:
-        assert all(0 < float(m.group(k)) < 1 for k in range(3, 8))
+        assert all(0 < float(m.group(k)) < 1 for k in range(3, 9))
     # 9 blocks: 9 pick-up, 9 put-down, 72 stack and 72 unstack actions;
     # 72 on, 9 each of on-table, clear and holding, and arm-empty
-    assert parsed[1].group(8, 9) == ("162", "100")
+    assert parsed[1].group(9, 10) == ("162", "100")
 
 
 def test_repeats_below_one_are_refused():
@@ -77,10 +79,10 @@ def test_against_times_both_checkouts_in_turn(monkeypatch, capsys):
     assert all(c() is not None for c in calls)
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and LINE.fullmatch(lines[0]), lines
-    assert LINE.fullmatch(lines[0]).group(3, 4, 5, 6, 7) == ("1.000e-04",) * 5
+    assert LINE.fullmatch(lines[0]).group(3, 4, 5, 6, 7, 8) == ("1.000e-04",) * 6
     ratios = RATIOS.fullmatch(lines[1])
     assert ratios and ratios.group(1, 2) == ("blocksworld-arm", "4")
-    assert ratios.group(3, 4, 5, 6, 7) == ("2.000",) * 5
+    assert ratios.group(3, 4, 5, 6, 7, 8) == ("2.000",) * 6
 
 
 def test_against_a_checkout_grounding_otherwise_fails(monkeypatch, capsys):
@@ -104,3 +106,21 @@ def test_against_a_checkout_grounding_otherwise_fails(monkeypatch, capsys):
         for name in [m for m in sys.modules if m.split(".")[0] == tool.AGAINST]:
             del sys.modules[name]
     assert "grounds another task" in capsys.readouterr().err
+
+
+def test_ground_runs_warm_on_a_seen_object_set_and_cold_on_an_emptied_memo(monkeypatch):
+    spec = importlib.util.spec_from_file_location("frontend_times", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    pddl = tool.pddl
+    built = []
+    real = pddl._object_set
+    monkeypatch.setattr(pddl, "_object_set", lambda *a: built.append(a) or real(*a))
+    texts = tool.DOMAIN_TEXTS["logistics"], tool.gen_problem("logistics", (2, 3, 2, 4), 1)
+    pddl.parse_domain.cache_clear()
+    calls, task = tool.front_end_calls(pddl, *texts)
+    assert len(built) == 1
+    warm, cold = calls[tool.CALLS.index("ground warm")], calls[tool.CALLS.index("ground cold")]
+    assert warm().actions is task.actions and len(built) == 1
+    assert cold()[1].actions == task.actions and len(built) == 2
+    assert warm().actions is not task.actions and len(built) == 2

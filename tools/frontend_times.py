@@ -5,8 +5,11 @@
 For each case (a built-in domain and the size of a generated problem, seed
 1) it times ``pddl.parse_domain`` on the domain text, past its memo,
 ``pddl.parse_problem`` on the problem text, ``pddl.ground`` on the two
-ASTs, and ``pddl.ground_files`` on the two texts: warm, with the domain
-text already read, and cold, with the memo emptied before each call.  Each
+ASTs, and ``pddl.ground_files`` on the two texts.  ``ground`` runs warm,
+with the problem's object set grounded before, and cold, with the domain's
+object-set memo emptied before each call; ``ground_files`` runs warm, with
+the domain text already read, and cold, with the domain memo emptied
+before each call (which empties the object-set memo with it).  Each
 repetition calls the function as many times as ``timeit`` needs to fill
 about 0.2 s, in ``SLICES`` slices; the line gives the best slice's seconds
 per call, the least disturbed by other load.  The grounded task's action
@@ -17,8 +20,8 @@ root into the same process, times each call on both in turn, slice by
 slice, and prints after each case the ratio per call: the median over the
 slices of this checkout's time over CHECKOUT's, each pair timed back to
 back, so that load that comes and goes weighs on both alike.  A checkout
-whose ``parse_domain`` keeps no memo runs its warm and cold calls alike.
-Exits 1 if the two ground a case to different tasks.
+whose ``parse_domain`` or ``ground`` keeps no memo runs its warm and cold
+calls alike.  Exits 1 if the two ground a case to different tasks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from lmplan.bench import DOMAIN_TEXTS, gen_problem  # noqa: E402
 
 CASES = (("blocksworld-arm", 4), ("blocksworld-arm", 9), ("blocksworld-no-arm", 4),
          ("logistics", (2, 3, 2, 4)), ("logistics", (3, 3, 1, 6)))
-CALLS = ("parse_domain", "parse_problem", "ground", "ground_files warm", "cold")
+CALLS = ("parse_domain", "parse_problem", "ground warm", "ground cold", "ground_files warm",
+         "cold")
 SLICES = 10  # per repetition: short turns see the same load on both sides
 AGAINST = "lmplan_against"  # the package name CHECKOUT's lmplan is imported as
 
@@ -77,9 +81,12 @@ def front_end_calls(module, domain_text: str, problem_text: str):
     parse = getattr(module.parse_domain, "__wrapped__", module.parse_domain)  # past the memo
     d = module.parse_domain(domain_text)
     p = module.parse_problem(problem_text, d)
+    object_sets = getattr(getattr(d, "plan", None), "object_sets", None)
+    forget = getattr(object_sets, "clear", lambda: None)
     calls = [lambda: parse(domain_text),
              lambda: module.parse_problem(problem_text, d),
              lambda: module.ground(d, p),
+             lambda: (forget(), module.ground(d, p)),
              lambda: module.ground_files(domain_text, problem_text),
              lambda: (clear(), module.ground_files(domain_text, problem_text))]
     return calls, module.ground(d, p)
