@@ -117,7 +117,7 @@ def cmd_ground(args) -> int:
     task = _load_task(args)
     print(f"task: {task.name}")
     print(f"facts: {task.num_facts}")
-    print(f"actions: {len(task.actions)} (pruned {task.num_pruned})")
+    print(f"actions: {len(task.actions)} (pruned {len(task.pruned_actions)})")
     print(f"goal facts: {len(task.facts_in(task.goal))}")
     if task.provably_unsolvable:
         print("provably unsolvable: goal unreachable even ignoring deletes")

@@ -8,7 +8,9 @@ but its new actions add only new facts.  A task keeps only indexes that
 depend on its actions alone (each fact's adders, and the relevance cones
 that derived tasks share); what the relaxed-plan heuristic keeps per goal
 is ``rpg``'s.  ``relaxed_closure`` is the grounder's delete-free
-reachability fixpoint; the layered one is ``rpg._grow``.
+reachability fixpoint; the layered one is ``rpg._grow``.  A grounded task
+counts the actions the grounder pruned (``len(task.pruned_actions)``) but
+does not name them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import itertools
 import operator
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 
 class PlanningError(Exception):
@@ -125,6 +127,11 @@ class Task:
     or action round-trips through the task's name indexes.
     """
 
+    # set by ``derive``: the actions the grounder pruned, as any sized value
+    # (``len`` counts them), and whether the goal is relaxed-unreachable
+    pruned_actions: Sized = ()
+    provably_unsolvable = False
+
     def __init__(
         self,
         facts: Sequence[Fact],
@@ -132,8 +139,6 @@ class Task:
         init: int,
         goal: int,
         name: str = "task",
-        pruned_actions: Iterable[str] | Callable[[], Iterable[str]] = (),
-        provably_unsolvable: bool = False,
     ):
         self.facts: tuple[Fact, ...] = ()
         self.actions: tuple[Action, ...] = ()
@@ -149,10 +154,6 @@ class Task:
         self._append(facts, actions)
         self._cone_limit = len(self.facts)
         self._pose(init, goal, name)
-        # the names, or a function building them on first read (len() counts
-        # them without building them)
-        self._pruned = pruned_actions if callable(pruned_actions) else tuple(pruned_actions)
-        self.provably_unsolvable = provably_unsolvable
 
     def _append(self, facts: Sequence[Fact], actions: Sequence[Action]) -> None:
         """Validate and index further facts and actions, ids continuing.  A
@@ -205,15 +206,15 @@ class Task:
 
     def derive(self, init: int, goal: int, name: str,
                facts: Sequence[Fact] = (), actions: Sequence[Action] = (),
-               pruned_actions: Iterable[str] | Callable[[], Iterable[str]] = (),
-               provably_unsolvable: bool = False) -> "Task":
+               pruned_actions: Sized = (), provably_unsolvable: bool = False) -> "Task":
         """This task's facts and actions plus ``facts`` and ``actions`` (ids
         continuing), posed from ``init`` to ``goal``.  The same task as the
         constructor would build, without re-indexing what is shared.  It
         shares the relevance cones, since a new action may add only new
         facts (PlanningError otherwise); a new fact's cone is not shared (a
         sibling's differs).  The grounder poses each problem on a shared
-        task this way, with the problem's pruned actions and verdict."""
+        task this way, with the count of its pruned actions and its
+        verdict."""
         t = Task.__new__(Task)
         t.facts, t.actions, t.ops = self.facts, self.actions, self.ops
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
@@ -222,21 +223,8 @@ class Task:
             t._append(facts, actions)
         t._cones, t._cone_limit = self._cones, self._cone_limit
         t._pose(init, goal, name)
-        t._pruned = pruned_actions if callable(pruned_actions) else tuple(pruned_actions)
-        t.provably_unsolvable = provably_unsolvable
+        t.pruned_actions, t.provably_unsolvable = pruned_actions, provably_unsolvable
         return t
-
-    @property
-    def pruned_actions(self) -> tuple[str, ...]:
-        """Names of the grounded actions the grounder dropped as unreachable."""
-        if callable(self._pruned):
-            self._pruned = tuple(self._pruned())
-        return self._pruned
-
-    @property
-    def num_pruned(self) -> int:
-        """``len(pruned_actions)``, without building the names first."""
-        return len(self._pruned)
 
     @functools.cached_property
     def _fact_index(self) -> dict[str, int]:

@@ -19,9 +19,9 @@ static predicate (one no schema adds, so its true atoms are exactly the
 ``:init`` ones) joins: an index of its relation, keyed by the objects
 already bound, gives the candidates of its last variable.  The
 delete-relaxed fixpoint then runs over bitmasks of the surviving bindings
-only, with ground atoms interned as tuples.  The names of the pruned actions
-are not built while grounding; the Task builds them from the domain, the
-problem and the kept actions on first read.
+only, with ground atoms interned as tuples.  The pruned actions are counted,
+never named: their number is the bindings of every schema, worked out from
+the typed pools, less the kept actions.
 
 Work that needs only the domain is done once per domain text.
 ``parse_domain`` keeps the parses of the last eight texts it read, keyed by
@@ -38,18 +38,19 @@ Work that needs only the domain and a problem's objects and static
 ``:init`` atoms is done once per object set.  The plan holds a memo of
 it (``object_sets``), keyed by the typed objects, as a set, and the static
 ``:init`` atoms: the bindings that pass the static tests, their rows, the
-fixpoint's (pre, add) pairs over local atom bits and the atom table.
-Within an entry, keyed also by the relaxed-reachable atoms and the goal
-atoms outside them (with any init or goal atom the table lacks, on a bit
-past it), are the sorted facts, the kept actions and a task holding them.
+fixpoint's (pre, add) pairs over local atom bits, the atom table and the
+number of bindings with no static tests.  Within an entry, keyed also by
+the relaxed-reachable atoms and the goal atoms outside them (with any init
+or goal atom the table lacks, on a bit past it), are the sorted facts, the
+kept actions, a task holding them and the count of the pruned actions.
 Per problem, ``ground`` checks the init and goal constants, sets their
 bits, runs the relaxed fixpoint and derives a task of its own from the
-kept one: it shares the facts, actions, indexes and relevance cones, and
-has its own init, goal, name, pruned actions and verdict, so no search
-state crosses problems.  The memo holds at most ``_MEMO_ACTIONS`` actions
-(bindings plus kept actions), dropping the least recently used object
-sets; it dies with its domain.  A problem that fails keeps nothing, so it
-raises the same error on every call.
+kept one: it shares the facts, actions, indexes, relevance cones and
+pruned count, and has its own init, goal, name and verdict, so no search
+state crosses problems; it holds neither AST.  The memo holds at most
+``_MEMO_ACTIONS`` actions (bindings plus kept actions), dropping the least
+recently used object sets; it dies with its domain.  A problem that fails
+keeps nothing, so it raises the same error on every call.
 
 The reader makes nested lists of plain strings: it cuts comments, splits
 at blanks and parentheses, and lowercases each symbol.  No token keeps its
@@ -250,9 +251,6 @@ class DomainAst:
 
     def __post_init__(self):
         object.__setattr__(self, "predicates", MappingProxyType(dict(self.predicates)))
-
-    def __reduce__(self):  # a read-only mapping does not pickle
-        return DomainAst, (self.name, self.types, dict(self.predicates), self.schemas)
 
     @functools.cached_property
     def plan(self) -> _DomainPlan:
@@ -558,23 +556,29 @@ def _join_order(n: int, refs_list: list[tuple]) -> list[int]:
     return order
 
 
-def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
-              plan: Optional[_SchemaPlan] = None,
-              true: Optional[dict[str, set]] = None) -> Iterator[tuple[str, ...]]:
-    """Type-consistent bindings with pairwise-distinct objects, as object
-    tuples in parameter order, in lexicographic order.
+def _num_bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]]) -> int:
+    """The number of type-consistent bindings of ``schema`` with
+    pairwise-distinct objects.  Objects are distinct, and a schema's
+    parameters are all untyped (one pool) or all typed (disjoint pools), so
+    it is a product of falling factorials over its types' pools."""
+    return math.prod(math.perm(len(by_type.get(t, ())), k)
+                     for t, k in Counter(t for _, t in schema.params).items())
 
-    Given the schema's ``plan`` and ``true``, which maps each static
-    predicate to the argument tuples of its ``:init`` atoms, the schema's
-    preconditions on them are applied while parameters are bound
-    (``_bind``), in the plan's order.  Bindings found out of parameter
-    order are sorted.
+
+def _bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]],
+              plan: _SchemaPlan, true: dict[str, set]) -> Iterator[tuple[str, ...]]:
+    """Type-consistent bindings with pairwise-distinct objects that pass
+    the schema's static preconditions, as object tuples in parameter order,
+    in lexicographic order.
+
+    ``true`` maps each static predicate to the argument tuples of its
+    ``:init`` atoms; the schema's preconditions on them are applied while
+    parameters are bound (``_bind``), in the ``plan``'s order.  Bindings
+    found out of parameter order are sorted.
     """
     pools = [by_type.get(t, []) for _, t in schema.params]
     if not all(pools):
         return iter(())
-    if plan is None:
-        return _bind(pools, [])
     atoms = [(true[predicate], refs) for predicate, refs in plan.statics]
     if plan.order is None:
         return _bind(pools, atoms)
@@ -718,39 +722,17 @@ class _AtomBits(dict):
         return bit
 
 
-@dataclass(frozen=True)
 class _PrunedActions:
-    """The actions ``ground`` pruned.  Called, it yields their names; its
-    ``len`` counts them from the typed pools without naming them."""
+    """The number of actions ``ground`` pruned, which ``len`` reads: the
+    bindings it enumerates with no static tests and does not keep."""
 
-    domain: DomainAst
-    problem: ProblemAst
-    kept: tuple[tuple[tuple[str, ...], ...], ...]  # per schema, its kept bindings
+    __slots__ = ("count",)
 
-    def __call__(self):
-        return _pruned_names(self.domain, self.problem, self.kept)
+    def __init__(self, count: int):
+        self.count = count
 
     def __len__(self) -> int:
-        # objects are distinct, and a schema's parameters are all untyped
-        # (one pool) or all typed (disjoint pools), so its bindings number a
-        # product of falling factorials over its types' pools; less the kept
-        by_type = _pools(self.problem)
-        return sum(math.prod(math.perm(len(by_type.get(t, [])), k)
-                             for t, k in Counter(t for _, t in schema.params).items()) - len(kept)
-                   for schema, kept in zip(self.domain.schemas, self.kept))
-
-
-def _pruned_names(domain: DomainAst, problem: ProblemAst,
-                  kept: tuple[tuple[tuple[str, ...], ...], ...]):
-    """The names of every binding ``ground`` enumerates with no static tests
-    and did not keep (``kept`` holds each schema's kept bindings), in
-    grounding order."""
-    by_type = _pools(problem)
-    for schema, kept_bindings in zip(domain.schemas, kept):
-        kept_set = set(kept_bindings)
-        for combo in _bindings(schema, by_type):
-            if combo not in kept_set:
-                yield format_atom(schema.name, combo)
+        return self.count
 
 
 class _ObjectSet:
@@ -759,22 +741,22 @@ class _ObjectSet:
     index and row and the fixpoint's (pre, add) pair over local bits, where
     static preconditions are left out (they hold in init, or the binding
     would not have passed); the local bit of each atom the bindings hold
-    and of each static ``:init`` atom; and, per reachable set, what
-    ``ground`` built for it."""
+    and of each static ``:init`` atom; the number of bindings with no
+    static tests; and, per reachable set, what ``ground`` built for it."""
 
-    __slots__ = ("rows", "pairs", "atoms", "reached", "size")
+    __slots__ = ("rows", "pairs", "atoms", "bindings", "reached", "size")
 
     def __init__(self, rows: list[tuple[int, tuple]], pairs: list[tuple[int, int]],
-                 atoms: dict[tuple, int]):
-        self.rows, self.pairs, self.atoms = rows, pairs, atoms
+                 atoms: dict[tuple, int], bindings: int):
+        self.rows, self.pairs, self.atoms, self.bindings = rows, pairs, atoms, bindings
         self.reached: dict[tuple, _Reached] = {}
         self.size = len(rows)  # plus the kept actions of each reachable set
 
 
 class _Reached(NamedTuple):
     fact_bit: dict[tuple, int]  # each fact's atom to its bit
-    kept: tuple[tuple[tuple[str, ...], ...], ...]  # per schema, its kept bindings
     task: Task  # the facts and kept actions, posed from nothing to nothing
+    pruned: _PrunedActions  # the object set's bindings less the kept actions
 
 
 class _ObjectSets(dict):
@@ -814,12 +796,15 @@ def _object_set(domain: DomainAst, problem: ProblemAst, static: list[AtomAst]) -
     atoms = _AtomBits()
     rows: list[tuple[int, tuple]] = []
     pairs: list[tuple[int, int]] = []
+    total = 0
     for s, (schema, sp) in enumerate(zip(domain.schemas, plan.schemas)):
+        count = _num_bindings(schema, by_type)
+        total += count
         try:
             _check_constants(sp.constants, object_set)
         except GroundingError:
             # raised whether or not a static test would reject the binding
-            if next(_bindings(schema, by_type), None) is not None:
+            if count:
                 raise
             continue
         names, fluent, add_get = sp.names, sp.fluent, sp.add
@@ -834,7 +819,7 @@ def _object_set(domain: DomainAst, problem: ProblemAst, static: list[AtomAst]) -
             pairs.append((pre, add))
     for atom in static:  # a bit each, so that only odd atoms go past the table
         atoms[(atom.predicate, *atom.args)]
-    return _ObjectSet(rows, pairs, atoms)
+    return _ObjectSet(rows, pairs, atoms, total)
 
 
 def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, goal: int,
@@ -859,15 +844,14 @@ def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, goal: int,
 
     schemas, plans = domain.schemas, domain.plan.schemas
     actions = []
-    kept: list[list[tuple]] = [[] for _ in schemas]  # bindings, per schema
     for (s, row), (pre, _) in zip(entry.rows, entry.pairs):
         if reached & pre == pre:
             schema, sp = schemas[s], plans[s]
             combo = row[:len(schema.params)]
-            kept[s].append(combo)
             actions.append(Action(len(actions), format_atom(schema.name, combo),
                                   mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
-    return _Reached(fact_bit, tuple(map(tuple, kept)), Task(facts, actions, 0, 0))
+    return _Reached(fact_bit, Task(facts, actions, 0, 0),
+                    _PrunedActions(entry.bindings - len(actions)))
 
 
 def ground(domain: DomainAst, problem: ProblemAst) -> Task:
@@ -885,11 +869,10 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
     or filters as soon as its variables are bound (``_bindings``).  Ground
     atoms are interned as ``(predicate, *args)`` tuples with local bits,
     and the fixpoint runs over the survivors' bitmasks; names are built
-    only for the facts and actions the Task keeps.  The pruned actions'
-    names, most of the bindings on untyped domains, are built when
-    ``Task.pruned_actions`` is first read; ``Task.num_pruned`` counts them
-    without building them.  What depends on the domain alone is read from
-    ``domain.plan``, built on the domain's first grounding.
+    only for the facts and actions the Task keeps.  The pruned actions,
+    most of the bindings on untyped domains, are only counted:
+    ``len(task.pruned_actions)``.  What depends on the domain alone is read
+    from ``domain.plan``, built on the domain's first grounding.
 
     What depends on the object set (``_ObjectSet``) and, within it, on the
     reachable set (``_Reached``) is built once and kept in
@@ -936,7 +919,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
         sum(fact_bit[atom] for atom in set(init_atoms)),
         sum(fact_bit[atom] for atom in set(goal_atoms)),
         problem.name,
-        pruned_actions=_PrunedActions(domain, problem, found.kept),
+        pruned_actions=found.pruned,
         provably_unsolvable=unreached != 0,
     )
 

@@ -1,10 +1,13 @@
 """tools/bench_pairs.py on synthetic reports: the pair order, the per-pair and
 summary report, and the exit status.  No benchmark is run: the runner is
-replaced by one that writes canned reports and returns their results."""
+replaced by one that writes canned reports and returns their results, or
+runs a stub checkout's ``perfbench/run.py``."""
 
 import importlib.util
 import json
+import py_compile
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,33 @@ def test_an_unknown_workload_is_a_usage_error(checkouts):
         bench_pairs.main([str(parent), str(change), "--workload", "nope", "--seeds", "1"],
                          run=None)
     assert err.value.code == 2
+
+
+STUB_RUN = """import json, sys
+sys.path.insert(0, "src")
+import stubmod, helper
+print(json.dumps({"correct": True, "metrics": {"value": {"value": stubmod.VALUE}}}))
+"""
+
+
+def test_a_side_reads_and_writes_no_bytecode_cache(tmp_path, monkeypatch):
+    # the checkout's cache holds stubmod as VALUE = 1, unchecked against its
+    # source, which now says 2: a run reading the cache would report 1
+    root = tmp_path / "stub"
+    (root / "src").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    (root / "perfbench" / "helper.py").write_text("")
+    module = root / "src" / "stubmod.py"
+    module.write_text("VALUE = 1\n")
+    cached = importlib.util.cache_from_source(str(module))
+    py_compile.compile(str(module), cfile=cached,
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    module.write_text("VALUE = 2\n")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    side = bench_pairs.run_side(root, "bw-plan", 1, 0.1)
+    assert side["correct"] and side["metrics"] == {"value": 2}
+    assert not (root / "perfbench" / "__pycache__").exists()  # helper's cache not written
+    assert list(temp.iterdir()) == []  # the empty cache directory is removed

@@ -41,17 +41,18 @@ def test_ground_counts_pruned_actions_without_naming_them(tmp_path, capsys, monk
     from lmplan import pddl
 
     problem = gen_logistics(2, 3, 2, 4, seed=1)
-    pruned = len(pddl.ground_files(LOGISTICS_DOMAIN, problem).pruned_actions)
-
-    def fail(*_):
-        raise AssertionError("pruned action names built")
-
-    monkeypatch.setattr(pddl, "_pruned_names", fail)
+    task = pddl.ground_files(LOGISTICS_DOMAIN, problem)
+    pruned = len(task.pruned_actions)
+    pddl.parse_domain.cache_clear()  # so that the command grounds afresh
+    calls = []
+    real = pddl.format_atom
+    monkeypatch.setattr(pddl, "format_atom", lambda *a: calls.append(1) or real(*a))
     d, p = tmp_path / "d.pddl", tmp_path / "p.pddl"
     d.write_text(LOGISTICS_DOMAIN)
     p.write_text(problem)
     assert main(["ground", str(d), str(p)]) == 0
     assert f"(pruned {pruned})" in capsys.readouterr().out
+    assert len(calls) == len(task.actions) < pruned  # a name per kept action only
 
 
 def test_landmarks_json_emission(demo_files, capsys):

@@ -27,9 +27,6 @@ SIZES = {
 CASES = [case for group in itertools.zip_longest(*(
     [(domain, size, seed) for size in sizes for seed in range(3)]
     for domain, sizes in SIZES.items())) for case in group if case is not None]
-# cases small enough to compare the pruned actions' names
-NAMED = {("blocksworld-arm", 3), ("blocksworld-arm", 4), ("blocksworld-no-arm", 3),
-         ("logistics", (1, 2, 1, 2))}
 
 
 @pytest.fixture(autouse=True)
@@ -39,41 +36,38 @@ def empty_memo():
     parse_domain.cache_clear()
 
 
-def summary(task, named: bool):
+def summary(task):
     return (task.name, [(f.id, f.predicate, f.args) for f in task.facts],
             [(a.name, a.pre, a.add, a.delete) for a in task.actions],
-            task.init, task.goal, task.num_pruned, task.provably_unsolvable,
-            task.pruned_actions if named else None)
+            task.init, task.goal, task.provably_unsolvable, len(task.pruned_actions))
 
 
 def test_warm_memo_grounds_as_a_cold_one():
     texts = [(DOMAIN_TEXTS[d], gen_problem(d, size, seed)) for d, size, seed in CASES]
-    named = [(d, size) in NAMED for d, size, _ in CASES]
     for domain_text in DOMAIN_TEXTS.values():
         parse_domain(domain_text)
     hits = parse_domain.cache_info().hits
-    warm = [summary(ground_files(*pair), n) for pair, n in zip(texts, named)]
+    warm = [summary(ground_files(*pair)) for pair in texts]
     assert parse_domain.cache_info().hits == hits + len(CASES)
     cold = []
-    for pair, n in zip(texts, named):
+    for pair in texts:
         parse_domain.cache_clear()
-        cold.append(summary(ground_files(*pair), n))
+        cold.append(summary(ground_files(*pair)))
         assert parse_domain.cache_info().hits == 0
     assert warm == cold
-    assert sum(s[-1] is not None for s in warm) == 3 * len(NAMED)
     assert any(s[-1] for s in warm)  # logistics 1-2-1-2 prunes
 
 
 def test_grounding_derives_nothing_from_the_domain_once_planned(monkeypatch):
     problem = gen_problem("logistics", (2, 3, 2, 4), 1)
-    first = summary(ground_files(LOGISTICS_DOMAIN, problem), False)
+    first = summary(ground_files(LOGISTICS_DOMAIN, problem))
 
     def fail(*_):
         raise AssertionError("domain-only work done again")
 
     for name in ("_schema_plan", "_join_order"):
         monkeypatch.setattr(pddl, name, fail)
-    assert summary(ground_files(LOGISTICS_DOMAIN, problem), False) == first
+    assert summary(ground_files(LOGISTICS_DOMAIN, problem)) == first
 
 
 BAD_DOMAIN = ("(define (domain bad)\n  (:predicates (p ?x))\n  (:action a :parameters (?x)\n"

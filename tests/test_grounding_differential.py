@@ -7,10 +7,12 @@ sorted typed pools), prunes with the relaxed-reachability fixpoint and
 builds every pruned action's name eagerly.  The new grounder tests static
 preconditions while it binds (joining them through indexes of the ``:init``
 relations), gives atoms integer ids, runs the fixpoint over bitmasks of the
-survivors only and builds the pruned names on first read; the Task must be
-the same, and ``Task.num_pruned`` must count the pruned names.  The
-grounder has no unpruned mode: the reference's (``prune=False``) grounds
-every binding, and the grounder's kept and pruned actions must be those.
+survivors only and counts the pruned actions without naming them; the Task
+must be the same, and ``len(task.pruned_actions)`` must count the
+reference's pruned names.  The grounder has no unpruned mode: the
+reference's (``prune=False``) grounds every binding, and the grounder's
+kept actions and the pruned names built here (``pruned_names``) must be
+those.
 """
 
 from __future__ import annotations
@@ -67,6 +69,20 @@ def _instantiations(schema: SchemaAst, by_type: dict[Optional[str], list[str]]):
             continue
         yield dict(zip((v for v, _ in schema.params), combo))
 
+
+def unfiltered_bindings(schema: SchemaAst, by_type: dict[Optional[str], list[str]]):
+    """``_instantiations`` as object tuples in parameter order."""
+    return [tuple(b[v] for v, _ in schema.params) for b in _instantiations(schema, by_type)]
+
+
+def pruned_names(domain: DomainAst, problem: ProblemAst, task: Task) -> list[str]:
+    """The names of every binding, with no static tests, that ``task``
+    (``problem`` grounded) does not keep, in grounding order."""
+    by_type = pddl._pools(problem)
+    kept = {a.name for a in task.actions}
+    names = (format_atom(schema.name, combo)
+             for schema in domain.schemas for combo in unfiltered_bindings(schema, by_type))
+    return [name for name in names if name not in kept]
 
 
 def reference_ground(domain: DomainAst, problem: ProblemAst, prune: bool = True) -> Task:
@@ -152,15 +168,9 @@ def reference_ground(domain: DomainAst, problem: ProblemAst, prune: bool = True)
     init_mask = mask_of(index[f] for f in init_names)
     goal_mask = mask_of(index[f] for f in goal_names)
     unsolvable = prune and not goal_names <= reached
-    return Task(
-        facts,
-        actions,
-        init_mask,
-        goal_mask,
-        name=problem.name,
-        pruned_actions=pruned,
-        provably_unsolvable=unsolvable,
-    )
+    return Task(facts, actions, 0, 0).derive(init_mask, goal_mask, problem.name,
+                                             pruned_actions=pruned,
+                                             provably_unsolvable=unsolvable)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +183,7 @@ def grounded(fn, domain: DomainAst, problem: ProblemAst):
         t = fn(domain, problem)
     except GroundingError as e:
         return ("GroundingError", str(e))
-    count = t.num_pruned  # before the names are built
-    assert count == len(t.pruned_actions)
-    return (t.facts, t.actions, t.init, t.goal, t.name, t.pruned_actions,
+    return (t.facts, t.actions, t.init, t.goal, t.name, len(t.pruned_actions),
             t.provably_unsolvable)
 
 
@@ -252,7 +260,8 @@ def against_unpruned(domain: DomainAst, problem: ProblemAst):
     kept actions in order, each with its pre, add and delete fact names; all
     action names (kept and pruned on the grounding's side), sorted; and the
     initial and goal fact names.  The unpruned side's deletes are cut to
-    the grounding's facts, since the others are never true."""
+    the grounding's facts, since the others are never true.  The pruned
+    names are built here, and the grounding must count them."""
     t, full = ground(domain, problem), reference_ground(domain, problem, prune=False)
     kept = {a.name for a in t.actions}
     universe = {f.name for f in t.facts}
@@ -263,8 +272,9 @@ def against_unpruned(domain: DomainAst, problem: ProblemAst):
                  for a in task.actions if a.name in kept], names,
                 task.fact_names(task.init), task.fact_names(task.goal))
 
-    assert t.num_pruned == len(t.pruned_actions)
-    return (view(t, sorted([*kept, *t.pruned_actions])),
+    pruned = pruned_names(domain, problem, t)
+    assert len(t.pruned_actions) == len(pruned)
+    return (view(t, sorted([*kept, *pruned])),
             view(full, sorted(a.name for a in full.actions)))
 
 
@@ -295,12 +305,11 @@ def test_repeated_objects_are_refused():
 
 @pytest.mark.parametrize("case", sorted(BUILT_IN))
 def test_unfiltered_bindings_match_reference(case):
-    # what the pruned names enumerate: every binding, in order
+    # what the pruned count counts: every binding, per schema
     d, p = pair(*BUILT_IN[case])
     by_type = pddl._pools(p)
     for schema in d.schemas:
-        expected = [tuple(b[v] for v, _ in schema.params) for b in _instantiations(schema, by_type)]
-        assert list(pddl._bindings(schema, by_type)) == expected
+        assert pddl._num_bindings(schema, by_type) == len(unfiltered_bindings(schema, by_type))
 
 
 @st.composite
@@ -366,5 +375,5 @@ def test_ground_matches_reference_on_random_domains(drawn):
     got = grounded(ground, d, p)
     assert got == grounded(reference_ground, d, p)
     if got[0] != "GroundingError":
-        names = [a.name for a in got[1]] + list(got[5])  # kept and pruned
-        assert len(set(names)) == len(names)
+        names = [a.name for a in got[1]] + pruned_names(d, p, ground(d, p))
+        assert len(set(names)) == len(names) == got[5] + len(got[1])

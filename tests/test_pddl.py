@@ -1,5 +1,7 @@
+import gc
 import pickle
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from lmplan.pddl import (
     parse_plan_text,
     parse_problem,
 )
+from test_grounding_differential import pruned_names, unfiltered_bindings
 
 
 def bw_problem(objects, init, goal, name="p"):
@@ -199,7 +202,10 @@ def test_relaxed_unreachable_goal_flags_unsolvable():
 
 def test_pruning_drops_relaxed_unreachable_actions(two_planes):
     # cross-city drives are type-consistent but never applicable
-    assert "(drive-truck la-truck la-po boston-po la)" in two_planes.pruned_actions
+    d = parse_domain(LOGISTICS_DOMAIN)
+    pruned = pruned_names(d, parse_problem(LOGISTICS_TWO_PLANES_PROBLEM, d), two_planes)
+    assert "(drive-truck la-truck la-po boston-po la)" in pruned
+    assert len(pruned) == len(two_planes.pruned_actions)
     kept = {a.name for a in two_planes.actions}
     assert "(drive-truck la-truck la-po la-airport la)" in kept
 
@@ -449,7 +455,7 @@ def test_unknown_constant_without_bindings_raises_nothing(objects):
 
 
 # ---------------------------------------------------------------------------
-# Pruned action names: built on first read
+# Pruned actions: counted, never named
 # ---------------------------------------------------------------------------
 
 def test_grounding_builds_no_pruned_names(monkeypatch):
@@ -474,21 +480,15 @@ def test_logistics_5_4_2_12_grounds_to_820_actions():
     assert (len(t.actions), len(t.facts)) == (820, 423)
 
 
-def test_pruned_names_are_built_once(monkeypatch, two_planes):
-    from lmplan import pddl
-
+def test_a_grounded_task_frees_its_asts():
     d = parse_domain(LOGISTICS_DOMAIN)
-    p = parse_problem(LOGISTICS_TWO_PLANES_PROBLEM, d)
+    p = parse_problem(gen_logistics(2, 3, 2, 4, seed=1), d)
+    problem = weakref.ref(p)
     t = ground(d, p)
-    calls = []
-    real = pddl._bindings
-    monkeypatch.setattr(pddl, "_bindings", lambda *a: calls.append(1) or real(*a))
-    first = t.pruned_actions
-    assert len(calls) == len(d.schemas)
-    assert t.pruned_actions is first  # kept as built, not rebuilt per read
-    assert first == two_planes.pruned_actions
-    assert len(calls) == len(d.schemas)
-    assert "(drive-truck la-truck la-po boston-po la)" in first
+    del p
+    gc.collect()
+    assert problem() is None
+    assert len(t.pruned_actions) > 0 and t.actions
 
 
 def test_drive_truck_binds_its_city_before_its_destination():
@@ -515,7 +515,7 @@ def test_drive_truck_binds_its_city_before_its_destination():
     kept = list(pddl._bindings(drive, by_type, plan, static))
     # parameter order, lexicographic, and exactly the unfiltered bindings
     # passing every static precondition
-    expected = [c for c in pddl._bindings(drive, by_type)
+    expected = [c for c in unfiltered_bindings(drive, by_type)
                 if all(tuple(c[slot[a]] for a in atom.args) in static[atom.predicate]
                        for atom in drive.pre if atom.predicate in static)]
     assert kept == expected == sorted(kept) and len(kept) == 54
@@ -539,7 +539,7 @@ def test_bindings_found_out_of_order_come_back_sorted():
               "p": {a.args for a in p.init if a.predicate == "p"}}
     assert d.plan.schemas[0].order == (0, 2, 1)
     kept = list(pddl._bindings(go, by_type, d.plan.schemas[0], static))
-    expected = [c for c in pddl._bindings(go, by_type)
+    expected = [c for c in unfiltered_bindings(go, by_type)
                 if (c[0], c[2]) in static["link"] and (c[1],) in static["p"]]
     assert kept == expected == sorted(kept)
     assert kept[:3] == [("a1", "b1", "c1"), ("a1", "b1", "c2"), ("a1", "b2", "c1")]
@@ -547,16 +547,14 @@ def test_bindings_found_out_of_order_come_back_sorted():
 
 def test_derived_tasks_have_no_pruned_names(two_planes):
     sub = two_planes.derive(two_planes.init, two_planes.goal, "sub")
-    assert sub.pruned_actions == () and two_planes.pruned_actions
+    assert len(sub.pruned_actions) == 0 and len(two_planes.pruned_actions) > 0
 
 
-def test_grounded_task_pickles_with_its_pruned_names():
+def test_grounded_task_pickles_with_its_pruned_count():
     fresh = ground_files(LOGISTICS_DOMAIN, LOGISTICS_TWO_PLANES_PROBLEM)
-    copy = pickle.loads(pickle.dumps(fresh))  # names not yet built
-    assert copy.pruned_actions == fresh.pruned_actions
-    again = pickle.loads(pickle.dumps(fresh))  # names built
-    assert again.pruned_actions == fresh.pruned_actions
-    assert [a.name for a in again.actions] == [a.name for a in fresh.actions]
+    copy = pickle.loads(pickle.dumps(fresh))
+    assert len(copy.pruned_actions) == len(fresh.pruned_actions) > 0
+    assert [a.name for a in copy.actions] == [a.name for a in fresh.actions]
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +637,6 @@ def test_mutated_texts_raise_only_parse_and_grounding_errors(texts):
     try:
         d = parse_domain(domain_text)
         p = parse_problem(problem_text, d)
-        ground(d, p).pruned_actions
+        len(ground(d, p).pruned_actions)
     except (ParseError, GroundingError):
         pass

@@ -12,6 +12,13 @@ then per metric each side's median and quartiles, the pairs the change wins
 the metric's regression bound.  Exits 1 if a run is not ``correct`` or a
 pair's fingerprints differ over their common rows, else 0.
 
+Each run compiles the checkout's modules from source, as a fresh checkout
+does: it runs with ``PYTHONDONTWRITEBYTECODE=1`` and with
+``PYTHONPYCACHEPREFIX`` set to an empty temporary directory, removed
+afterwards, so it reads no ``__pycache__`` that the checkout holds and
+writes none.  A side whose cache is warm skips the compilations of
+perfbench's set-up, which moves its ``peak_rss_mb`` by 1-2 MB.
+
 On Linux a process's ``ru_maxrss``, which ``peak_rss_mb`` reads, starts at
 the peak resident size of the process that started it.  So this script never
 loads a report's fingerprint itself: ``tools/compare_fingerprints.py``
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 COMPARE = Path(__file__).resolve().parent / "compare_fingerprints.py"
@@ -43,12 +52,15 @@ def seed_range(text: str) -> range:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in the checkout ``root``: its ``correct``
-    flag, metric values and the path of its report."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+    """One untraced benchmark run in the checkout ``root``, with no bytecode
+    cache read or written: its ``correct`` flag, metric values and the path
+    of its report."""
+    with tempfile.TemporaryDirectory() as empty:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=empty)
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=root, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     try:
         last = json.loads(lines[-1])
