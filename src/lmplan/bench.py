@@ -170,8 +170,7 @@ def export_lgg(task: Task, g: LGG, fmt: str = "dot") -> str:
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = {
-            "nodes": [{"id": n, "name": task.facts[n].name, "verified": g.verified(n)}
-                      for n in g.nodes],
+            "nodes": [{"id": n, "name": task.facts[n].name} for n in g.nodes],
             "edges": [{"from": s, "to": d, "kind": k.value} for s, d, k in g.edges],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -182,7 +181,7 @@ def lgg_from_json(text: str) -> LGG:
     doc = json.loads(text)
     g = LGG()
     for node in doc["nodes"]:
-        g.add_node(node["id"], verified=node["verified"])
+        g.add_node(node["id"])
     for edge in doc["edges"]:
         g.add_edge(edge["from"], edge["to"], EdgeKind(edge["kind"]))
     return g

@@ -25,8 +25,6 @@ MODE_DISJ = "disj"
 MODE_CONJ_DISJ = "conjdisj"
 MODE_DNF = "dnf"
 
-SUBTASK_GOAL_FACT = "(subtask-goal)"
-
 
 @dataclass(frozen=True)
 class ControlConfig:
@@ -125,7 +123,8 @@ def run_control(task: Task, g: LGG, base: BasePlanner,
                 table: Optional[InconsistencyTable] = None) -> ControlTrace:
     """Drive ``base`` through the landmark decomposition of ``task``.
 
-    ``g`` must be acyclic and verified.  Initial facts are dropped up front.
+    ``g`` is acyclic, holding only landmarks, as ``build_landmark_graph``
+    returns it.  Initial facts are dropped up front.
     Each iteration poses the current leaves (per the configured mode) from
     the current state; achieved leaves are removed wholesale after the
     fragment executes.  Leaves already true in the current state count as

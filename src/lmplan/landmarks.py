@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable
 
 from .core import PlanningError, Task, bits, mask_of
 from .rpg import INF, RPG
@@ -36,41 +36,28 @@ RO = EdgeKind.OBEDIENT_REASONABLE
 
 
 class LGG:
-    """Directed multigraph over landmark fact ids with typed edges, each edge
-    kept once, in one set."""
+    """The landmark graph: a set of fact-id nodes and a set of typed edges
+    (src, dst, kind), each edge kept once.  ``nodes`` and ``edges`` sort on
+    each read; ``edge_set`` is the unsorted view."""
 
     def __init__(self):
-        self._verified: dict[int, bool] = {}
+        self._nodes: set[int] = set()
         self._edges: set[tuple[int, int, EdgeKind]] = set()
-        self._nodes: Optional[tuple[int, ...]] = None  # sorted, until a change
-        self._edge_list: Optional[tuple[tuple[int, int, EdgeKind], ...]] = None
 
     # -- nodes --------------------------------------------------------------
 
     @property
     def nodes(self) -> tuple[int, ...]:
-        if self._nodes is None:
-            self._nodes = tuple(sorted(self._verified))
-        return self._nodes
+        return tuple(sorted(self._nodes))
 
     def __len__(self) -> int:
-        return len(self._verified)
+        return len(self._nodes)
 
     def __contains__(self, fact_id: int) -> bool:
-        return fact_id in self._verified
+        return fact_id in self._nodes
 
-    def add_node(self, fact_id: int, verified: bool = False) -> None:
-        if fact_id not in self._verified:
-            self._nodes = None
-            self._verified[fact_id] = verified
-
-    def verified(self, fact_id: int) -> bool:
-        return self._verified[fact_id]
-
-    def set_verified(self, fact_id: int, flag: bool = True) -> None:
-        if fact_id not in self._verified:
-            raise PlanningError(f"not a node: {fact_id}")
-        self._verified[fact_id] = flag
+    def add_node(self, fact_id: int) -> None:
+        self._nodes.add(fact_id)
 
     def remove_nodes(self, fact_ids: Iterable[int]) -> None:
         """Drop nodes together with their incident edges, in one pass over
@@ -79,24 +66,18 @@ class LGG:
         gone = set(fact_ids)
         if not gone:
             return
-        strangers = gone - self._verified.keys()
+        strangers = gone - self._nodes
         if strangers:
             raise PlanningError(f"not a node: {min(strangers)}")
-        for n in gone:
-            del self._verified[n]
-        self._nodes = None
-        kept = {e for e in self._edges if e[0] not in gone and e[1] not in gone}
-        if len(kept) != len(self._edges):
-            self._edges, self._edge_list = kept, None
+        self._nodes -= gone
+        self._edges = {e for e in self._edges if e[0] not in gone and e[1] not in gone}
 
     # -- edges --------------------------------------------------------------
 
     @property
     def edges(self) -> tuple[tuple[int, int, EdgeKind], ...]:
         # kinds are str members, so they order by their values
-        if self._edge_list is None:
-            self._edge_list = tuple(sorted(self._edges))
-        return self._edge_list
+        return tuple(sorted(self._edges))
 
     @property
     def edge_set(self) -> AbstractSet[tuple[int, int, EdgeKind]]:
@@ -107,18 +88,12 @@ class LGG:
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> None:
         if src == dst:
             raise PlanningError(f"self-edge on {src}")
-        if src not in self._verified or dst not in self._verified:
+        if src not in self._nodes or dst not in self._nodes:
             raise PlanningError("edge endpoints must be nodes")
-        e = (src, dst, kind)
-        if e not in self._edges:
-            self._edge_list = None
-            self._edges.add(e)
+        self._edges.add((src, dst, kind))
 
     def remove_edge(self, src: int, dst: int, kind: EdgeKind) -> None:
-        e = (src, dst, kind)
-        if e in self._edges:
-            self._edge_list = None
-            self._edges.remove(e)
+        self._edges.discard((src, dst, kind))
 
     def has_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
         return (src, dst, kind) in self._edges
@@ -137,18 +112,17 @@ class LGG:
 
     def copy(self) -> "LGG":
         g = LGG()
-        g._verified = dict(self._verified)
+        g._nodes = set(self._nodes)
         g._edges = set(self._edges)
-        g._nodes, g._edge_list = self._nodes, self._edge_list
         return g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LGG):
             return NotImplemented
-        return self._verified == other._verified and self._edges == other._edges
+        return self._nodes == other._nodes and self._edges == other._edges
 
     def __repr__(self) -> str:
-        return f"LGG(nodes={len(self._verified)}, edges={len(self._edges)})"
+        return f"LGG(nodes={len(self._nodes)}, edges={len(self._edges)})"
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +133,14 @@ def _achievers(task: Task, rpg: RPG, fact_id: int, use_level_test: bool) -> list
     if use_level_test:
         return rpg.earliest_achievers(fact_id)
     return list(bits(task._adder_mask[fact_id]))
+
+
+def _shared_pre(task: Task, achievers: Iterable[int]) -> int:
+    """The preconditions common to all of ``achievers`` (nonempty)."""
+    shared = -1
+    for aid in achievers:
+        shared &= task.actions[aid].pre
+    return shared
 
 
 def _expand_candidates(task: Task, rpg: RPG, g: LGG, seeds: Iterable[int],
@@ -176,10 +158,7 @@ def _expand_candidates(task: Task, rpg: RPG, g: LGG, seeds: Iterable[int],
             achievers = _achievers(task, rpg, lp, use_level_test)
             if not achievers:
                 continue
-            shared = task.actions[achievers[0]].pre
-            for aid in achievers[1:]:
-                shared &= task.actions[aid].pre
-            for l in bits(shared):
+            for l in bits(_shared_pre(task, achievers)):
                 if l not in g:
                     g.add_node(l)
                     next_open.append(l)
@@ -225,7 +204,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
     for f in task.facts:
         by_name[f.predicate] = by_name.get(f.predicate, 0) | 1 << f.id
     predicates = sorted(by_name.items())
-    pending = deque(sorted(g.nodes))
+    pending = deque(g.nodes)
     queued = set(pending)
     while pending:
         lp = pending.popleft()
@@ -263,10 +242,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
                 two_step.extend(step)
             if not ok:
                 continue
-            shared = task.actions[two_step[0]].pre
-            for aid in two_step[1:]:
-                shared &= task.actions[aid].pre
-            for l in bits(shared):
+            for l in bits(_shared_pre(task, two_step)):
                 if fact_level[l] == 0:
                     continue
                 if l not in g:
@@ -293,7 +269,6 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
     Goal and initial facts are landmarks by definition.  Any other node L is
     kept iff the goal is unreachable in the delete relaxation once every
     L-adding action is removed; otherwise L and its incident edges go.
-    Every surviving node is flagged verified.
 
     All those reachability tests run at once, one bit per node L:
     ``unreached[f]`` holds the nodes whose adders' removal leaves fact f
@@ -331,6 +306,4 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
         kept |= unreached[f]
     kept |= trivial
     out.remove_nodes(l for l in out.nodes if not kept >> l & 1)
-    for l in out.nodes:
-        out.set_verified(l)
     return out

@@ -206,6 +206,19 @@ def _interference_index(task: Task, table: InconsistencyTable, gn_pred: dict[int
     return index
 
 
+def _propagate(steps: list[tuple[int, int]], masks: dict[int, int]) -> None:
+    """Until nothing changes, the source of each step ``(s, d)`` takes in
+    everything its target holds: ``masks[s] |= masks[d]``."""
+    changed = True
+    while changed:
+        changed = False
+        for s, d in steps:
+            m = masks[s] | masks[d]
+            if m != masks[s]:
+                masks[s] = m
+                changed = True
+
+
 def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
                    path_kinds: tuple[EdgeKind, ...], kind: EdgeKind) -> LGG:
     """Add a ``kind`` edge (l, lp) for every interfering pair whose aftermath
@@ -231,14 +244,7 @@ def _insert_orders(task: Task, g: LGG, table: InconsistencyTable,
     after = dict.fromkeys(g.nodes, 0)
     for s, d in steps:
         after[s] |= gn_pred[d] & ~goal & ~(1 << s)
-    changed = True
-    while changed:
-        changed = False
-        for s, d in steps:
-            a = after[s] | after[d]
-            if a != after[s]:
-                after[s] = a
-                changed = True
+    _propagate(steps, after)
     targets = 0  # the non-goal lp with a nonempty aftermath
     for a in after.values():
         targets |= a
@@ -295,17 +301,11 @@ def _cyclic_edges(edges) -> list[tuple[int, int, EdgeKind]]:
     source is reachable from their target.  ``reach[n]``, the nodes reachable
     from n as a mask, is the least fixpoint of "an edge's target and all it
     reaches are reachable from the edge's source"."""
-    reach: dict[int, int] = {}
-    for s, d, _ in edges:
-        reach[s] = reach[d] = 0
-    changed = True
-    while changed:
-        changed = False
-        for s, d, _ in edges:
-            r = reach[s] | reach[d] | 1 << d
-            if r != reach[s]:
-                reach[s] = r
-                changed = True
+    steps = [(s, d) for s, d, _ in edges]
+    reach = dict.fromkeys(itertools.chain(*steps), 0)
+    for s, d in steps:
+        reach[s] |= 1 << d
+    _propagate(steps, reach)
     return [e for e in edges if reach[e[1]] >> e[0] & 1]
 
 

@@ -114,6 +114,21 @@ def test_empty_graph_exports_are_valid(demo_bw):
     assert doc == {"nodes": [], "edges": []}
 
 
+def test_json_nodes_hold_id_and_name_only(demo_bw):
+    g = build_landmark_graph(demo_bw)
+    doc = json.loads(export_lgg(demo_bw, g, "json"))
+    assert doc["nodes"] and all(set(node) == {"id", "name"} for node in doc["nodes"])
+
+
+def test_json_with_a_verified_key_still_loads(two_planes):
+    # earlier exports carried "verified": true on every node
+    g = build_landmark_graph(two_planes)
+    doc = json.loads(export_lgg(two_planes, g, "json"))
+    for node in doc["nodes"]:
+        node["verified"] = True
+    assert lgg_from_json(json.dumps(doc)) == g
+
+
 def test_json_round_trip(demo_bw, two_planes):
     for task in (demo_bw, two_planes):
         g = build_landmark_graph(task)

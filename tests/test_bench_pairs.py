@@ -18,8 +18,8 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def report(throughput, p50, correct=True, rows=None):
-    return {"correct": correct,
+def report(throughput, p50, correct=True, rows=None, attempted=10, failed=0):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
             "metrics": {"throughput_per_s": throughput, "item_s.p50": p50, "ok_frac": 1.0},
             "fingerprint": rows if rows is not None else [{"i": 0, "plan_len": 5}]}
 
@@ -33,7 +33,8 @@ def fake_runner(table, calls):
         path = root / f"{workload}-seed{seed}-trace0.json"
         path.write_text(json.dumps({"workload": workload, "seed": seed,
                                     "fingerprint": canned["fingerprint"]}))
-        return {"correct": canned["correct"], "metrics": canned["metrics"], "report": path}
+        return {"correct": canned["correct"], "attempted": canned["attempted"],
+                "failed": canned["failed"], "metrics": canned["metrics"], "report": path}
     return run
 
 
@@ -94,6 +95,46 @@ def test_a_run_that_is_not_correct_fails(checkouts, capsys):
     out = capsys.readouterr().out
     assert status == 1
     assert "change run NOT correct" in out and "FAILED" in out.splitlines()[-1]
+
+
+def test_each_pair_and_the_summary_show_attempted_and_failed(checkouts, capsys):
+    parent, change = checkouts
+    table = {("parent", 1): report(1.0, 1.0, attempted=40),
+             ("change", 1): report(1.0, 1.0, attempted=38, failed=2),
+             ("parent", 2): report(1.0, 1.0, attempted=44, failed=1),
+             ("change", 2): report(1.0, 1.0, attempted=41, failed=3),
+             ("parent", 3): report(1.0, 1.0, attempted=42),
+             ("change", 3): report(1.0, 1.0, attempted=39)}
+    status = bench_pairs.main([str(parent), str(change), "--workload", "bw-plan",
+                               "--seeds", "1-3"], run=fake_runner(table, []))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    counts = [line.split() for line in lines if line.split()[0] in ("attempted", "failed")]
+    assert counts == [["attempted", "40", "->", "38"], ["failed", "0", "->", "2"],
+                      ["attempted", "44", "->", "41"], ["failed", "1", "->", "3"],
+                      ["attempted", "42", "->", "39"], ["failed", "0", "->", "0"]]
+    assert ("  runs: parent attempted median 42, failed total 1; "
+            "change attempted median 39, failed total 5") in lines
+
+
+def test_a_run_without_output_counts_as_unknown(checkouts, capsys):
+    parent, change = checkouts
+    crashed = {"correct": False, "attempted": None, "failed": None, "metrics": {},
+               "report": None, "error": "boom"}
+    table = {("parent", 1): report(1.0, 1.0, attempted=40, failed=1)}
+
+    def run(root, workload, seed, seconds):
+        if root.name == "change":
+            return crashed
+        return fake_runner(table, [])(root, workload, seed, seconds)
+
+    status = bench_pairs.main([str(parent), str(change), "--workload", "bw-plan",
+                               "--seeds", "1"], run=run)
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert ["attempted", "40", "->", "-"] in [line.split() for line in lines]
+    assert ("  runs: parent attempted median 40, failed total 1; "
+            "change attempted median -, failed total 0") in lines
 
 
 @pytest.mark.parametrize("seeds", ["x", "5-3", "1-y"])

@@ -89,7 +89,7 @@ def test_roadmap_control_trace(roadmap):
 def test_empty_graph_goes_straight_to_final_call(roadmap):
     g = LGG()
     at_a = fid(roadmap, "(at a)")
-    g.add_node(at_a, verified=True)  # initial fact only; removed up front
+    g.add_node(at_a)  # initial fact only; removed up front
     trace = run_control(roadmap, g, bfs_plan)
     assert trace.solved and trace.iterations == []
     assert len(trace.plan) == 2
@@ -120,8 +120,8 @@ def test_already_true_leaf_counts_as_achieved():
     )
     x, y = fid(t, "x"), fid(t, "y")
     g = LGG()
-    g.add_node(x, verified=True)
-    g.add_node(y, verified=True)
+    g.add_node(x)
+    g.add_node(y)
     g.add_edge(x, y, GN)
     trace = run_control(t, g, bfs_plan)
     assert trace.solved

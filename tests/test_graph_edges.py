@@ -112,7 +112,7 @@ def ordered_graphs(draw):
     n = draw(st.integers(2, 45))
     g = LGG()
     for f in range(n):
-        g.add_node(f, verified=True)
+        g.add_node(f)
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     for s, d in draw(st.lists(pairs, max_size=60)):
         if s != d:

@@ -141,7 +141,7 @@ def test_obedient_edge_from_committed_order(obedient_witness):
     l, lp, l2 = fid(t, "l"), fid(t, "lp"), fid(t, "l2")
     g = LGG()
     for n in (l, lp, l2):
-        g.add_node(n, verified=True)
+        g.add_node(n)
     g.add_edge(lp, l2, GN)
     g.add_edge(l, l2, R)
     out = add_obedient_orders(t, g, m)
@@ -162,7 +162,7 @@ def test_obedient_pass_skips_goal_targets(obedient_witness):
     l, lp, l2 = fid(t, "l"), fid(t, "lp"), fid(t, "l2")
     g = LGG()
     for n in (l, lp, l2):
-        g.add_node(n, verified=True)
+        g.add_node(n)
     g.add_edge(lp, l2, GN)
     g.add_edge(l, l2, R)
     out = add_obedient_orders(t, g, m)
@@ -180,7 +180,7 @@ def _graph(edges):
     g = LGG()
     nodes = {n for e in edges for n in e[:2]}
     for n in nodes:
-        g.add_node(n, verified=True)
+        g.add_node(n)
     for s, d, k in edges:
         g.add_edge(s, d, k)
     return g

@@ -382,20 +382,16 @@ def reference_verify_landmarks(task: Task, g: LGG) -> LGG:
     Goal and initial facts are landmarks by definition.  Any other node L is
     kept iff the goal is unreachable in the delete relaxation once every
     L-adding action is removed; otherwise L and its incident edges go.
-    Every surviving node is flagged verified.
     """
     out = g.copy()
     trivial = task.init | task.goal
     for l in out.nodes:
         if trivial >> l & 1:
-            out.set_verified(l)
             continue
         lbit = 1 << l
         pruned = [(a.pre, a.add) for a in task.actions if not a.add & lbit]
         if relaxed_closure(pruned, task.init) & task.goal == task.goal:
             out.remove_nodes([l])
-        else:
-            out.set_verified(l)
     return out
 
 
@@ -512,7 +508,6 @@ def _edges(g):
 def _same_graph(new, ref):
     assert new.nodes == ref.nodes
     assert _edges(new) == _edges(ref)
-    assert all(new.verified(n) == ref.verified(n) for n in new.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +667,7 @@ def test_orders_and_cycles_match_reference_on_random_graphs(task, raw_edges):
     n = task.num_facts
     g = LGG()
     for f in range(n):
-        g.add_node(f, verified=True)
+        g.add_node(f)
     for s, d, k in raw_edges:
         if s % n != d % n:
             g.add_edge(s % n, d % n, k)

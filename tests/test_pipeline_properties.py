@@ -59,7 +59,6 @@ def test_pipeline_invariants_on_random_tasks(task):
     for s, d, k in g.edges:
         assert s in g and d in g and s != d
     for node in g.nodes:
-        assert g.verified(node)
         assert oracle_landmark(task, node, space=space), task.facts[node].name
     # mutex approximation stays sound
     co = co_occurrence(space, task.num_facts)

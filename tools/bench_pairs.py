@@ -6,11 +6,13 @@ PARENT and CHANGE are checkout roots.  For each seed from A to B, runs
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
 both checkouts, one after the other: the parent first on the first pair, the
 change first on the next, and so on, so that neither side always runs first.
-Prints each pair's end-to-end metrics and whether its fingerprints agree,
-then per metric each side's median and quartiles, the pairs the change wins
-(by ``better`` in CHANGE's ``BENCHMARK.json``), the change of the median and
-the metric's regression bound.  Exits 1 if a run is not ``correct`` or a
-pair's fingerprints differ over their common rows, else 0.
+Prints each pair's end-to-end metrics, each side's ``attempted`` and
+``failed`` counts and whether its fingerprints agree; then each side's median
+attempted count and total failed count, and per metric each side's median and
+quartiles, the pairs the change wins (by ``better`` in CHANGE's
+``BENCHMARK.json``), the change of the median and the metric's regression
+bound.  Exits 1 if a run is not ``correct`` or a pair's fingerprints differ
+over their common rows, else 0.
 
 Each run compiles the checkout's modules from source, as a fresh checkout
 does: it runs with ``PYTHONDONTWRITEBYTECODE=1`` and with
@@ -53,7 +55,8 @@ def seed_range(text: str) -> range:
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in the checkout ``root``, with no bytecode
-    cache read or written: its ``correct`` flag, metric values and the path
+    cache read or written: its ``correct`` flag, ``attempted`` and ``failed``
+    counts (None if the run did not print them), metric values and the path
     of its report."""
     with tempfile.TemporaryDirectory() as empty:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=empty)
@@ -65,9 +68,11 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         last = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "metrics": {}, "report": None,
+        return {"correct": False, "attempted": None, "failed": None, "metrics": {},
+                "report": None,
                 "error": (done.stderr.strip().splitlines() or ["no output"])[-1]}
-    return {"correct": last["correct"],
+    return {"correct": last["correct"], "attempted": last.get("attempted"),
+            "failed": last.get("failed"),
             "metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "report": root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"}
 
@@ -111,16 +116,30 @@ def pair_lines(k: int, seed: int, change_first: bool, parent: dict, change: dict
         if name in parent["metrics"] and name in change["metrics"]:
             p, c = parent["metrics"][name], change["metrics"][name]
             lines.append(f"  {name:18s} {p:12.6g} -> {c:12.6g}  {relative(p, c)}")
+    for key in ("attempted", "failed"):
+        p, c = ("-" if r[key] is None else str(r[key]) for r in (parent, change))
+        lines.append(f"  {key:18s} {p:>12} -> {c:>12}")
     same, text = compare_fingerprints(parent["report"], change["report"])
     lines.append(f"  fingerprints: {text}" if same else f"  fingerprints DIFFER: {text}")
     return lines, ok and same
 
 
+def run_counts(reports: list[dict]) -> str:
+    """The median ``attempted`` and the total ``failed`` of the runs that
+    printed them."""
+    attempted = [r["attempted"] for r in reports if r["attempted"] is not None]
+    failed = sum(r["failed"] for r in reports if r["failed"] is not None)
+    median = f"{statistics.median(attempted):.10g}" if attempted else "-"
+    return f"attempted median {median}, failed total {failed}"
+
+
 def summary_lines(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
-    """Per metric: each side's median (quartiles), the change's wins, the
-    change of the median and the bound."""
+    """Each side's run counts; then per metric each side's median
+    (quartiles), the change's wins, the change of the median and the bound."""
     lines = [f"{len(pairs)} pairs: metric, parent median (q1-q3), change median (q1-q3), "
-             "change wins, median change, bound"]
+             "change wins, median change, bound",
+             f"  runs: parent {run_counts([p for p, _ in pairs])}; "
+             f"change {run_counts([c for _, c in pairs])}"]
     for metric in spec["end_to_end"]:
         name = metric["name"]
         both = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
