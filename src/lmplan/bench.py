@@ -194,7 +194,7 @@ def lgg_from_json(text: str) -> LGG:
 @dataclass(frozen=True)
 class BenchRecord:
     domain: str
-    size: str
+    size: str  # as ``lmplan bench --sizes`` takes it: "9", or "2x3x2x4"
     seed: int
     config: str
     outcome: str  # solved | unsolved | error
@@ -235,7 +235,8 @@ def run_config_detail(task: Task, config: str, time_limit: float,
 def _run_cell(args) -> BenchRecord:
     domain, size, seed, config, time_limit, node_limit = args
     task = generate_task(domain, size, seed)
-    return BenchRecord(domain, str(size), seed, config,
+    text = "x".join(map(str, size)) if isinstance(size, (tuple, list)) else str(size)
+    return BenchRecord(domain, text, seed, config,
                        *run_config_detail(task, config, time_limit, node_limit))
 
 

@@ -5,12 +5,19 @@ fact universe, so membership, union, and difference are single big-int
 operations.  All types are immutable after construction and safe to share.
 A task derived from another (``Task.derive``) may add facts and actions,
 but its new actions add only new facts.  A task keeps only indexes that
-depend on its actions alone (each fact's adders, and the relevance cones
-that derived tasks share); what the relaxed-plan heuristic keeps per goal
-is ``rpg``'s.  ``relaxed_closure`` is the grounder's delete-free
-reachability fixpoint; the layered one is ``rpg._grow``.  A grounded task
-counts the actions the grounder pruned (``len(task.pruned_actions)``) but
-does not name them.
+depend on its actions alone: each fact's adders, the relevance cones that
+derived tasks share, and one record of the indexes that later stages build
+on first use (``Task.shared_index``: the mutex table's and verification's
+per-action records, the adders' shared effects, the heuristic's consumer
+index, lookahead's per-predicate masks).  Every task derived without new
+facts or actions shares that record, so the grounder's problems over one
+action set build each index once.  The record lives as long as one of
+those tasks does: the grounder's object-set memo holds it, through the
+kept task, while it holds that action set.  What the relaxed-plan
+heuristic keeps per goal is ``rpg``'s.  ``relaxed_closure`` is the
+grounder's delete-free reachability fixpoint; the layered one is
+``rpg._grow``.  A grounded task counts the actions the grounder pruned
+(``len(task.pruned_actions)``) but does not name them.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import functools
 import itertools
 import operator
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized, TypeVar
+
+T = TypeVar("T")
 
 
 class PlanningError(Exception):
@@ -124,7 +133,9 @@ class Task:
     """A grounded planning task: fact universe, actions, initial state, goal.
 
     Fact and action ids are dense and contiguous; the display name of a fact
-    or action round-trips through the task's name indexes.
+    or action round-trips through the task's name indexes.  What later
+    stages index of the facts and actions alone is kept in one record per
+    action set (``shared_index``).
     """
 
     # set by ``derive``: the actions the grounder pruned, as any sized value
@@ -151,6 +162,8 @@ class Task:
         # and facts and its near adders, as masks over ids (see _cone)
         self._cones: dict[int, tuple[int, int, int]] = {}
         self._changed = 0  # the facts some action adds or deletes
+        # indexes of the facts and actions alone, by builder (shared_index)
+        self._indexes: dict = {}
         self._append(facts, actions)
         self._cone_limit = len(self.facts)
         self._pose(init, goal, name)
@@ -209,8 +222,10 @@ class Task:
                pruned_actions: Sized = (), provably_unsolvable: bool = False) -> "Task":
         """This task's facts and actions plus ``facts`` and ``actions`` (ids
         continuing), posed from ``init`` to ``goal``.  The same task as the
-        constructor would build, without re-indexing what is shared.  It
-        shares the relevance cones, since a new action may add only new
+        constructor would build, without re-indexing what is shared.  With
+        no new facts or actions it shares the record of ``shared_index``;
+        otherwise it starts a record of its own.  It always shares the
+        relevance cones, since a new action may add only new
         facts (PlanningError otherwise); a new fact's cone is not shared (a
         sibling's differs).  The grounder poses each problem on a shared
         task this way, with the count of its pruned actions and its
@@ -220,11 +235,24 @@ class Task:
         t._adder_mask, t._adder_pre = self._adder_mask, self._adder_pre
         t._changed = self._changed
         if facts or actions:
+            t._indexes = {}
             t._append(facts, actions)
+        else:
+            t._indexes = self._indexes
         t._cones, t._cone_limit = self._cones, self._cone_limit
         t._pose(init, goal, name)
         t.pruned_actions, t.provably_unsolvable = pruned_actions, provably_unsolvable
         return t
+
+    def shared_index(self, build: Callable[["Task"], T]) -> T:
+        """``build(self)``, built on the first call and kept in a record
+        that every task derived without new facts or actions shares.
+        ``build`` must read only the facts and actions, never ``init`` or
+        ``goal``."""
+        index = self._indexes.get(build)
+        if index is None:
+            index = self._indexes[build] = build(self)
+        return index
 
     @functools.cached_property
     def _fact_index(self) -> dict[str, int]:
@@ -314,6 +342,22 @@ class Task:
             f"Task({self.name!r}, facts={len(self.facts)}, "
             f"actions={len(self.actions)})"
         )
+
+
+def never_enabled(task: Task) -> int:
+    """The actions with a precondition that ``init`` lacks and that no
+    action adds or deletes, as a mask over ids: none of them can ever fire.
+    The per-action records of ``shared_index`` leave out the preconditions
+    no action changes, so their readers exclude these actions.  The
+    grounder keeps none; ``make_task`` and the constructor do not prune
+    them."""
+    false = ((1 << len(task.facts)) - 1) & ~task._changed & ~task.init
+    dead = 0
+    if false:
+        for aid, pre, _, _ in task.ops:
+            if pre & false:
+                dead |= 1 << aid
+    return dead
 
 
 def make_task(

@@ -18,7 +18,7 @@ from collections import deque
 from enum import Enum
 from typing import AbstractSet, Iterable
 
-from .core import PlanningError, Task, bits, mask_of
+from .core import PlanningError, Task, bits, mask_of, never_enabled
 from .rpg import INF, RPG
 
 
@@ -189,6 +189,14 @@ def generate_candidates(task: Task, rpg: RPG, use_level_test: bool = True) -> LG
 # Lookahead
 # ---------------------------------------------------------------------------
 
+def _predicate_masks(task: Task) -> tuple[int, ...]:
+    """The facts of each predicate as a mask, in predicate-name order."""
+    by_name: dict[str, int] = {}
+    for f in task.facts:
+        by_name[f.predicate] = by_name.get(f.predicate, 0) | 1 << f.id
+    return tuple(mask for _, mask in sorted(by_name.items()))
+
+
 def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) -> LGG:
     """Add two-step orders through same-predicate intermediate fact sets.
 
@@ -197,13 +205,11 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
     intermediate fact set; a fact required by all earliest achievers of all
     set members is ordered below the node with an ln edge.  New facts are fed
     back through the backchaining loop, and nodes found that way get the same
-    lookahead treatment.  ``g`` itself is extended and returned.
+    lookahead treatment.  ``g`` itself is extended and returned.  The
+    per-predicate fact masks are kept per action set.
     """
     fact_level = rpg.fact_level
-    by_name: dict[str, int] = {}  # the facts of each predicate, as a mask
-    for f in task.facts:
-        by_name[f.predicate] = by_name.get(f.predicate, 0) | 1 << f.id
-    predicates = sorted(by_name.items())
+    predicates = task.shared_index(_predicate_masks)
     pending = deque(g.nodes)
     queued = set(pending)
     while pending:
@@ -221,7 +227,7 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
         for m in pre_masks:
             needed |= m
         new_nodes: list[int] = []
-        for _, facts in predicates:
+        for facts in predicates:
             member_mask = needed & facts
             if not member_mask:
                 continue
@@ -263,6 +269,14 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
 # Verification
 # ---------------------------------------------------------------------------
 
+def _verify_index(task: Task) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
+    """Per action, ``(id, ids of its preconditions that some action
+    changes, add, add ids)``: what verification reads of the actions."""
+    changed = task._changed
+    return tuple((aid, tuple(bits(pre & changed)), add, tuple(bits(add)))
+                 for aid, pre, add, _ in task.ops)
+
+
 def verify_landmarks(task: Task, g: LGG) -> LGG:
     """Keep only nodes that are provably landmarks.
 
@@ -277,19 +291,29 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
     achievers adds L or needs a fact unreached without them", which is the
     complement of relaxed reachability, bit by bit.  The kept graph is a new
     one and ``g`` is left as it was, so that a caller can compare the two.
+
+    What the sweeps read of the actions (``_verify_index``) is built once
+    per action set and shared by the tasks derived from one another without
+    new facts or actions (``Task.shared_index``).  Its initial facts are
+    harmless, since ``unreached`` is 0 on them; it leaves out the
+    preconditions no action changes, so the actions with one that ``init``
+    lacks (``never_enabled``) are left out of the sweeps, where they could
+    only stay blocked for every node.
     """
     out = g.copy()
     trivial = task.init | task.goal
     open_nodes = mask_of(out.nodes) & ~trivial
     unreached = [0 if task.init >> f & 1 else open_nodes for f in range(task.num_facts)]
     blocked = [open_nodes] * len(task.ops)  # per action, the same over its preconditions
-    acts = [(aid, tuple(bits(pre & ~task.init)), add & open_nodes, tuple(bits(add & ~task.init)))
-            for aid, pre, add, _ in task.ops]
+    acts = task.shared_index(_verify_index)
+    dead = never_enabled(task)
+    if dead:
+        acts = [act for act in acts if not dead >> act[0] & 1]
     changed = True
     while changed:
         changed = False
-        for aid, pre_facts, adds_node, add_facts in acts:
-            b = adds_node
+        for aid, pre_facts, add, add_facts in acts:
+            b = add & open_nodes
             for q in pre_facts:
                 b |= unreached[q]
             if b != blocked[aid]:

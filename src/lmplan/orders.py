@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .core import PlanningError, Task, bits, flags_of, mask_of, union_of
+from .core import PlanningError, Task, bits, flags_of, mask_of, never_enabled, union_of
 from .landmarks import GN, LN, R, RO, EdgeKind, LGG
 
 
@@ -51,6 +51,29 @@ class InconsistencyTable:
         return out
 
 
+def _mutex_index(task: Task) -> tuple[tuple, tuple[int, ...], int]:
+    """What the fixpoint reads of the actions, kept per action set: per
+    action ``(pre, pre ids, add, add ids, keep)`` with ``pre`` its
+    preconditions that some action changes and ``keep`` the facts it does
+    not delete (kept non-negative, as all masks here, since bit operations
+    on negative ints cost more); per fact, the actions with it in ``pre``;
+    and the actions whose ``pre`` is empty."""
+    universe = (1 << task.num_facts) - 1
+    changed = task._changed
+    acts = []
+    watch = [0] * task.num_facts
+    unconditional = 0
+    for i, pre, add, dele in task.ops:
+        pre &= changed
+        pre_facts = tuple(bits(pre))
+        acts.append((pre, pre_facts, add, tuple(bits(add)), universe ^ (universe & dele)))
+        for r in pre_facts:
+            watch[r] |= 1 << i
+        if not pre_facts:
+            unconditional |= 1 << i
+    return tuple(acts), tuple(watch), unconditional
+
+
 def compute_mutexes(task: Task) -> InconsistencyTable:
     """The pair-reachability fixpoint of the module docstring.
 
@@ -63,27 +86,22 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     fact was first reached): its effect depends on nothing else.  Every
     action is monotone, so this order reaches the same least fixpoint as
     repeated sweeps over all actions.
+
+    What the sweeps read of the actions (``_mutex_index``) depends on them
+    alone, so it is built once per action set and shared by the tasks
+    derived from one another without new facts or actions (``Task.
+    shared_index``).  It leaves out every precondition that no action
+    changes: one that holds in ``init`` never blocks, and the actions with
+    one that does not (``never_enabled``) are never pending.
     """
-    universe = (1 << task.num_facts) - 1
     static = task.init & ~task._changed
     reached = task.init ^ static
     co = [0] * task.num_facts
     for f in bits(reached):
         co[f] = reached
-    acts = []
-    watch = [0] * task.num_facts  # actions with the fact as a precondition
-    unconditional = 0  # actions without (non-static) preconditions
-    for i, pre, add, dele in task.ops:
-        pre &= ~static
-        pre_facts = tuple(bits(pre))
-        # what survives: the facts it does not delete (kept non-negative, as
-        # all masks here, since bit operations on negative ints cost more)
-        acts.append((pre, pre_facts, add, tuple(bits(add)), universe ^ (universe & dele)))
-        for r in pre_facts:
-            watch[r] |= 1 << i
-        if not pre_facts:
-            unconditional |= 1 << i
-    pending = (1 << len(acts)) - 1
+    acts, watch, unconditional = task.shared_index(_mutex_index)
+    live = ((1 << len(acts)) - 1) ^ never_enabled(task)
+    pending = live
     while pending:
         grown = 0  # facts whose co-reachable set grew in this sweep
         first_reached = False
@@ -114,7 +132,7 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
                 if add & reached != add:
                     reached |= add
                     first_reached = True
-        pending = union_of(watch, grown, unconditional if first_reached else 0)
+        pending = union_of(watch, grown, unconditional if first_reached else 0) & live
     for f in bits(reached):
         co[f] |= static
     for s in bits(static):
@@ -139,24 +157,24 @@ def interference_conditions(task: Task, table: InconsistencyTable, g: LGG,
     is unreachable and the pair irrelevant).
     """
     c1 = table.query(l, lp)
-    adders = task._adder_mask[l]
-    c2 = c3 = False
-    if adders:
-        shared_add, shared_del = _shared_effects(task, adders)
-        c2 = bool(shared_add & ~(1 << l) & table.mutex_mask(lp))
-        c3 = bool(shared_del >> lp & 1)
+    adds, deletes = task.shared_index(_shared_effects)
+    shared_add, shared_del = adds[l], deletes[l]
+    c2 = bool(shared_add & ~(1 << l) & table.mutex_mask(lp))
+    c3 = bool(shared_del >> lp & 1)
     c4 = any(table.query(x, lp) for x in g.predecessors(l, (GN,)))
     return c1, c2, c3, c4
 
 
-def _shared_effects(task: Task, adders: int) -> tuple[int, int]:
-    """Add and delete lists common to all of ``adders`` (a nonempty mask)."""
-    shared_add = shared_del = -1
-    for aid in bits(adders):
-        a = task.actions[aid]
-        shared_add &= a.add
-        shared_del &= a.delete
-    return shared_add, shared_del
+def _shared_effects(task: Task) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per fact, the add list and the delete list common to all its
+    adders, both 0 for a fact without adders."""
+    adds = [-1] * task.num_facts
+    deletes = [-1] * task.num_facts
+    for _, _, add, dele in task.ops:
+        for f in bits(add):
+            adds[f] &= add
+            deletes[f] &= dele
+    return tuple(max(m, 0) for m in adds), tuple(max(m, 0) for m in deletes)
 
 
 def _interference_profile(task: Task, gn_pred: int, l: int) -> tuple[int, int]:
@@ -164,14 +182,10 @@ def _interference_profile(task: Task, gn_pred: int, l: int) -> tuple[int, int]:
     fact of ``m`` is mutex with lp or lp is in ``d``: the four conditions of
     ``interference_conditions`` folded into two masks that do not depend
     on lp (condition 1 is l itself in ``m``, 2 the other shared adds, 3 the
-    shared deletes in ``d``, 4 the gn predecessors ``gn_pred``)."""
-    m = 1 << l | gn_pred
-    d = 0
-    adders = task._adder_mask[l]
-    if adders:
-        shared_add, d = _shared_effects(task, adders)
-        m |= shared_add
-    return m, d
+    shared deletes in ``d``, 4 the gn predecessors ``gn_pred``).  The shared
+    adds and deletes are kept per action set."""
+    adds, deletes = task.shared_index(_shared_effects)
+    return 1 << l | gn_pred | adds[l], deletes[l]
 
 
 def interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -> bool:

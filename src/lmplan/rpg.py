@@ -18,12 +18,14 @@ at once: the relevant actions that fire are those that no missing fact
 consumes, found with two unions run in C over the task's consumer index
 (``_layering``).  A one-fact goal (every control-loop sub-task's) tests
 its ops one at a time instead, nearest adders first, and stops as soon as
-the goal is in sight.  What the heuristic keeps lives here, one record per
-task (``_RECORDS``) that dies with the task: per goal, its relevant ops,
-value memo and whole-layer inputs, and the consumer index.  Every task
-builds its own, ``with_init`` tasks and compiled sub-tasks included; a
-derived task reads only the relevance cones it shares with its parent
-(``Task._cone_of``).
+the goal is in sight.  What the heuristic keeps per goal lives here, one
+record per task (``_RECORDS``) that dies with the task: the goal's
+relevant ops, value memo and whole-layer inputs.  Every task builds its
+own, ``with_init`` tasks and compiled sub-tasks included, from the
+relevance cones it shares with its parent (``Task._cone_of``).  The
+consumer index depends on the actions alone: it is kept once per action
+set (``Task.shared_index``), so a ``with_init`` task reads its parent's,
+and a compiled sub-task, which adds actions, builds its own.
 """
 
 from __future__ import annotations
@@ -209,20 +211,14 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
     return value
 
 
-class _Record(dict):
-    """What the heuristic keeps for one task: per goal, its entry
-    (``_relevance``), and the consumer index once built (``_layering``)."""
-
-    layering: Optional[tuple[tuple, tuple]] = None
+# per task, each goal's entry (``_relevance``)
+_RECORDS: "weakref.WeakKeyDictionary[Task, dict]" = weakref.WeakKeyDictionary()
 
 
-_RECORDS: "weakref.WeakKeyDictionary[Task, _Record]" = weakref.WeakKeyDictionary()
-
-
-def _record(task: Task) -> _Record:
+def _record(task: Task) -> dict:
     record = _RECORDS.get(task)
     if record is None:
-        record = _RECORDS[task] = _Record()
+        record = _RECORDS[task] = {}
     return record
 
 
@@ -276,18 +272,20 @@ def _relevance(task: Task, goal: int) -> tuple[tuple, Optional[tuple[int, dict]]
 
 def _layering(task: Task) -> tuple[tuple, tuple]:
     """(consumers, adds): per fact, the actions with it as a precondition,
-    as a mask over ids; per action, its add list.  Built on first use."""
-    record = _record(task)
-    if record.layering is None:
-        consumers = [0] * len(task.facts)
-        for aid, pre, _, _ in task.ops:
-            bit = 1 << aid
-            while pre:
-                low = pre & -pre
-                consumers[low.bit_length() - 1] |= bit
-                pre ^= low
-        record.layering = (tuple(consumers), tuple(map(operator.itemgetter(2), task.ops)))
-    return record.layering
+    as a mask over ids; per action, its add list.  Built on first use, once
+    per action set."""
+    return task.shared_index(_build_layering)
+
+
+def _build_layering(task: Task) -> tuple[tuple, tuple]:
+    consumers = [0] * len(task.facts)
+    for aid, pre, _, _ in task.ops:
+        bit = 1 << aid
+        while pre:
+            low = pre & -pre
+            consumers[low.bit_length() - 1] |= bit
+            pre ^= low
+    return tuple(consumers), tuple(map(operator.itemgetter(2), task.ops))
 
 
 def _ops_of(task: Task, actions: int) -> tuple:

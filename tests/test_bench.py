@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 from lmplan import bench
 from lmplan.bench import (
@@ -14,6 +15,7 @@ from lmplan.bench import (
     run_benchmark,
     solved_series_csv,
 )
+from lmplan.cli import _sizes
 from lmplan.core import validate_plan
 from lmplan.landmarks import LGG
 from lmplan.pddl import ground_files
@@ -198,3 +200,21 @@ def test_solved_series_is_cumulative():
     assert lines[0] == "config,seconds,solved"
     counts = [int(line.split(",")[2]) for line in lines[1:]]
     assert counts == sorted(counts) and counts[-1] == 3
+
+
+def test_a_rows_size_reads_back_through_sizes():
+    # each row's size is what ``lmplan bench --sizes`` takes
+    for domain, size in (("logistics", (1, 2, 1, 1)), ("blocksworld-arm", 3)):
+        records = run_benchmark(domain, [size], per_size=1, seed_base=0,
+                                configs=["gbfs"], time_limit=30)
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(records))))
+        assert rows and all(_sizes(row["size"]) == [size if isinstance(size, tuple) else (size,)]
+                            for row in rows)
+
+
+def test_the_committed_series_sizes_read_back():
+    for path in sorted((Path(__file__).resolve().parents[1] / "results").glob("scale-*.csv")):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        arity = 4 if rows[0]["domain"] == "logistics" else 1
+        assert rows and all(len(_sizes(row["size"])[0]) == arity for row in rows), path

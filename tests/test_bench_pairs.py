@@ -137,6 +137,41 @@ def test_a_run_without_output_counts_as_unknown(checkouts, capsys):
             "change attempted median -, failed total 0") in lines
 
 
+def test_traced_pairs_summarise_the_per_layer_metrics(checkouts, capsys):
+    parent, change = checkouts
+    table = {}
+    for seed in (1, 2, 3):
+        for side, mutex_s in (("parent", 0.030), ("change", 0.020)):
+            table[(side, seed)] = dict(
+                report(1.0, 1.0, attempted=20),
+                metrics={"orders.mutex_s": mutex_s + (seed - 1) / 1000,
+                         "landmarks.verified": 244, "oracles.states": 0})
+    canned = fake_runner(table, [])
+    traced = []
+
+    def run(root, workload, seed, seconds, trace=False):
+        traced.append((root.name, seed, trace))
+        return canned(root, workload, seed, seconds)
+
+    status = bench_pairs.main([str(parent), str(change), "--workload", "logistics-plan",
+                               "--seeds", "1-3", "--trace"], run=run)
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert traced == [("parent", 1, True), ("change", 1, True), ("change", 2, True),
+                      ("parent", 2, True), ("parent", 3, True), ("change", 3, True)]
+    assert out.count("fingerprints: 1 common rows identical") == 3
+    summary = {line.split()[0]: line for line in out.splitlines()
+               if line.startswith("  ") and "wins" in line}
+    # per-layer metrics only, with each side's median and quartiles, and no bound
+    assert set(summary) == {"orders.mutex_s", "landmarks.verified", "oracles.states"}
+    mutex = summary["orders.mutex_s"]
+    assert "0.031 (0.03-0.032)" in mutex and "0.021 (0.02-0.022)" in mutex
+    assert "wins 3/3" in mutex and "-32.3%" in mutex and "bound" not in mutex
+    assert "(lower is better)" in mutex
+    assert "wins 0/3" in summary["landmarks.verified"] and "+0.0%" in summary["landmarks.verified"]
+    assert "n/a" in summary["oracles.states"]
+
+
 @pytest.mark.parametrize("seeds", ["x", "5-3", "1-y"])
 def test_bad_seed_ranges_are_usage_errors(checkouts, seeds):
     parent, change = checkouts

@@ -90,4 +90,4 @@ def test_valid_logistics_and_config_arguments_still_run(tmp_path, capsys):
                  "--instances", "1", "--configs", "gbfs+L,bfs", "-o", str(out)]) == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [(r["size"], r["config"], r["outcome"]) for r in rows] == [
-        ("(1, 2, 1, 1)", "gbfs+L", "solved"), ("(1, 2, 1, 1)", "bfs", "solved")]
+        ("1x2x1x1", "gbfs+L", "solved"), ("1x2x1x1", "bfs", "solved")]

@@ -6,9 +6,9 @@ the goal's relevant actions that fire are those no missing fact consumes
 ``rpg._relevance`` entry).  Every such evaluation must equal extraction from
 the reference fixpoint graph, which grows every layer over all actions one
 at a time, on random tasks, ``with_init`` tasks and compiled sub-tasks.
-Every task, derived or not, builds its own consumer index and relevance
-records, kept while the task lives; derived tasks share only the relevance
-cones.
+Every task, derived or not, builds its own relevance records, kept while
+the task lives.  The consumer index is kept per action set: a ``with_init``
+task reads its parent's, a task with new facts or actions builds its own.
 """
 
 from __future__ import annotations
@@ -117,13 +117,13 @@ def test_derived_tasks_do_not_read_their_parents_index():
         state = _reachable_states(task, 4)[-1]
         check(task, task.init, task.goal)
         index = rpg._layering(task)
-        # same actions, another initial state: an index and relevance
-        # records of its own, built from the shared cones
+        # same actions, another initial state: relevance records of its own,
+        # built from the shared cones, and the parent's index
         moved = with_init(task, state)
         check(moved, moved.init, moved.goal)
         assert rpg._RECORDS[moved] is not rpg._RECORDS[task]
         assert rpg._RECORDS[moved][task.goal] is not rpg._RECORDS[task][task.goal]
-        assert rpg._layering(moved) is not index and rpg._layering(moved) == index
+        assert rpg._layering(moved) is index and rpg._layering(moved) == reference_layering(moved)
         assert moved._cones is task._cones
         # more actions: the same
         sub = _compile(task, state, [(0,), (task.num_facts - 1,)], task.goal).task
@@ -155,7 +155,7 @@ def test_a_tasks_records_die_with_the_task():
     task = generate_task("logistics", (2, 2, 1, 2), 1)
     check(task, task.init, task.goal)
     record = rpg._RECORDS[task]
-    assert record and record.layering
+    assert record and task._indexes[rpg._build_layering] is rpg._layering(task)
     alive = weakref.ref(task)
     gc.collect()
     before = len(rpg._RECORDS)

@@ -1,6 +1,6 @@
 """Run the benchmark's pair protocol on two checkouts and summarise it.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds 30]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds 30] [--trace]
 
 PARENT and CHANGE are checkout roots.  For each seed from A to B, runs
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`` in
@@ -13,6 +13,12 @@ quartiles, the pairs the change wins (by ``better`` in CHANGE's
 ``BENCHMARK.json``), the change of the median and the metric's regression
 bound.  Exits 1 if a run is not ``correct`` or a pair's fingerprints differ
 over their common rows, else 0.
+
+With ``--trace`` each run is ``--trace 1`` instead: the workload's fixed
+prefix, once untraced and once traced (``--seconds`` is passed on but does
+not change what runs), and the metrics reported and summarised are the
+``per_layer`` ones.  Span times are not corrected for host speed, so one
+traced pair cannot show a layer's change; the medians of several can.
 
 Each run compiles the checkout's modules from source, as a fresh checkout
 does: it runs with ``PYTHONDONTWRITEBYTECODE=1`` and with
@@ -30,6 +36,7 @@ compares each pair in a child process of its own.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -53,16 +60,17 @@ def seed_range(text: str) -> range:
     return seeds
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in the checkout ``root``, with no bytecode
-    cache read or written: its ``correct`` flag, ``attempted`` and ``failed``
-    counts (None if the run did not print them), metric values and the path
-    of its report."""
+def run_side(root: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
+    """One benchmark run in the checkout ``root``, traced or not, with no
+    bytecode cache read or written: its ``correct`` flag, ``attempted`` and
+    ``failed`` counts (None if the run did not print them), metric values
+    and the path of its report."""
     with tempfile.TemporaryDirectory() as empty:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=empty)
         done = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(seconds), "--trace", str(int(trace))],
             cwd=root, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     try:
@@ -74,7 +82,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": last["correct"], "attempted": last.get("attempted"),
             "failed": last.get("failed"),
             "metrics": {k: v["value"] for k, v in last["metrics"].items()},
-            "report": root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"}
+            "report": root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{int(trace)}.json"}
 
 
 def compare_fingerprints(a, b) -> tuple[bool, str]:
@@ -102,7 +110,7 @@ def relative(parent: float, change: float) -> str:
 
 
 def pair_lines(k: int, seed: int, change_first: bool, parent: dict, change: dict,
-               spec: dict) -> tuple[list[str], bool]:
+               metrics: list[dict]) -> tuple[list[str], bool]:
     """One pair's report, and whether both runs are correct and agree."""
     order = "change first" if change_first else "parent first"
     lines = [f"pair {k} seed {seed} ({order})"]
@@ -111,7 +119,7 @@ def pair_lines(k: int, seed: int, change_first: bool, parent: dict, change: dict
         if not report["correct"]:
             ok = False
             lines.append(f"  {side} run NOT correct {report.get('error', '')}".rstrip())
-    for metric in spec["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         if name in parent["metrics"] and name in change["metrics"]:
             p, c = parent["metrics"][name], change["metrics"][name]
@@ -133,14 +141,15 @@ def run_counts(reports: list[dict]) -> str:
     return f"attempted median {median}, failed total {failed}"
 
 
-def summary_lines(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
+def summary_lines(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Each side's run counts; then per metric each side's median
-    (quartiles), the change's wins, the change of the median and the bound."""
+    (quartiles), the change's wins, the change of the median and the bound,
+    if the metric has one."""
     lines = [f"{len(pairs)} pairs: metric, parent median (q1-q3), change median (q1-q3), "
              "change wins, median change, bound",
              f"  runs: parent {run_counts([p for p, _ in pairs])}; "
              f"change {run_counts([c for _, c in pairs])}"]
-    for metric in spec["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         both = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
@@ -149,10 +158,11 @@ def summary_lines(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
         pq = quartiles([p for p, _ in both])
         cq = quartiles([c for _, c in both])
         won = sum(wins(metric, p, c) for p, c in both)
+        bound = f"bound {metric['bound']:.0%} " if "bound" in metric else ""
         lines.append(
             f"  {name:18s} {pq[1]:.6g} ({pq[0]:.6g}-{pq[2]:.6g})  "
             f"{cq[1]:.6g} ({cq[0]:.6g}-{cq[2]:.6g})  wins {won}/{len(both)}  "
-            f"{relative(pq[1], cq[1])}  bound {metric['bound']:.0%} ({metric['better']} is better)")
+            f"{relative(pq[1], cq[1])}  {bound}({metric['better']} is better)")
     return lines
 
 
@@ -163,11 +173,16 @@ def main(argv: list[str], run=run_side) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--trace", action="store_true",
+                    help="traced runs of the fixed prefix; summarise the per-layer metrics")
     args = ap.parse_args(argv)
     with open(args.change / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    if args.trace:
+        run = functools.partial(run, trace=True)
 
     pairs, ok = [], True
     for k, seed in enumerate(args.seeds):
@@ -176,11 +191,11 @@ def main(argv: list[str], run=run_side) -> int:
         reports = {name: run(root, args.workload, seed, args.seconds)
                    for name, root in (sides if change_first else sides[::-1])}
         lines, pair_ok = pair_lines(k, seed, change_first, reports["parent"],
-                                    reports["change"], spec)
+                                    reports["change"], metrics)
         print("\n".join(lines), flush=True)
         pairs.append((reports["parent"], reports["change"]))
         ok = ok and pair_ok
-    print("\n".join(summary_lines(pairs, spec)))
+    print("\n".join(summary_lines(pairs, metrics)))
     if not ok:
         print("FAILED: a run was not correct or fingerprints differ")
     return 0 if ok else 1
