@@ -37,8 +37,6 @@ from .orders import (
     add_obedient_orders,
     add_reasonable_orders,
     compute_mutexes,
-    interference_conditions,
-    interferes,
     remove_cycles,
 )
 from .oracles import (

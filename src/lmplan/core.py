@@ -9,7 +9,7 @@ depend on its actions alone: each fact's adders, the relevance cones that
 derived tasks share, and one record of the indexes that later stages build
 on first use (``Task.shared_index``: the mutex table's and verification's
 per-action records, the adders' shared effects, the heuristic's consumer
-index, lookahead's per-predicate masks).  Every task derived without new
+index, lookahead's per-predicate masks, the oracles' successor table).  Every task derived without new
 facts or actions shares that record, so the grounder's problems over one
 action set build each index once.  The record lives as long as one of
 those tasks does: the grounder's object-set memo holds it, through the

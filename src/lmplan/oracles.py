@@ -25,12 +25,17 @@ one or two monotone flags.  The reductions:
   an entry with l seen.
 * inconsistency: no reachable state contains both facts.
 
-Every search reads successors through ``_TaskMemo.successors``, the one
-caller of ``core.successors`` here.  It keeps a successor table per task: a
-state maps to its (action id, successor) pairs in ops order, generated the
-first time any search of the task expands the state, so each reachable
-state is expanded once per task.  The achieved-before scan keeps the pairs
-of lp's adders; the deletion search drops those of actions deleting lp.
+Every search reads successors through ``_Table.successors``, the one
+caller of ``core.successors`` here.  A successor table maps a state to its
+(action id, successor) pairs in ops order, generated the first time any
+search expands the state.  A state's successors depend on the actions
+alone, so there is one table per action set, kept in the record of
+``Task.shared_index``: every problem the grounder poses on one kept task
+reads it, and so does every task derived without new facts or actions
+(``with_init`` tasks among them), so each reachable state is expanded once
+per action set.  A task with new facts or actions (a compiled sub-task)
+starts a table of its own.  The achieved-before scan keeps the pairs of
+lp's adders; the deletion search drops those of actions deleting lp.
 ``_closure``, the breadth-first search over plain states, maps each state it
 keeps to whether one of its successors contains the forbidden fact (the
 state has an exit from the subspace, which the greedy-necessary test reads).
@@ -43,10 +48,13 @@ the order's source.  The whole space's closure is the one state source of
 ``task_solvable`` without a space.  Callers must not change the mapping
 they get.
 
-Table and closures live as long as their task (a derived task keeps its
-own, even with its parent's ops) and hold at most ``MEMO_BUDGET`` entries: a
-kept closure counts its states, a table entry its state and transitions.
-Past the budget a closure is searched, or a state expanded, anew each time.
+The kept closures live as long as their task (a derived task keeps its
+own) and hold at most ``MEMO_BUDGET`` entries per task, a closure counting
+its states.  A table lives as long as one task of its action set does, or
+the grounder's object-set memo holds that set, and a table entry counts
+its state and transitions.  The entries of every live table together are
+at most ``MEMO_BUDGET``: a table hands its entries back when it dies.  Past
+a budget a closure is searched, or a state expanded, anew each time.
 
 Caps: every search, the aftermath search included, counts the states it
 keeps and raises CapExceeded(cap) rather than keep one more than ``cap``;
@@ -56,7 +64,7 @@ whatever the memo keeps, so a kept closure of N states answers cap c as a
 fresh search would: it is returned if N <= max(c, 1) (a closure of the
 start alone fits any cap), else CapExceeded(c) is raised.  A search that
 raises CapExceeded may leave table entries behind: they are facts about
-the task.
+the action set.
 """
 
 from __future__ import annotations
@@ -68,9 +76,10 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .core import PlanningError, Task, bits, successors
 
 DEFAULT_STATE_CAP = 200_000
-# at up to 100 bytes an entry (CPython 3.11, blocksworld and logistics), at
-# most 12.4 MiB: less than one default cap of closure states alone, at 68-86
-# bytes a state
+# the entries each task's closures keep, and those every live table keeps
+# together; at up to 100 bytes an entry (CPython 3.11, blocksworld and
+# logistics), at most 12.4 MiB each: less than one default cap of closure
+# states alone, at 68-86 bytes a state
 MEMO_BUDGET = 130_000
 
 Successors = Sequence[tuple[int, int]]  # (action id, successor), in ops order
@@ -82,17 +91,13 @@ class CapExceeded(PlanningError):
         self.cap = cap
 
 
-class _TaskMemo:
-    """What the oracles keep about one task (see the module docstring)."""
+class _Budget:
+    """A count of kept entries, held within ``MEMO_BUDGET``."""
 
-    __slots__ = ("ops", "closures", "table", "stored")
+    __slots__ = ("stored",)
 
-    def __init__(self, ops: Sequence[tuple[int, int, int, int]]):
-        self.ops = ops
-        # per forbidden bit, the complete closure of the initial state
-        self.closures: dict[int, dict[int, bool]] = {}
-        self.table: dict[int, Successors] = {}
-        self.stored = 0  # entries kept, counted against MEMO_BUDGET
+    def __init__(self):
+        self.stored = 0
 
     def keep(self, entries: int) -> bool:
         """Whether ``entries`` more fit the budget; if so they count."""
@@ -101,14 +106,47 @@ class _TaskMemo:
         self.stored += entries
         return True
 
+
+# the entries of every live table
+_TABLES = _Budget()
+
+
+def _hand_back(states: dict[int, Successors]) -> None:
+    """Uncount the entries of a table that died."""
+    _TABLES.stored -= len(states) + sum(map(len, states.values()))
+
+
+class _Table:
+    """The successor table of one action set (see the module docstring)."""
+
+    __slots__ = ("ops", "states", "__weakref__")
+
+    def __init__(self, task: Task):
+        self.ops = task.ops
+        self.states: dict[int, Successors] = {}
+        weakref.finalize(self, _hand_back, self.states)
+
     def successors(self, s: int) -> Successors:
         """``core.successors(ops, s)`` as a tuple, from the table."""
-        ts = self.table.get(s)
+        ts = self.states.get(s)
         if ts is None:
             ts = tuple(successors(self.ops, s))
-            if self.keep(1 + len(ts)):
-                self.table[s] = ts
+            if _TABLES.keep(1 + len(ts)):
+                self.states[s] = ts
         return ts
+
+
+class _TaskMemo(_Budget):
+    """What the oracles keep about one task: its kept closures, counted
+    against its own budget, and its action set's table."""
+
+    __slots__ = ("closures", "table")
+
+    def __init__(self, task: Task):
+        super().__init__()
+        # per forbidden bit, the complete closure of the initial state
+        self.closures: dict[int, dict[int, bool]] = {}
+        self.table: _Table = task.shared_index(_Table)
 
 
 _MEMOS: "weakref.WeakKeyDictionary[Task, _TaskMemo]" = weakref.WeakKeyDictionary()
@@ -117,14 +155,14 @@ _MEMOS: "weakref.WeakKeyDictionary[Task, _TaskMemo]" = weakref.WeakKeyDictionary
 def _memo(task: Task) -> _TaskMemo:
     memo = _MEMOS.get(task)
     if memo is None:
-        memo = _MEMOS[task] = _TaskMemo(task.ops)
+        memo = _MEMOS[task] = _TaskMemo(task)
     return memo
 
 
 def _closure(expand: Callable[[int], Successors], starts: Iterable[int],
              cap: int, forbid_bit: int = 0) -> dict[int, bool]:
     """BFS closure of the states ``starts`` under ``expand`` (a state's
-    successors, such as ``_TaskMemo.successors``, possibly filtered); states
+    successors, such as ``_Table.successors``, possibly filtered); states
     containing ``forbid_bit`` are never entered (no start may contain it).
     Returns states in discovery order, each mapped to whether one of its
     successors contains ``forbid_bit`` (it has an exit from the subspace).
@@ -151,13 +189,13 @@ def _closure(expand: Callable[[int], Successors], starts: Iterable[int],
 
 
 def _init_closure(task: Task, cap: int, forbid_bit: int = 0) -> dict[int, bool]:
-    """``_closure`` of ``task.init`` under the task's successor table,
-    memoised per task and forbidden bit (see the module docstring).
+    """``_closure`` of ``task.init`` under its action set's successor
+    table, memoised per task and forbidden bit (see the module docstring).
     Read-only."""
     memo = _memo(task)
     seen = memo.closures.get(forbid_bit)
     if seen is None:
-        seen = _closure(memo.successors, (task.init,), cap, forbid_bit)
+        seen = _closure(memo.table.successors, (task.init,), cap, forbid_bit)
         if memo.keep(len(seen)):
             memo.closures[forbid_bit] = seen
     elif len(seen) > max(cap, 1):
@@ -209,7 +247,7 @@ def oracle_n(task: Task, l: int, lp: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     if task.init >> lp & 1:
         return False
     lbit, lpbit = 1 << l, 1 << lp
-    expand = _memo(task).successors
+    expand = _memo(task).table.successors
     return not any(t & lpbit for s in _init_closure(task, cap) if not s & lbit
                    for _, t in expand(s))
 
@@ -251,7 +289,7 @@ def _achieved_before_states(task: Task, l: int, lp: int, cap: int) -> list[int]:
     if task.init & lbit:
         return []
     adders = task._adder_mask[lp]
-    expand = _memo(task).successors
+    expand = _memo(task).table.successors
     out: dict[int, None] = {}
     for s in _init_closure(task, cap, lbit):
         for aid, t in expand(s):
@@ -273,7 +311,7 @@ def _aftermath_violated_from(task: Task, starts: list[int], l: int, lp: int,
     # state is kept once, with whether l has been seen: a refutation from it
     # with l seen is one with l unseen too, so an arrival with l unseen
     # replaces an l-seen entry and is searched again.
-    expand = _memo(task).successors
+    expand = _memo(task).table.successors
     frontier = dict.fromkeys(starts, False)  # state -> l seen, per depth
     kept = dict(frontier)
     while frontier:
@@ -301,7 +339,7 @@ def _deletion_violated_from(task: Task, starts: list[int], l: int, lp: int,
     without ever using an action whose delete list mentions lp (the empty
     path counts)."""
     lbit, lpbit = 1 << l, 1 << lp
-    ops, expand = task.ops, _memo(task).successors
+    ops, expand = task.ops, _memo(task).table.successors
 
     def keeping_lp(s: int) -> Successors:
         return [(aid, t) for aid, t in expand(s) if not ops[aid][3] & lpbit]
@@ -344,7 +382,7 @@ def count_solutions_of_length(task: Task, length: int, limit: int = 10_000_000) 
     """Number of action sequences of exactly ``length`` steps that solve the
     task, by exhaustive applicable-prefix enumeration."""
     goal = task.goal
-    expand = _memo(task).successors
+    expand = _memo(task).table.successors
     count = 0
     explored = 0
     stack = [(task.init, 0)]

@@ -144,27 +144,6 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
 # Interference
 # ---------------------------------------------------------------------------
 
-def interference_conditions(task: Task, table: InconsistencyTable, g: LGG,
-                            l: int, lp: int) -> tuple[bool, bool, bool, bool]:
-    """The four sufficient conditions for achieving ``l`` to delete ``lp``.
-
-    1. l and lp are mutex;
-    2. every l-adder also adds some x != l mutex with lp;
-    3. every l-adder deletes lp;
-    4. some graph node x mutex with lp has a gn edge into l.
-
-    Conditions 2 and 3 are vacuously false when l has no adders (such an l
-    is unreachable and the pair irrelevant).
-    """
-    c1 = table.query(l, lp)
-    adds, deletes = task.shared_index(_shared_effects)
-    shared_add, shared_del = adds[l], deletes[l]
-    c2 = bool(shared_add & ~(1 << l) & table.mutex_mask(lp))
-    c3 = bool(shared_del >> lp & 1)
-    c4 = any(table.query(x, lp) for x in g.predecessors(l, (GN,)))
-    return c1, c2, c3, c4
-
-
 def _shared_effects(task: Task) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per fact, the add list and the delete list common to all its
     adders, both 0 for a fact without adders."""
@@ -179,17 +158,17 @@ def _shared_effects(task: Task) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _interference_profile(task: Task, gn_pred: int, l: int) -> tuple[int, int]:
     """``(m, d)`` such that achieving ``l`` interferes with lp != l iff some
-    fact of ``m`` is mutex with lp or lp is in ``d``: the four conditions of
-    ``interference_conditions`` folded into two masks that do not depend
-    on lp (condition 1 is l itself in ``m``, 2 the other shared adds, 3 the
-    shared deletes in ``d``, 4 the gn predecessors ``gn_pred``).  The shared
-    adds and deletes are kept per action set."""
+    fact of ``m`` is mutex with lp or lp is in ``d``.  Achieving l
+    interferes with lp when one of four sufficient conditions for it to
+    delete lp holds: (1) l and lp are mutex; (2) every l-adder also adds
+    some x != l mutex with lp; (3) every l-adder deletes lp; (4) some graph
+    node x mutex with lp has a gn edge into l.  They fold into two masks
+    that do not depend on lp: condition 1 is l itself in ``m``, 2 the other
+    shared adds, 3 the shared deletes in ``d``, 4 the gn predecessors
+    ``gn_pred``.  Conditions 2 and 3 are false when l has no adders.  The
+    shared adds and deletes are kept per action set."""
     adds, deletes = task.shared_index(_shared_effects)
     return 1 << l | gn_pred | adds[l], deletes[l]
-
-
-def interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -> bool:
-    return any(interference_conditions(task, table, g, l, lp))
 
 
 # ---------------------------------------------------------------------------

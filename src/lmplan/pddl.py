@@ -46,8 +46,8 @@ kept actions, a task holding them and the count of the pruned actions.
 Per problem, ``ground`` checks the init and goal constants, sets their
 bits, runs the relaxed fixpoint and derives a task of its own from the
 kept one: it shares the facts, actions, indexes, relevance cones and
-pruned count, and has its own init, goal, name and verdict, so no search
-state crosses problems; it holds neither AST.  The memo holds at most
+pruned count, and has its own init, goal, name and verdict, so only what
+depends on the actions alone crosses problems; it holds neither AST.  The memo holds at most
 ``_MEMO_ACTIONS`` actions (bindings plus kept actions), dropping the least
 recently used object sets; it dies with its domain.  A problem that fails
 keeps nothing, so it raises the same error on every call.

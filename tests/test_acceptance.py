@@ -33,9 +33,9 @@ from lmplan.instances import (
     shared_add_task,
     twin_goal_task,
 )
-from lmplan.orders import interference_conditions
 
 from conftest import fid, topological_order_exists
+from test_pipeline_differential import interference_conditions
 
 FIG_NODES = {
     "(on c a)", "(on b d)", "(holding c)", "(clear a)", "(holding b)",

@@ -1,15 +1,20 @@
-"""The oracles' per-task memo: kept closures and the successor table.
+"""The oracles' memo: kept closures per task, a successor table per action set.
 
-Every oracle search reads a state's successors from a table kept per task,
-and every decider that searches the closure of a task's initial state that
+Every oracle search reads a state's successors from a table kept per action
+set, which every task derived without new facts or actions shares, and
+every decider that searches the closure of a task's initial state that
 never enters a given fact reads it from a memo kept per task and per
 forbidden fact.  On one task, every decider and the enumeration are asked in
 a shuffled order, twice, with caps around each closure's size; each answer,
 or ``CapExceeded``, must be the answer of a freshly built task and of the
-memo-free references in ``test_single_pass`` and ``test_kernel``.  The memo
-dies with its task, derived tasks keep their own, the memo keeps no more
-entries than its budget and answers do not depend on the budget, and over
-any sequence of queries a reachable state's successors are generated once.
+memo-free references in ``test_single_pass`` and ``test_kernel``, whether or
+not a sibling filled the table first.  The closures die with their task,
+and a table with the last task of its action set and the object-set memo,
+handing its entries back.  Derived tasks keep their own closures and share
+the table unless they add facts or actions.  A task's closures, and the
+tables of every live action set together, keep no more entries than the
+budget, and answers do not depend on the budget.  Over any sequence of
+queries a reachable state's successors are generated once per action set.
 """
 
 import gc
@@ -21,10 +26,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmplan import oracles
+from lmplan import oracles, pddl
 from lmplan.bench import gen_blocksworld
-from lmplan.control import with_init
-from lmplan.core import Action, Fact, Task, make_task, successors
+from lmplan.control import _compile, with_init
+from lmplan.core import Action, Fact, Task, bits, make_task, successors
 from lmplan.oracles import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -44,9 +49,10 @@ from conftest import fid
 from test_core import micro_tasks
 from test_kernel import DOMAINS, reference_reasonable_report
 from test_pipeline_properties import solvable_tasks
-from test_single_pass import (  # noqa: F401  (expansions is a fixture)
+from test_single_pass import (  # noqa: F401  (cold and expansions are fixtures)
     THREE_BLOCK_IDS,
     THREE_BLOCKS,
+    cold,
     expansions,
     once_each,
     outcome,
@@ -166,17 +172,47 @@ def test_memoised_answers_match_on_three_blocks(variant):
     assert_memo_matches_fresh_tasks(task, random.Random(0))
 
 
+def chain_and_sibling():
+    task = chain_task()
+    # from {r}, the sibling reaches only part of the task's space
+    return task, with_init(task, task.mask(["r"]))
+
+
+# a task, and a sibling that shares its table: another problem of its
+# object set, or a hand-built task's ``with_init`` task
+SIBLINGS = {
+    "arm-3": lambda: [three_block_task("arm", seed) for seed in (1, 0)],
+    "no-arm-3": lambda: [three_block_task("no-arm", seed) for seed in (1, 0)],
+    "arm-4": lambda: [ground_files(DOMAINS["arm"], gen_blocksworld(4, "arm", seed))
+                      for seed in (1, 0)],
+    "no-arm-4": lambda: [ground_files(DOMAINS["no-arm"], gen_blocksworld(4, "no-arm", seed))
+                         for seed in (1, 0)],
+    "make_task": chain_and_sibling,
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", SIBLINGS)
+def test_answers_do_not_depend_on_a_sibling_filling_the_table(name, warm, cold):
+    task, sibling = SIBLINGS[name]()
+    assert oracles._memo(sibling).table is oracles._memo(task).table
+    if warm:
+        enumerate_states(sibling)
+    assert_memo_matches_fresh_tasks(task, random.Random(1))
+
+
 @pytest.mark.parametrize("budget", [0, 40])
-def test_answers_do_not_depend_on_the_budget(monkeypatch, budget):
+def test_answers_do_not_depend_on_the_budget(monkeypatch, cold, budget):
     monkeypatch.setattr(oracles, "MEMO_BUDGET", budget)
     task = ground_files(DOMAINS["no-arm"], gen_blocksworld(3, "no-arm", 1))
     assert_memo_matches_fresh_tasks(task, random.Random(budget))
     memo = oracles._MEMOS[task]
     assert memo.stored == entries(memo) <= budget
+    assert table_entries(memo.table) <= budget
 
 
 # ---------------------------------------------------------------------------
-# Lifetime: the memo belongs to its task
+# Lifetime: the closures belong to their task, the table to its action set
 # ---------------------------------------------------------------------------
 
 def chain_task():
@@ -191,7 +227,7 @@ def test_memo_entry_dies_with_its_task():
     task = chain_task()
     assert oracle_landmark(task, fid(task, "q"))
     memo = oracles._MEMOS[task]
-    assert memo.closures and memo.table
+    assert memo.closures and memo.table.states
     alive = weakref.ref(task)
     gc.collect()
     before = len(oracles._MEMOS)
@@ -216,18 +252,72 @@ def test_derived_tasks_do_not_read_their_parents_entries():
     assert oracle_landmark(parent, q) and oracle_gn(parent, q, g)
 
 
+def test_a_table_dies_with_its_action_set_and_hands_its_entries_back(cold):
+    gc.collect()
+    others = oracles._TABLES.stored  # the entries of other tests' live tables
+    task = three_block_task("arm", 0)
+    assert enumerate_states(task)
+    table = oracles._MEMOS[task].table
+    held = table_entries(table)
+    assert held and oracles._TABLES.stored == others + held
+    alive = weakref.ref(table)
+    del task, table
+    gc.collect()
+    # the object-set memo holds the action set's kept task, and with it the table
+    again = three_block_task("arm", 1)
+    assert oracles._memo(again).table is alive()
+    moved = with_init(again, again.goal)
+    del again
+    pddl.parse_domain.cache_clear()
+    gc.collect()
+    assert alive() is oracles._memo(moved).table  # a task of the set still lives
+    del moved
+    gc.collect()
+    assert alive() is None
+    assert oracles._TABLES.stored == others
+
+
+@pytest.mark.parametrize("variant", ["arm", "no-arm"])
+def test_problems_of_one_object_set_share_one_table(variant, expansions):
+    first, second = three_block_task(variant, 0), three_block_task(variant, 1)
+    assert first.init != second.init
+    space = enumerate_states(first)
+    assert expansions == once_each(space)
+    # the second problem reaches no state the first did not
+    assert enumerate_states(second) == reference_states(second)
+    assert expansions == once_each(space)
+    assert oracles._MEMOS[second].table is oracles._MEMOS[first].table
+
+
 @pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
-def test_derived_tasks_do_not_read_their_parents_table(variant, seed, expansions):
+def test_derived_tasks_share_their_parents_table(variant, seed, expansions):
     parent = three_block_task(variant, seed)
     whole = once_each(closure_of(parent, DEFAULT_STATE_CAP))
     space = enumerate_states(parent)
     assert expansions == whole
-    # same ops, same initial state: still a table of their own
+    # same ops: the parent's table, so no successors generated anew
     for child in (with_init(parent, parent.init),
                   parent.derive(parent.init, parent.goal, "copy")):
-        expansions.clear()
         assert enumerate_states(child) == space
         assert expansions == whole
+        assert oracles._MEMOS[child].table is oracles._MEMOS[parent].table
+
+
+@pytest.mark.parametrize("variant, seed", THREE_BLOCKS, ids=THREE_BLOCK_IDS)
+def test_tasks_with_new_facts_or_actions_start_a_table_of_their_own(variant, seed,
+                                                                    expansions):
+    parent = three_block_task(variant, seed)
+    assert enumerate_states(parent)
+    n = parent.num_facts
+    subtask = _compile(parent, parent.init, [(f,) for f in bits(parent.goal)]).task
+    shortcut = parent.derive(parent.init, 1 << n, "shortcut", facts=[Fact(n, "h", ())],
+                             actions=[Action(len(parent.actions), "(h)", parent.init,
+                                             1 << n, 0)])
+    for child in (subtask, shortcut):
+        expansions.clear()
+        space = enumerate_states(child)
+        assert space == reference_states(child)
+        assert expansions == once_each(space)
         assert oracles._MEMOS[child].table is not oracles._MEMOS[parent].table
 
 
@@ -236,9 +326,15 @@ def test_derived_tasks_do_not_read_their_parents_table(variant, seed, expansions
 # ---------------------------------------------------------------------------
 
 def entries(memo):
-    """What the memo counts against its budget, counted anew."""
-    return (sum(map(len, memo.closures.values())) + len(memo.table)
-            + sum(map(len, memo.table.values())))
+    """What a task's memo counts against its budget, counted anew: the
+    states of its kept closures."""
+    return sum(map(len, memo.closures.values()))
+
+
+def table_entries(table):
+    """What a table counts against the budget of every live table, counted
+    anew: its states and their transitions."""
+    return len(table.states) + sum(map(len, table.states.values()))
 
 
 def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
@@ -247,23 +343,34 @@ def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
     out = Counter(s for s, _, _ in space.transitions)
     # table entries are kept in the order states are first expanded, each
     # while its state and transitions fit: here the first half of them fill
-    # the budget exactly
+    # what the live tables of other tests leave of the budget exactly
     kept = space.states[:len(space.states) // 2]
     budget = sum(1 + out[s] for s in kept)
-    monkeypatch.setattr(oracles, "MEMO_BUDGET", budget)
+    gc.collect()
+    others = oracles._TABLES.stored
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", others + budget)
     assert enumerate_states(task) == space.states
     memo = oracles._MEMOS[task]
-    assert tuple(memo.table) == kept and memo.stored == budget == entries(memo)
-    # enumeration keeps the whole space's closure only if it fits what the
-    # table left: nothing here, so it is searched anew on each enumeration,
-    # and a state past the budget is expanded anew on each read
-    assert not memo.closures
-    for _ in range(2):
-        expansions.clear()
-        assert enumerate_states(task) == space.states
-        assert expansions == once_each(s for s in space.states if s not in memo.table)
-    # a closure is kept only if it fits what is left; one not kept is
-    # searched anew on each query, past-budget states expanded anew
+    table = memo.table
+    assert tuple(table.states) == kept and table_entries(table) == budget
+    assert oracles._TABLES.stored == oracles.MEMO_BUDGET
+    # the whole space's closure fits the task's own budget; a necessary
+    # order that holds reads the successors of every state of it without
+    # l, and a state past the table's budget is expanded anew on each read
+    assert 0 in memo.closures
+    held = [(l, lp) for l in range(task.num_facts) for lp in range(task.num_facts)
+            if l != lp and reference_necessary(task, l, lp, DEFAULT_STATE_CAP)
+            and not task.init >> lp & 1]
+    assert held
+    for l, lp in held:
+        for _ in range(2):
+            expansions.clear()
+            assert oracle_n(task, l, lp)
+            assert expansions == once_each(s for s in space.states
+                                           if s not in table.states and not s >> l & 1), l
+    # a closure is kept only if it fits what the task's closures left; one
+    # not kept is searched anew on each query, past-budget states expanded
+    # anew
     for lp in range(task.num_facts):
         if (task.init | task.goal) >> lp & 1:
             continue
@@ -273,32 +380,57 @@ def test_memo_keeps_no_more_states_than_its_budget(monkeypatch, expansions):
                         if bit not in memo.closures]
             expansions.clear()
             assert oracle_landmark(task, lp) == want, lp
-            assert expansions == sum((once_each(s for s in closure if s not in memo.table)
+            assert expansions == sum((once_each(s for s in closure if s not in table.states)
                                       for closure in searched), Counter()), lp
-            assert memo.stored == entries(memo) == budget
-    assert tuple(memo.table) == kept and not memo.closures
+            assert memo.stored == entries(memo) <= oracles.MEMO_BUDGET
+    assert tuple(table.states) == kept and oracles._TABLES.stored == oracles.MEMO_BUDGET
+
+
+def test_tables_of_all_live_action_sets_share_one_budget(monkeypatch, cold):
+    tasks = [ground_files(DOMAINS["arm"], gen_blocksworld(4, "arm", 0)),
+             ground_files(DOMAINS["arm"], gen_blocksworld(3, "arm", 0)),
+             ground_files(DOMAINS["no-arm"], gen_blocksworld(3, "no-arm", 0))]
+    spaces = [reference_enumerate_states(task) for task in tasks]
+    full = sum(len(space.states) + len(space.transitions) for space in spaces)
+    gc.collect()
+    others = oracles._TABLES.stored
+    # room for half of what the three tables would hold
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", others + full // 2)
+    for task, space in zip(tasks, spaces):
+        assert enumerate_states(task) == space.states
+        for lp in range(task.num_facts):
+            assert oracle_landmark(task, lp) == reference_landmark(task, lp, DEFAULT_STATE_CAP)
+    tables = [oracles._MEMOS[task].table for task in tasks]
+    assert len(set(map(id, tables))) == 3
+    held = sum(map(table_entries, tables))
+    assert 0 < held <= full // 2
+    assert oracles._TABLES.stored == others + held <= oracles.MEMO_BUDGET
+    # the first table filled what the budget left, and answered past it
+    assert len(tables[0].states) < len(spaces[0].states)
 
 
 @pytest.mark.parametrize("room", [0, -1], ids=["fits", "one-short"])
 def test_enumeration_keeps_its_closure_if_it_fits(monkeypatch, expansions, room):
     task = ground_files(DOMAINS["arm"], gen_blocksworld(3, "arm", 0))
     space = reference_enumerate_states(task)
-    # every table entry, then the closure's states if ``room`` allows
-    table = len(space.states) + len(space.transitions)
-    monkeypatch.setattr(oracles, "MEMO_BUDGET", table + len(space.states) + room)
+    # a sibling fills the table; then the task's closures have room for the
+    # whole space's closure if ``room`` allows
+    assert enumerate_states(with_init(task, task.init)) == space.states
+    assert expansions == once_each(space.states)
+    monkeypatch.setattr(oracles, "MEMO_BUDGET", len(space.states) + room)
     assert enumerate_states(task) == space.states
     memo = oracles._MEMOS[task]
-    assert tuple(memo.table) == space.states
+    assert tuple(memo.table.states) == space.states
     kept = 0 in memo.closures
     assert kept == (room == 0)
-    assert memo.stored == entries(memo) == table + kept * len(space.states)
-    # kept or not, a second enumeration generates no successors
-    expansions.clear()
-    assert enumerate_states(task) == space.states and not expansions
+    assert memo.stored == entries(memo) == kept * len(space.states)
+    # kept or not, neither enumeration generates successors
+    assert enumerate_states(task) == space.states
+    assert expansions == once_each(space.states)
 
 
 # ---------------------------------------------------------------------------
-# Successor generation: once per reachable state and task
+# Successor generation: once per reachable state and action set
 # ---------------------------------------------------------------------------
 
 def reasonable_reads(task, l, lp, cap=DEFAULT_STATE_CAP):

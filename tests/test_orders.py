@@ -6,8 +6,6 @@ from lmplan.orders import (
     add_obedient_orders,
     add_reasonable_orders,
     compute_mutexes,
-    interference_conditions,
-    interferes,
     remove_cycles,
 )
 from lmplan.oracles import enumerate_states, co_occurrence, oracle_reasonable
@@ -17,6 +15,7 @@ from lmplan.pipeline import build_landmark_graph
 from lmplan.rpg import GOALS_FIRST, build_rpg
 
 from conftest import fid, topological_order_exists
+from test_pipeline_differential import interference_conditions, interferes, profile_interferes
 
 
 def verified_graph(task):
@@ -85,6 +84,20 @@ def test_interference_vacuous_without_adders(shared_add):
     m2 = compute_mutexes(t)
     g2 = verified_graph(t)
     assert interference_conditions(t, m2, g2, fid(t, "p"), fid(t, "q"))[1:3] == (False, False)
+    assert (profile_interferes(t, m2, g2, fid(t, "p"), fid(t, "q"))
+            == interferes(t, m2, g2, fid(t, "p"), fid(t, "q")))
+
+
+@pytest.mark.parametrize("maker", ["demo_bw", "shared_add", "twin", "roadmap", "committed_chain"])
+def test_interference_profile_agrees_with_the_four_conditions(maker, request):
+    task = request.getfixturevalue(maker)
+    m = compute_mutexes(task)
+    g = verified_graph(task)
+    for l in g.nodes:
+        for lp in g.nodes:
+            if l != lp:
+                assert profile_interferes(task, m, g, l, lp) == interferes(task, m, g, l, lp), \
+                    (task.facts[l].name, task.facts[lp].name)
 
 
 def test_reasonable_edge_inserted_on_demo(demo_bw):

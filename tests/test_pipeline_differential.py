@@ -19,10 +19,10 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmplan import planners
+from lmplan import orders, planners
 from lmplan.bench import generate_task
 from lmplan.control import compile_disjunctive_goal, solve, with_init
-from lmplan.core import Task, bits, make_task, relaxed_closure, successors
+from lmplan.core import Task, bits, make_task, mask_of, relaxed_closure, successors
 from lmplan.landmarks import (
     GN,
     LGG,
@@ -41,7 +41,6 @@ from lmplan.orders import (
     add_obedient_orders,
     add_reasonable_orders,
     compute_mutexes,
-    interferes,
     remove_cycles,
 )
 from lmplan.pipeline import build_landmark_graph
@@ -216,6 +215,32 @@ def reference_interference_conditions(task: Task, table: InconsistencyTable, g: 
 
 def reference_interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -> bool:
     return any(reference_interference_conditions(task, table, g, l, lp))
+
+
+def interference_conditions(task: Task, table: InconsistencyTable, g: LGG,
+                            l: int, lp: int) -> tuple[bool, bool, bool, bool]:
+    """The four conditions of ``reference_interference_conditions``, from
+    the adders' shared adds and deletes that the pipeline keeps per action
+    set (``orders._shared_effects``), one by one."""
+    c1 = table.query(l, lp)
+    adds, deletes = task.shared_index(orders._shared_effects)
+    shared_add, shared_del = adds[l], deletes[l]
+    c2 = bool(shared_add & ~(1 << l) & table.mutex_mask(lp))
+    c3 = bool(shared_del >> lp & 1)
+    c4 = any(table.query(x, lp) for x in g.predecessors(l, (GN,)))
+    return c1, c2, c3, c4
+
+
+def interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -> bool:
+    return any(interference_conditions(task, table, g, l, lp))
+
+
+def profile_interferes(task: Task, table: InconsistencyTable, g: LGG, l: int, lp: int) -> bool:
+    """Interference as r/rO insertion reads it, from l's profile
+    (``orders._interference_profile``): some fact of its mask is mutex
+    with lp, or it deletes lp."""
+    m, d = orders._interference_profile(task, mask_of(g.predecessors(l, (GN,))), l)
+    return bool(m & table.mutex_mask(lp) or d >> lp & 1)
 
 
 def _backward_closure(g: LGG, starts: Iterable[int], kinds: tuple[EdgeKind, ...]) -> set[int]:
@@ -625,8 +650,9 @@ def _check_pipeline_stages(task):
         for l in g.nodes:
             for lp in g.nodes:
                 if l != lp:
-                    assert interferes(task, table, g, l, lp) == \
-                        reference_interferes(task, table, g, l, lp)
+                    want = reference_interferes(task, table, g, l, lp)
+                    assert interferes(task, table, g, l, lp) == want
+                    assert profile_interferes(task, table, g, l, lp) == want
         _check_cycles(ro)
         if level_test:
             _same_graph(build_landmark_graph(task), remove_cycles(ro))

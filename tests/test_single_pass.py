@@ -21,9 +21,10 @@ states against the cap, as every oracle search does.  Its verdict must be
 the reference's, and its cap outcome and the states it expands follow from
 the states of the reference's unsatisfied nodes (``aftermath_outcomes``).
 
-Every search reads successors from a table kept per task, so over all the
-searches a test makes on one task, each state's successors are generated at
-most once, and for the states the references expand, or bound.
+Every search reads successors from a table kept per action set, so over
+all the searches a test makes on one task, each state's successors are
+generated at most once, and for the states the references expand, or bound.
+The tests that count generated successors start from a cold table.
 """
 
 from collections import Counter
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmplan import oracles
+from lmplan import oracles, pddl
 from lmplan.bench import gen_blocksworld
 from lmplan.core import PlanningError, make_task, successors
 from lmplan.oracles import (
@@ -316,12 +317,21 @@ def test_single_pass_searches_on_random_tasks(task):
 
 
 # ---------------------------------------------------------------------------
-# Each state's successors are generated at most once per task
+# Each state's successors are generated at most once per action set
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def expansions(monkeypatch):
-    """Counts ``successors`` calls per state made by the oracles module."""
+def cold():
+    """Empties the domain memo, so a task the test grounds starts a
+    successor table of its own: the object-set memo that shares one table
+    with earlier tests' tasks of its action set is gone."""
+    pddl.parse_domain.cache_clear()
+
+
+@pytest.fixture
+def expansions(monkeypatch, cold):
+    """Counts ``successors`` calls per state made by the oracles module,
+    from a cold table (``cold``)."""
     counts = Counter()
 
     def counting(ops, state):
@@ -341,9 +351,9 @@ THREE_BLOCK_IDS = [f"bw-{variant}-3-{seed}" for variant, seed in THREE_BLOCKS]
 
 
 def three_block_task(variant, seed):
-    """A three-block task grounded for the calling test alone: the oracles
-    keep a successor table per task, so a task that an earlier test queried
-    would answer some queries without generating any successors."""
+    """A three-block task, grounded anew.  After ``cold``, its successor
+    table is its own: a task that shares the table of one an earlier test
+    queried would answer some queries without generating any successors."""
     return ground_files(DOMAINS[variant], gen_blocksworld(3, variant, seed))
 
 

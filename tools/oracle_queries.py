@@ -4,14 +4,18 @@
 
 Generates the seed-1 ``oracle-micro`` problem texts as ``perfbench`` does and
 takes the workload's fixed prefix of 400 items, as
-``tools/dropped_orders.py`` does.  Each round grounds every item afresh, so
-no oracle memo outlives its item, and makes the workload's oracle calls in
-its order: ``enumerate_states``, then ``oracle_landmark`` on every landmark,
-with the enumerated state space, then, on items within the workload's state
-limit, ``oracle_gn`` on every gn edge and ``oracle_reasonable`` on every r
-edge.  Only the oracle calls are timed.  After the timed rounds, one more
-round, untimed, counts the successor sets the oracles generate (calls of
-``core.successors`` from ``lmplan.oracles``) per kind of call.
+``tools/dropped_orders.py`` does.  Each round first empties the domain memo
+(``pddl.parse_domain.cache_clear()``), so it starts with no successor table:
+within the round, the items of one action set share one table, as in
+``perfbench``, and each item keeps its own closures.  It grounds every item
+and makes the workload's oracle calls in its order: ``enumerate_states``,
+then ``oracle_landmark`` on every landmark, with the enumerated state space,
+then, on items within the workload's state limit, ``oracle_gn`` on every gn
+edge and ``oracle_reasonable`` on every r edge.  Only the oracle calls are
+timed.  After the timed rounds, one more round, untimed, counts the
+successor sets the oracles generate (calls of ``core.successors`` from
+``lmplan.oracles``) per kind of call: a cold pass, in which each state of
+an action set is expanded once.
 
 Prints one line per kind (enumerate, landmark, gn, r): calls, then for
 enumerate the states enumerated and for a decider its true and false
@@ -48,7 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from lmplan import bench, oracles  # noqa: E402
+from lmplan import bench, oracles, pddl  # noqa: E402
 from lmplan.landmarks import GN, R  # noqa: E402
 from lmplan.oracles import (  # noqa: E402
     DEFAULT_STATE_CAP, CapExceeded, enumerate_states, oracle_gn, oracle_landmark,
@@ -134,6 +138,7 @@ class Round:
             oracles.successors = self.successors
         for name, attr in SEARCHES.items():
             setattr(oracles, attr, self.timing(name, searches[attr]))
+        pddl.parse_domain.cache_clear()
         try:
             for item in items:
                 self.run_item(item)
