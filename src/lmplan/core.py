@@ -7,16 +7,19 @@ A task derived from another (``Task.derive``) may add facts and actions,
 but its new actions add only new facts.  A task keeps only indexes that
 depend on its actions alone: each fact's adders, the relevance cones that
 derived tasks share, and one record of the indexes that later stages build
-on first use (``Task.shared_index``: the mutex table's and verification's
-per-action records, the adders' shared effects, the heuristic's consumer
-index, lookahead's per-predicate masks, the oracles' successor table).  Every task derived without new
-facts or actions shares that record, so the grounder's problems over one
-action set build each index once.  The record lives as long as one of
-those tasks does: the grounder's object-set memo holds it, through the
-kept task, while it holds that action set.  What the relaxed-plan
-heuristic keeps per goal is ``rpg``'s.  ``relaxed_closure`` is the
-grounder's delete-free reachability fixpoint; the layered one is
-``rpg._grow``.  A grounded task counts the actions the grounder pruned
+on first use (``Task.shared_index``: the per-action records that the
+mutex table and verification read, ``action_records``; the consumer
+index, ``layering``; the adders' shared effects, lookahead's
+per-predicate masks and the oracles' successor table).  Every task derived
+without new facts or actions shares that record, so the grounder's
+problems over one action set build each index once.  The record lives as
+long as one of those tasks does: the grounder's object-set memo holds it,
+through the kept task, while it holds that action set.  What the
+relaxed-plan heuristic keeps per goal is ``rpg``'s.  Delete-free
+reachability is one growth, ``grow_layers``, a whole layer at a time over
+a consumer index: the grounder's pruning fixpoint, the goals-first graph
+and the heuristic's growth for goals of two or more facts all run it.  A
+grounded task counts the actions the grounder pruned
 (``len(task.pruned_actions)``) but does not name them.
 """
 
@@ -360,6 +363,78 @@ def never_enabled(task: Task) -> int:
     return dead
 
 
+def action_records(task: Task) -> tuple[tuple, int]:
+    """What the mutex table's and verification's fixpoints read of the
+    actions, a ``Task.shared_index`` builder: per action ``(pre, pre ids,
+    add, add ids, keep)``, with ``pre`` its preconditions that some action
+    changes and ``keep`` the facts it does not delete (non-negative, since
+    bit operations on negative ints cost more); and the actions whose
+    ``pre`` is empty, as a mask over ids."""
+    universe = (1 << len(task.facts)) - 1
+    changed = task._changed
+    records = []
+    unconditional = 0
+    for aid, pre, add, dele in task.ops:
+        pre &= changed
+        records.append((pre, tuple(bits(pre)), add, tuple(bits(add)), universe ^ (universe & dele)))
+        if not pre:
+            unconditional |= 1 << aid
+    return tuple(records), unconditional
+
+
+def consumer_masks(pres: Iterable[int], num_facts: int) -> tuple[int, ...]:
+    """Per fact, the actions with it as a precondition, as a mask over the
+    positions in ``pres``, the actions' preconditions in id order."""
+    consumers = [0] * num_facts
+    for aid, pre in enumerate(pres):
+        bit = 1 << aid
+        while pre:
+            low = pre & -pre
+            consumers[low.bit_length() - 1] |= bit
+            pre ^= low
+    return tuple(consumers)
+
+
+def layering(task: Task) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(consumers, adds)`` of the actions, the last two inputs of
+    ``grow_layers``, a ``Task.shared_index`` builder: per fact, the actions
+    with it as a precondition (``consumer_masks``); per action, its add
+    list."""
+    return (consumer_masks([op[1] for op in task.ops], len(task.facts)),
+            tuple(op[2] for op in task.ops))
+
+
+def grow_layers(layers: list[int], fired: list[int], goal: int, waiting: int, facts: int,
+                consumers: Sequence[int], adds: Sequence[int]) -> bool:
+    """Delete-relaxed reachability, a whole layer at a time: append to
+    ``layers`` the proposition layers that follow its last one, and to
+    ``fired`` each layer's newly applicable actions, until the last layer
+    holds ``goal`` (True; a goal of -1 never holds) or the fixpoint is hit
+    first (False; ``fired`` then ends with the actions first applicable
+    in the last layer).
+
+    The actions grown over are ``waiting``, a mask over ids.  A waiting
+    action fires once no fact of ``facts`` that it consumes is missing, so
+    ``facts`` must hold all their preconditions; the next layer adds its
+    add list.  Both are unions over ``consumers`` and ``adds``
+    (``layering``), run in C."""
+    cur = layers[-1]
+    if cur & goal == goal:
+        return True
+    while True:
+        blocked = union_of(consumers, facts & ~cur)
+        now = waiting & ~blocked
+        waiting &= blocked
+        nxt = union_of(adds, now, cur)
+        fired.append(now)
+        if nxt == cur:
+            return False
+        layers.append(nxt)
+        cur = nxt
+        if cur & goal == goal:
+            return True
+
+
 def make_task(
     actions: Sequence[tuple[str, Iterable[str], Iterable[str], Iterable[str]]],
     init: Iterable[str],
@@ -428,25 +503,6 @@ def successors(ops: Iterable[tuple[int, int, int, int]],
     for aid, pre, add, dele in ops:
         if state & pre == pre:
             yield aid, (state | add) & ~dele
-
-
-def relaxed_closure(pairs: Iterable[tuple[int, int]], state: int) -> int:
-    """The facts reachable from ``state`` when deletes are ignored: the
-    least superset of ``state`` holding ``add`` for every (pre, add) pair
-    whose ``pre`` it holds.  The grounder prunes the actions whose
-    preconditions it does not hold."""
-    waiting = list(pairs)
-    while True:
-        before = state
-        blocked = []
-        for pre, add in waiting:
-            if state & pre == pre:
-                state |= add
-            else:
-                blocked.append((pre, add))
-        if state == before:
-            return state
-        waiting = blocked
 
 
 def _check_plan_ids(task: Task, plan: Sequence[int]) -> None:

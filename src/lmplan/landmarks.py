@@ -14,11 +14,12 @@ gn/ln edges come out of this module; r/rO edges are added by lmplan.orders.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from enum import Enum
 from typing import AbstractSet, Iterable
 
-from .core import PlanningError, Task, bits, mask_of, never_enabled
+from .core import PlanningError, Task, action_records, bits, flags_of, mask_of, never_enabled
 from .rpg import INF, RPG
 
 
@@ -269,14 +270,6 @@ def lookahead_extend(task: Task, rpg: RPG, g: LGG, use_level_test: bool = True) 
 # Verification
 # ---------------------------------------------------------------------------
 
-def _verify_index(task: Task) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
-    """Per action, ``(id, ids of its preconditions that some action
-    changes, add, add ids)``: what verification reads of the actions."""
-    changed = task._changed
-    return tuple((aid, tuple(bits(pre & changed)), add, tuple(bits(add)))
-                 for aid, pre, add, _ in task.ops)
-
-
 def verify_landmarks(task: Task, g: LGG) -> LGG:
     """Keep only nodes that are provably landmarks.
 
@@ -292,27 +285,27 @@ def verify_landmarks(task: Task, g: LGG) -> LGG:
     complement of relaxed reachability, bit by bit.  The kept graph is a new
     one and ``g`` is left as it was, so that a caller can compare the two.
 
-    What the sweeps read of the actions (``_verify_index``) is built once
-    per action set and shared by the tasks derived from one another without
-    new facts or actions (``Task.shared_index``).  Its initial facts are
-    harmless, since ``unreached`` is 0 on them; it leaves out the
-    preconditions no action changes, so the actions with one that ``init``
-    lacks (``never_enabled``) are left out of the sweeps, where they could
-    only stay blocked for every node.
+    What the sweeps read of the actions, each one's changed preconditions'
+    ids, add list and add ids, is the mutex table's record
+    (``action_records``), built once per action set and shared by the
+    tasks derived from one another without new facts or actions
+    (``Task.shared_index``).  Its initial facts are harmless, since
+    ``unreached`` is 0 on them; it leaves out the preconditions no action
+    changes, so the actions with one that ``init`` lacks
+    (``never_enabled``) are left out of the sweeps, where they could only
+    stay blocked for every node.
     """
     out = g.copy()
     trivial = task.init | task.goal
     open_nodes = mask_of(out.nodes) & ~trivial
     unreached = [0 if task.init >> f & 1 else open_nodes for f in range(task.num_facts)]
     blocked = [open_nodes] * len(task.ops)  # per action, the same over its preconditions
-    acts = task.shared_index(_verify_index)
-    dead = never_enabled(task)
-    if dead:
-        acts = [act for act in acts if not dead >> act[0] & 1]
+    records = task.shared_index(action_records)[0]
+    live = flags_of(((1 << len(records)) - 1) ^ never_enabled(task))
     changed = True
     while changed:
         changed = False
-        for aid, pre_facts, add, add_facts in acts:
+        for aid, (_, pre_facts, add, add_facts, _) in itertools.compress(enumerate(records), live):
             b = add & open_nodes
             for q in pre_facts:
                 b |= unreached[q]

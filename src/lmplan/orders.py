@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .core import PlanningError, Task, bits, flags_of, mask_of, never_enabled, union_of
+from .core import (PlanningError, Task, action_records, bits, flags_of, layering, mask_of,
+                   never_enabled, union_of)
 from .landmarks import GN, LN, R, RO, EdgeKind, LGG
 
 
@@ -51,29 +52,6 @@ class InconsistencyTable:
         return out
 
 
-def _mutex_index(task: Task) -> tuple[tuple, tuple[int, ...], int]:
-    """What the fixpoint reads of the actions, kept per action set: per
-    action ``(pre, pre ids, add, add ids, keep)`` with ``pre`` its
-    preconditions that some action changes and ``keep`` the facts it does
-    not delete (kept non-negative, as all masks here, since bit operations
-    on negative ints cost more); per fact, the actions with it in ``pre``;
-    and the actions whose ``pre`` is empty."""
-    universe = (1 << task.num_facts) - 1
-    changed = task._changed
-    acts = []
-    watch = [0] * task.num_facts
-    unconditional = 0
-    for i, pre, add, dele in task.ops:
-        pre &= changed
-        pre_facts = tuple(bits(pre))
-        acts.append((pre, pre_facts, add, tuple(bits(add)), universe ^ (universe & dele)))
-        for r in pre_facts:
-            watch[r] |= 1 << i
-        if not pre_facts:
-            unconditional |= 1 << i
-    return tuple(acts), tuple(watch), unconditional
-
-
 def compute_mutexes(task: Task) -> InconsistencyTable:
     """The pair-reachability fixpoint of the module docstring.
 
@@ -87,19 +65,23 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
     action is monotone, so this order reaches the same least fixpoint as
     repeated sweeps over all actions.
 
-    What the sweeps read of the actions (``_mutex_index``) depends on them
-    alone, so it is built once per action set and shared by the tasks
-    derived from one another without new facts or actions (``Task.
-    shared_index``).  It leaves out every precondition that no action
-    changes: one that holds in ``init`` never blocks, and the actions with
-    one that does not (``never_enabled``) are never pending.
+    What the sweeps read of the actions (``action_records``, and the
+    consumer index of ``layering`` to find the actions a grown fact
+    concerns) depends on them alone, so it is built once per action set
+    and shared by the tasks derived from one another without new facts or
+    actions (``Task.shared_index``).  The records leave out every
+    precondition that no action changes: one that holds in ``init`` never
+    blocks, and the actions with one that does not (``never_enabled``) are
+    never pending.  A fact that grows is one some action changes, so its
+    consumers are exactly the actions with it among those preconditions.
     """
     static = task.init & ~task._changed
     reached = task.init ^ static
     co = [0] * task.num_facts
     for f in bits(reached):
         co[f] = reached
-    acts, watch, unconditional = task.shared_index(_mutex_index)
+    acts, unconditional = task.shared_index(action_records)
+    consumers = task.shared_index(layering)[0]
     live = ((1 << len(acts)) - 1) ^ never_enabled(task)
     pending = live
     while pending:
@@ -132,7 +114,7 @@ def compute_mutexes(task: Task) -> InconsistencyTable:
                 if add & reached != add:
                     reached |= add
                     first_reached = True
-        pending = union_of(watch, grown, unconditional if first_reached else 0) & live
+        pending = union_of(consumers, grown, unconditional if first_reached else 0) & live
     for f in bits(reached):
         co[f] |= static
     for s in bits(static):

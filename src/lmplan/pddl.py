@@ -18,10 +18,11 @@ over sorted typed pools to pairwise-distinct objects.  A precondition on a
 static predicate (one no schema adds, so its true atoms are exactly the
 ``:init`` ones) joins: an index of its relation, keyed by the objects
 already bound, gives the candidates of its last variable.  The
-delete-relaxed fixpoint then runs over bitmasks of the surviving bindings
-only, with ground atoms interned as tuples.  The pruned actions are counted,
-never named: their number is the bindings of every schema, worked out from
-the typed pools, less the kept actions.
+delete-relaxed fixpoint then runs over the surviving bindings only, with
+ground atoms interned as tuples: it is ``core.grow_layers``, the growth the
+relaxed planning graph runs, over a consumer index of local atom bits.
+The pruned actions are counted, never named: their number is the bindings
+of every schema, worked out from the typed pools, less the kept actions.
 
 Work that needs only the domain is done once per domain text.
 ``parse_domain`` keeps the parses of the last eight texts it read, keyed by
@@ -35,22 +36,23 @@ order to bind parameters in.  ``ground`` reads the plan and derives only
 the problem's share.
 
 Work that needs only the domain and a problem's objects and static
-``:init`` atoms is done once per object set.  The plan holds a memo of
-it (``object_sets``), keyed by the typed objects, as a set, and the static
+``:init`` atoms is done once per object set.  The plan holds a memo of it
+(``object_sets``), keyed by the typed objects, as a set, and the static
 ``:init`` atoms: the bindings that pass the static tests, their rows, the
-fixpoint's (pre, add) pairs over local atom bits, the atom table and the
-number of bindings with no static tests.  Within an entry, keyed also by
-the relaxed-reachable atoms and the goal atoms outside them (with any init
-or goal atom the table lacks, on a bit past it), are the sorted facts, the
-kept actions, a task holding them and the count of the pruned actions.
-Per problem, ``ground`` checks the init and goal constants, sets their
-bits, runs the relaxed fixpoint and derives a task of its own from the
-kept one: it shares the facts, actions, indexes, relevance cones and
-pruned count, and has its own init, goal, name and verdict, so only what
-depends on the actions alone crosses problems; it holds neither AST.  The memo holds at most
-``_MEMO_ACTIONS`` actions (bindings plus kept actions), dropping the least
-recently used object sets; it dies with its domain.  A problem that fails
-keeps nothing, so it raises the same error on every call.
+fixpoint's inputs over local atom bits (the consumer index and add lists),
+the atom table and the number of bindings with no static tests.  Within an
+entry, keyed also by the relaxed-reachable atoms and the goal atoms outside
+them (with any init or goal atom the table lacks, on a bit past it), are
+the sorted facts, the kept actions, a task holding them and the count of
+the pruned actions.  Per problem, ``ground`` checks the init and goal
+constants, sets their bits, runs the relaxed fixpoint and derives a task of
+its own from the kept one: it shares the facts, actions, indexes, relevance
+cones and pruned count, and has its own init, goal, name and verdict, so
+only what depends on the actions alone crosses problems; it holds neither
+AST.  The memo holds at most ``_MEMO_ACTIONS`` actions (bindings plus kept
+actions), dropping the least recently used object sets; it dies with its
+domain.  A problem that fails keeps nothing, so it raises the same error on
+every call.
 
 The reader makes nested lists of plain strings: it cuts comments, splits
 at blanks and parentheses, and lowercases each symbol.  No token keeps its
@@ -77,7 +79,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .core import BLANKS, Action, Fact, PlanningError, Task, format_atom, relaxed_closure, split_blanks
+from .core import (BLANKS, Action, Fact, PlanningError, Task, consumer_masks, flags_of, format_atom,
+                   grow_layers, split_blanks)
 
 
 class ParseError(PlanningError):
@@ -738,17 +741,20 @@ class _PrunedActions:
 class _ObjectSet:
     """What ``ground`` derives from a problem's typed objects and static
     ``:init`` atoms: per binding that passes the static tests, its schema
-    index and row and the fixpoint's (pre, add) pair over local bits, where
-    static preconditions are left out (they hold in init, or the binding
-    would not have passed); the local bit of each atom the bindings hold
-    and of each static ``:init`` atom; the number of bindings with no
-    static tests; and, per reachable set, what ``ground`` built for it."""
+    index and row; the last four inputs of ``core.grow_layers``: every
+    binding, every atom, per atom the bindings with it as a precondition,
+    and per binding its add list, over local bits, where static
+    preconditions are left out (they hold in init, or the binding would
+    not have passed); the local bit of each atom the
+    bindings hold and of each static ``:init`` atom; the number of bindings
+    with no static tests; and, per reachable set, what ``ground`` built for
+    it."""
 
-    __slots__ = ("rows", "pairs", "atoms", "bindings", "reached", "size")
+    __slots__ = ("rows", "growth", "atoms", "bindings", "reached", "size")
 
-    def __init__(self, rows: list[tuple[int, tuple]], pairs: list[tuple[int, int]],
+    def __init__(self, rows: list[tuple[int, tuple]], growth: tuple,
                  atoms: dict[tuple, int], bindings: int):
-        self.rows, self.pairs, self.atoms, self.bindings = rows, pairs, atoms, bindings
+        self.rows, self.growth, self.atoms, self.bindings = rows, growth, atoms, bindings
         self.reached: dict[tuple, _Reached] = {}
         self.size = len(rows)  # plus the kept actions of each reachable set
 
@@ -795,7 +801,8 @@ def _object_set(domain: DomainAst, problem: ProblemAst, static: list[AtomAst]) -
         true[atom.predicate].add(atom.args)
     atoms = _AtomBits()
     rows: list[tuple[int, tuple]] = []
-    pairs: list[tuple[int, int]] = []
+    pres: list[int] = []
+    adds: list[int] = []
     total = 0
     for s, (schema, sp) in enumerate(zip(domain.schemas, plan.schemas)):
         count = _num_bindings(schema, by_type)
@@ -816,17 +823,21 @@ def _object_set(domain: DomainAst, problem: ProblemAst, static: list[AtomAst]) -
                 pre |= atoms[get(row)]
             for get in add_get:
                 add |= atoms[get(row)]
-            pairs.append((pre, add))
+            pres.append(pre)
+            adds.append(add)
+    growth = ((1 << len(rows)) - 1, (1 << len(atoms)) - 1, consumer_masks(pres, len(atoms)),
+              tuple(adds))
     for atom in static:  # a bit each, so that only odd atoms go past the table
         atoms[(atom.predicate, *atom.args)]
-    return _ObjectSet(rows, pairs, atoms, total)
+    return _ObjectSet(rows, growth, atoms, total)
 
 
-def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, goal: int,
+def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, kept: int, goal: int,
              extra: dict[tuple, int]) -> _Reached:
     """The facts and kept actions of ``entry`` when ``reached`` holds the
-    relaxed-reachable local bits and ``goal`` the goal's; ``extra`` holds
-    the problem's atoms past ``entry``'s, with their bits."""
+    relaxed-reachable local bits, ``kept`` the bindings that fire and
+    ``goal`` the goal's bits; ``extra`` holds the problem's atoms past
+    ``entry``'s, with their bits."""
     keep = reached | goal
     universe = [atom for atom, bit in itertools.chain(entry.atoms.items(), extra.items())
                 if bit & keep]
@@ -844,12 +855,11 @@ def _reached(domain: DomainAst, entry: _ObjectSet, reached: int, goal: int,
 
     schemas, plans = domain.schemas, domain.plan.schemas
     actions = []
-    for (s, row), (pre, _) in zip(entry.rows, entry.pairs):
-        if reached & pre == pre:
-            schema, sp = schemas[s], plans[s]
-            combo = row[:len(schema.params)]
-            actions.append(Action(len(actions), format_atom(schema.name, combo),
-                                  mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
+    for s, row in itertools.compress(entry.rows, flags_of(kept)):
+        schema, sp = schemas[s], plans[s]
+        combo = row[:len(schema.params)]
+        actions.append(Action(len(actions), format_atom(schema.name, combo),
+                              mask(sp.pre, row), mask(sp.add, row), mask(sp.delete, row)))
     return _Reached(fact_bit, Task(facts, actions, 0, 0),
                     _PrunedActions(entry.bindings - len(actions)))
 
@@ -905,12 +915,15 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Task:
         init |= bit(atom)
     for atom in goal_atoms:
         goal |= bit(atom)
-    reached = relaxed_closure(entry.pairs, init)
+    layers, fired = [init], []
+    grow_layers(layers, fired, -1, *entry.growth)
+    reached = layers[-1]
     unreached = goal & ~reached
     reach_key = reached, unreached, tuple(extra)
     found = entry.reached.get(reach_key)
     if found is None:
-        found = entry.reached[reach_key] = _reached(domain, entry, reached, goal, extra)
+        kept = functools.reduce(operator.or_, fired, 0)
+        found = entry.reached[reach_key] = _reached(domain, entry, reached, kept, goal, extra)
         entry.size += len(found.task.actions)
         grown += len(found.task.actions)
     plan.object_sets.keep(key, entry, grown)

@@ -13,29 +13,30 @@ walks them down once with a single subgoal mask.  Values are memoised per
 goal by the start state restricted to the relevant facts, when that
 restriction can merge states.
 
-A goal of two or more facts (plain search's full goal) grows a whole layer
-at once: the relevant actions that fire are those that no missing fact
-consumes, found with two unions run in C over the task's consumer index
-(``_layering``).  A one-fact goal (every control-loop sub-task's) tests
-its ops one at a time instead, nearest adders first, and stops as soon as
-the goal is in sight.  What the heuristic keeps per goal lives here, one
-record per task (``_RECORDS``) that dies with the task: the goal's
-relevant ops, value memo and whole-layer inputs.  Every task builds its
-own, ``with_init`` tasks and compiled sub-tasks included, from the
-relevance cones it shares with its parent (``Task._cone_of``).  The
-consumer index depends on the actions alone: it is kept once per action
-set (``Task.shared_index``), so a ``with_init`` task reads its parent's,
-and a compiled sub-task, which adds actions, builds its own.
+The goals-first graph and a goal of two or more facts (plain search's full
+goal) grow whole layers with ``core.grow_layers``, the one delete-free
+growth the grounder also runs: the waiting actions that fire are those
+that no missing fact consumes, found with two unions run in C over the
+consumer index (``core.layering``).  A one-fact goal (every control-loop
+sub-task's) tests its ops one at a time instead (``_grow``), nearest
+adders first, and stops as soon as the goal is in sight.  What the
+heuristic keeps per goal lives here, one record per task (``_RECORDS``)
+that dies with the task: the goal's relevant ops, value memo and
+whole-layer inputs.  Every task builds its own, ``with_init`` tasks and
+compiled sub-tasks included, from the relevance cones it shares with its
+parent (``Task._cone_of``).  The consumer index depends on the actions
+alone: it is kept once per action set (``Task.shared_index``), so a
+``with_init`` task reads its parent's, and a compiled sub-task, which adds
+actions, builds its own.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from typing import Optional
 
-from .core import Task, bits, flags_of, union_of
+from .core import Task, bits, flags_of, grow_layers, layering
 
 GOALS_FIRST = "goals-first"
 FIXPOINT = "fixpoint"
@@ -65,7 +66,9 @@ class RPG:
         self.start = state
         if mode == GOALS_FIRST:
             layers, self._act_layers = [state], []
-            self.goal_reached = _grow(layers, self._act_layers, task.goal, (), (), (), task.ops)
+            self.goal_reached = grow_layers(layers, self._act_layers, task.goal,
+                                            (1 << len(task.ops)) - 1, (1 << task.num_facts) - 1,
+                                            *task.shared_index(layering))
             self.top_layer = len(layers) - 1
             fact_level = self.fact_level = [INF] * task.num_facts
             below = 0
@@ -83,48 +86,28 @@ class RPG:
 
 
 def _grow(layers: list[int], act_layers: list[int], goal: int,
-          goal_waiting, feeding, deeper, waiting, layered=None) -> bool:
+          goal_waiting, feeding, deeper, waiting) -> bool:
     """Append proposition layers to ``layers`` (and each layer's newly
-    applicable actions to ``act_layers``) until ``goal`` holds in the last
-    one (True) or the fixpoint is hit first (False).  The four op lists
-    (``_relevance``) hold the ops to grow over that are not applicable
-    in the last layer; only those are tested, since an action enabled
-    earlier stays enabled and its adds are already present.
+    applicable actions to ``act_layers``) until ``goal``, of one fact or
+    none, holds in the last one (True) or the fixpoint is hit first (False).
+    The four op lists (``_relevance``) hold the ops to grow over that are
+    not applicable in the last layer; only those are tested, since an
+    action enabled earlier stays enabled and its adds are already present.
 
     ``goal_waiting``, the goal's achievers, are tested first; when they
     complete the goal, the rest of that last layer is left out: no level it
-    would add is read by extraction.  For a one-fact goal, ``feeding`` holds
-    the adders of the achievers' preconditions and ``deeper`` the adders of
-    the feeders' preconditions.  A layer fires the feeders next and looks
-    one layer ahead over the achievers; failing that, it fires the deeper
-    ops and looks two layers ahead over the achievers and feeders.  When the
-    goal is reached ahead, the layers looked at become the last ones and the
+    would add is read by extraction.  ``feeding`` holds the adders of the
+    achievers' preconditions and ``deeper`` the adders of the feeders'
+    preconditions.  A layer fires the feeders next and looks one layer
+    ahead over the achievers; failing that, it fires the deeper ops and
+    looks two layers ahead over the achievers and feeders.  When the goal
+    is reached ahead, the layers looked at become the last ones and the
     rest of this layer is left out: extraction reads from these layers only
     facts whose adders were all tested.  Such partial layers are never grown
-    on.
-
-    With ``layered`` (from ``_relevance``: the goal's relevant actions as a
-    mask, its relevant facts, and the task's consumer index and add lists),
-    the op lists are ignored and each layer is computed whole: the waiting
-    relevant actions fire unless some missing relevant fact is one of their
-    preconditions, and the next layer adds all their adds."""
+    on."""
     cur = layers[-1]
     if cur & goal == goal:
         return True
-    if layered is not None:
-        waiting, facts, consumers, adds = layered
-        while True:
-            blocked = union_of(consumers, facts & ~cur)
-            fired = waiting & ~blocked
-            waiting &= blocked
-            nxt = union_of(adds, fired, cur)
-            act_layers.append(fired)
-            if nxt == cur:
-                return False
-            layers.append(nxt)
-            cur = nxt
-            if cur & goal == goal:
-                return True
     while True:
         goal_waiting, fired, nxt = _fire(goal_waiting, cur, 0, cur)
         ahead = ()  # the next layers, when the goal's near adders alone reach it
@@ -204,7 +187,11 @@ def extract_relaxed_plan(rpg: RPG, goal: int):
             return value
     layers, act_layers = [rpg.start], []
     value = INF
-    if _grow(layers, act_layers, goal, *classes, layered):
+    if layered is None:
+        reached = _grow(layers, act_layers, goal, *classes)
+    else:
+        reached = grow_layers(layers, act_layers, goal, *layered)
+    if reached:
         value = _backchain(rpg.task, goal, layers, act_layers)
     if memo is not None:
         memo[1][key] = value
@@ -241,9 +228,9 @@ def _relevance(task: Task, goal: int) -> tuple[tuple, Optional[tuple[int, dict]]
     reads them.  When actions change other facts too, states that agree on
     the relevant ones share a value, and the memo (the relevant facts, and
     the values by the start state restricted to them) keeps it.  For a goal
-    of two or more facts, the whole-layer inputs are what ``_grow`` reads
-    to grow a whole layer at once: the relevant actions and facts as masks,
-    and the consumer index."""
+    of two or more facts, the whole-layer inputs are what ``grow_layers``
+    reads after the layers: the relevant actions and facts as masks, and
+    the consumer index and add lists."""
     record = _record(task)
     entry = record.get(goal)
     if entry is not None:
@@ -265,27 +252,9 @@ def _relevance(task: Task, goal: int) -> tuple[tuple, Optional[tuple[int, dict]]
     classes = (_ops_of(task, chosen & achieving), _ops_of(task, feeding),
                _ops_of(task, deeper), _ops_of(task, chosen & ~achieving & ~feeding & ~deeper))
     memo = (read, {}) if task._changed & ~read else None
-    layered = (chosen, read, *_layering(task)) if goal & (goal - 1) else None
+    layered = (chosen, read, *task.shared_index(layering)) if goal & (goal - 1) else None
     entry = record[goal] = (classes, memo, layered)
     return entry
-
-
-def _layering(task: Task) -> tuple[tuple, tuple]:
-    """(consumers, adds): per fact, the actions with it as a precondition,
-    as a mask over ids; per action, its add list.  Built on first use, once
-    per action set."""
-    return task.shared_index(_build_layering)
-
-
-def _build_layering(task: Task) -> tuple[tuple, tuple]:
-    consumers = [0] * len(task.facts)
-    for aid, pre, _, _ in task.ops:
-        bit = 1 << aid
-        while pre:
-            low = pre & -pre
-            consumers[low.bit_length() - 1] |= bit
-            pre ^= low
-    return tuple(consumers), tuple(map(operator.itemgetter(2), task.ops))
 
 
 def _ops_of(task: Task, actions: int) -> tuple:

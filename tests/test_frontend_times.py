@@ -29,8 +29,9 @@ def test_one_repetition_reports_each_case():
     parsed = [LINE.fullmatch(line) for line in done.stdout.strip().splitlines()]
     assert all(parsed), done.stdout
     assert [m.group(1, 2) for m in parsed] == [
-        ("blocksworld-arm", "4"), ("blocksworld-arm", "9"), ("blocksworld-no-arm", "4"),
-        ("logistics", "2-3-2-4"), ("logistics", "3-3-1-6")]
+        ("blocksworld-arm", "4"), ("blocksworld-arm", "9"), ("blocksworld-arm", "40"),
+        ("blocksworld-no-arm", "4"), ("logistics", "2-3-2-4"), ("logistics", "3-3-1-6"),
+        ("logistics", "8-4-3-20")]
     for m in parsed:
         assert all(0 < float(m.group(k)) < 1 for k in range(3, 9))
     # 9 blocks: 9 pick-up, 9 put-down, 72 stack and 72 unstack actions;

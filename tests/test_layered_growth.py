@@ -2,7 +2,7 @@
 
 For such a goal, ``extract_relaxed_plan`` grows each relaxed layer at once:
 the goal's relevant actions that fire are those no missing fact consumes
-(``rpg._layering``'s consumer index, the relevant-action mask of the goal's
+(``core.layering``'s consumer index, the relevant-action mask of the goal's
 ``rpg._relevance`` entry).  Every such evaluation must equal extraction from
 the reference fixpoint graph, which grows every layer over all actions one
 at a time, on random tasks, ``with_init`` tasks and compiled sub-tasks.
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmplan.bench import generate_task
 from lmplan.control import _compile, compile_disjunctive_goal, with_init
-from lmplan.core import Action, Fact, bits
+from lmplan.core import Action, Fact, bits, layering
 from lmplan import rpg
 from lmplan.rpg import FIXPOINT, INF, build_rpg, extract_relaxed_plan
 
@@ -116,22 +116,23 @@ def test_derived_tasks_do_not_read_their_parents_index():
     for task in GENERATED[::3]:
         state = _reachable_states(task, 4)[-1]
         check(task, task.init, task.goal)
-        index = rpg._layering(task)
+        index = task.shared_index(layering)
         # same actions, another initial state: relevance records of its own,
         # built from the shared cones, and the parent's index
         moved = with_init(task, state)
         check(moved, moved.init, moved.goal)
         assert rpg._RECORDS[moved] is not rpg._RECORDS[task]
         assert rpg._RECORDS[moved][task.goal] is not rpg._RECORDS[task][task.goal]
-        assert rpg._layering(moved) is index and rpg._layering(moved) == reference_layering(moved)
+        assert moved.shared_index(layering) is index
+        assert index == reference_layering(moved)
         assert moved._cones is task._cones
         # more actions: the same
         sub = _compile(task, state, [(0,), (task.num_facts - 1,)], task.goal).task
         check(sub, sub.init, sub.goal)
         assert rpg._RECORDS[sub] is not rpg._RECORDS[task]
-        assert rpg._layering(sub) is not index
+        assert sub.shared_index(layering) is not index
         assert sub._cones is task._cones
-        assert rpg._layering(task) is index and index == reference_layering(task)
+        assert task.shared_index(layering) is index and index == reference_layering(task)
         # an action without preconditions, which the parent's index does not
         # hold, adding a new goal fact
         n = task.num_facts
@@ -139,7 +140,7 @@ def test_derived_tasks_do_not_read_their_parents_index():
                                facts=[Fact(n, "shortcut-goal", ())],
                                actions=[Action(len(task.actions), "(shortcut)", 0, 1 << n, 0)])
         check(shortcut, state, shortcut.goal)
-        assert rpg._layering(shortcut) is not index
+        assert shortcut.shared_index(layering) is not index
 
 
 def test_a_child_builds_its_own_index_equal_to_the_reference():
@@ -148,14 +149,14 @@ def test_a_child_builds_its_own_index_equal_to_the_reference():
     child = with_init(task, _reachable_states(task, 3)[-1])
     check(child, child.init, child.goal)
     assert task not in rpg._RECORDS
-    assert rpg._layering(child) == reference_layering(child) == reference_layering(task)
+    assert child.shared_index(layering) == reference_layering(child) == reference_layering(task)
 
 
 def test_a_tasks_records_die_with_the_task():
     task = generate_task("logistics", (2, 2, 1, 2), 1)
     check(task, task.init, task.goal)
     record = rpg._RECORDS[task]
-    assert record and task._indexes[rpg._build_layering] is rpg._layering(task)
+    assert record and task._indexes[layering] is task.shared_index(layering)
     alive = weakref.ref(task)
     gc.collect()
     before = len(rpg._RECORDS)

@@ -127,7 +127,6 @@ def test_extractions_leave_the_graph_as_built(task):
 def test_gbfs_builds_and_extracts_once_per_evaluation(domain, size, landmarks, monkeypatch):
     events, inside = [], []
     real_build, real_extract = planners.build_rpg, planners.extract_relaxed_plan
-    real_grow = rpg._grow
 
     def build(task, mode, state):
         graph = real_build(task, mode, state)
@@ -142,14 +141,18 @@ def test_gbfs_builds_and_extracts_once_per_evaluation(domain, size, landmarks, m
         finally:
             inside.pop()
 
-    def grow(*args):
-        if inside:  # the landmark graph's own growth is not an evaluation
-            events.append(("grow", None, None))
-        return real_grow(*args)
+    def counted(real_grow):
+        def grow(*args):
+            if inside:  # the landmark graph's own growth is not an evaluation
+                events.append(("grow", None, None))
+            return real_grow(*args)
+        return grow
 
     monkeypatch.setattr(planners, "build_rpg", build)
     monkeypatch.setattr(planners, "extract_relaxed_plan", extract)
-    monkeypatch.setattr(rpg, "_grow", grow)
+    # a one-fact goal grows op by op, a goal of more facts a layer at a time
+    for name in ("_grow", "grow_layers"):
+        monkeypatch.setattr(rpg, name, counted(getattr(rpg, name)))
     for seed in range(2):
         events.clear()
         plan, _ = solve(generate_task(domain, size, seed), planners.gbfs_plan, landmarks)

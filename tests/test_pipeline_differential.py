@@ -2,8 +2,9 @@
 
 The references below are the implementations these fast paths replaced,
 kept unchanged: the eagerly built relaxed planning graph and its plan
-extraction, the sweeping pair-reachability fixpoint, one relaxed
-reachability test per candidate landmark, lookahead grouping preconditions
+extraction, the sweeping pair-reachability fixpoint, the grounder's
+sweeping relaxed closure, one relaxed reachability test per candidate
+landmark, lookahead grouping preconditions
 one fact at a time, the per-pair interference and aftermath tests of r/rO
 insertion, and cycle removal with one strongly connected component pass per
 edge kind.  Every fast path must give the
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from lmplan import orders, planners
 from lmplan.bench import generate_task
 from lmplan.control import compile_disjunctive_goal, solve, with_init
-from lmplan.core import Task, bits, make_task, mask_of, relaxed_closure, successors
+from lmplan.core import Task, bits, make_task, mask_of, successors
 from lmplan.landmarks import (
     GN,
     LGG,
@@ -399,6 +400,26 @@ def reference_remove_cycles(g: LGG) -> LGG:
     if leftovers:
         raise CycleError(f"cycles remain after removal: {leftovers}")
     return out
+
+
+def relaxed_closure(pairs: Iterable[tuple[int, int]], state: int) -> int:
+    """The facts reachable from ``state`` when deletes are ignored: the
+    least superset of ``state`` holding ``add`` for every (pre, add) pair
+    whose ``pre`` it holds, swept pair by pair until a sweep adds
+    nothing.  The grounder pruned with this fixpoint before it grew whole
+    layers with ``core.grow_layers``."""
+    waiting = list(pairs)
+    while True:
+        before = state
+        blocked = []
+        for pre, add in waiting:
+            if state & pre == pre:
+                state |= add
+            else:
+                blocked.append((pre, add))
+        if state == before:
+            return state
+        waiting = blocked
 
 
 def reference_verify_landmarks(task: Task, g: LGG) -> LGG:

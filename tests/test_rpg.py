@@ -1,6 +1,6 @@
 import pytest
 
-from lmplan.core import bits, make_task, relaxed_closure
+from lmplan.core import bits, grow_layers, layering, make_task, mask_of
 from lmplan.rpg import (
     FIXPOINT,
     GOALS_FIRST,
@@ -10,7 +10,7 @@ from lmplan.rpg import (
 )
 
 from conftest import fid
-from test_pipeline_differential import ReferenceRPG
+from test_pipeline_differential import ReferenceRPG, relaxed_closure
 
 
 def test_demo_levels_match_hand_built_graph(demo_bw):
@@ -86,28 +86,40 @@ def test_layers_are_monotone_and_level_consistent(demo_bw, two_planes):
                 assert max(pre_levels, default=0) == level[f] - 1
 
 
-# Delete-free reachability by the grounder's fixpoint, over (pre, add) pairs
+# Delete-free reachability to the fixpoint, as the grounder grows it
+
+def closure(task, kept, state):
+    """The facts reachable from ``state`` over the actions that ``kept``
+    accepts, grown by ``grow_layers`` to the fixpoint; the reference
+    closure over their (pre, add) pairs agrees, and ``fired`` holds each
+    action that fires once, applicable in its last layer."""
+    actions = [a for a in task.actions if kept(a)]
+    layers, fired = [state], []
+    assert not grow_layers(layers, fired, -1, mask_of(a.id for a in actions),
+                           (1 << task.num_facts) - 1, *layering(task))
+    reached = layers[-1]
+    assert reached == relaxed_closure([(a.pre, a.add) for a in actions], state)
+    assert sum(fired) == mask_of(a.id for a in actions if reached & a.pre == a.pre)
+    return reached
+
 
 def test_relaxed_solvable_survives_achiever_removal(roadmap):
     at_e = 1 << fid(roadmap, "(at e)")
-    pairs = [(a.pre, a.add) for a in roadmap.actions if not a.add & at_e]
-    assert relaxed_closure(pairs, roadmap.init) == \
+    assert closure(roadmap, lambda a: not a.add & at_e, roadmap.init) == \
         roadmap.mask(["(at a)", "(at b)", "(at c)", "(at d)"])
 
 
 def test_relaxed_solvable_trivial_when_goal_initial(roadmap):
-    assert relaxed_closure([], roadmap.init) == roadmap.init
+    assert closure(roadmap, lambda a: False, roadmap.init) == roadmap.init
 
 
 def test_relaxed_unsolvable_without_key_achievers(demo_bw):
     holding_c = 1 << fid(demo_bw, "(holding c)")
-    pairs = [(a.pre, a.add) for a in demo_bw.actions if not a.add & holding_c]
-    reached = relaxed_closure(pairs, demo_bw.init)
+    reached = closure(demo_bw, lambda a: not a.add & holding_c, demo_bw.init)
     assert not reached & holding_c
     assert not reached >> fid(demo_bw, "(on c a)") & 1
     # with them, the goal is reached
-    everything = [(a.pre, a.add) for a in demo_bw.actions]
-    assert relaxed_closure(everything, demo_bw.init) & demo_bw.goal == demo_bw.goal
+    assert closure(demo_bw, lambda a: True, demo_bw.init) & demo_bw.goal == demo_bw.goal
 
 
 def test_extract_zero_when_goal_holds(demo_bw):

@@ -22,7 +22,7 @@ import weakref
 
 import pytest
 
-from lmplan import landmarks, orders, rpg
+from lmplan import core, landmarks, orders
 from lmplan.bench import DOMAIN_TEXTS, gen_problem, generate_task
 from lmplan.control import _compile, with_init
 from lmplan.core import Action, Fact, Task, make_task
@@ -41,8 +41,8 @@ from test_pipeline_differential import (
 DOMAINS = [("blocksworld-arm", 5), ("blocksworld-no-arm", 5), ("logistics", (2, 2, 1, 2))]
 
 # what the stages keep per action set
-BUILDERS = {orders._mutex_index, orders._shared_effects, landmarks._verify_index,
-            landmarks._predicate_masks, rpg._build_layering}
+BUILDERS = {core.action_records, orders._shared_effects, landmarks._predicate_masks,
+            core.layering}
 
 
 def fresh(task: Task) -> Task:
@@ -99,7 +99,7 @@ def test_a_task_with_new_facts_or_actions_builds_its_own_record(domain, size):
         assert sub._indexes is not task._indexes
         for goal in (sub.goal, sub.goal | task.goal):
             assert heuristic(sub, sub.init, goal) == heuristic(fresh(sub), sub.init, goal)
-        assert rpg._layering(sub) != rpg._layering(task)
+        assert sub.shared_index(core.layering) != task.shared_index(core.layering)
     n = task.num_facts
     shortcut = task.derive(state, task.goal | 1 << n, "shortcut",
                            facts=[Fact(n, "shortcut-goal", ())],
@@ -138,7 +138,7 @@ def test_an_action_with_a_false_static_precondition_never_fires():
     for t in (sibling, task):
         assert compute_mutexes(t)._co == reference_compute_mutexes(t)._co
         assert verify_landmarks(t, every_fact(t)) == reference_verify_landmarks(t, every_fact(t))
-    assert {orders._mutex_index, landmarks._verify_index} <= set(task._indexes)
+    assert core.action_records in task._indexes
     assert not compute_mutexes(sibling).query(a, g)
     assert compute_mutexes(task).query(a, g)
     assert b not in verify_landmarks(sibling, every_fact(sibling))

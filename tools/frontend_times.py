@@ -39,8 +39,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from lmplan import pddl  # noqa: E402
 from lmplan.bench import DOMAIN_TEXTS, gen_problem  # noqa: E402
 
-CASES = (("blocksworld-arm", 4), ("blocksworld-arm", 9), ("blocksworld-no-arm", 4),
-         ("logistics", (2, 3, 2, 4)), ("logistics", (3, 3, 1, 6)))
+# arm 40 and logistics 8-4-3-20: sizes where the grounder's relaxed growth
+# matters, and whose object sets do not fit its memo
+CASES = (("blocksworld-arm", 4), ("blocksworld-arm", 9), ("blocksworld-arm", 40),
+         ("blocksworld-no-arm", 4), ("logistics", (2, 3, 2, 4)), ("logistics", (3, 3, 1, 6)),
+         ("logistics", (8, 4, 3, 20)))
 CALLS = ("parse_domain", "parse_problem", "ground warm", "ground cold", "ground_files warm",
          "cold")
 SLICES = 10  # per repetition: short turns see the same load on both sides
