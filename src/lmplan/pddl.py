@@ -745,10 +745,9 @@ class _ObjectSet:
     binding, every atom, per atom the bindings with it as a precondition,
     and per binding its add list, over local bits, where static
     preconditions are left out (they hold in init, or the binding would
-    not have passed); the local bit of each atom the
-    bindings hold and of each static ``:init`` atom; the number of bindings
-    with no static tests; and, per reachable set, what ``ground`` built for
-    it."""
+    not have passed); the local bit of each atom the bindings hold and of
+    each static ``:init`` atom; the number of bindings with no static
+    tests; and, per reachable set, what ``ground`` built for it."""
 
     __slots__ = ("rows", "growth", "atoms", "bindings", "reached", "size")
 

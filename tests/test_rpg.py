@@ -91,8 +91,8 @@ def test_layers_are_monotone_and_level_consistent(demo_bw, two_planes):
 def closure(task, kept, state):
     """The facts reachable from ``state`` over the actions that ``kept``
     accepts, grown by ``grow_layers`` to the fixpoint; the reference
-    closure over their (pre, add) pairs agrees, and ``fired`` holds each
-    action that fires once, applicable in its last layer."""
+    closure over their (pre, add) pairs agrees, and the fired masks hold,
+    once each, exactly the accepted actions applicable in the last layer."""
     actions = [a for a in task.actions if kept(a)]
     layers, fired = [state], []
     assert not grow_layers(layers, fired, -1, mask_of(a.id for a in actions),
